@@ -10,8 +10,8 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -63,16 +63,23 @@ def _solve_config(args) -> solver.SolveConfig:
     kwargs = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            kwargs.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise CliError(f"--config must hold a JSON object, got {type(loaded).__name__}")
+        types = {f.name: type(f.default) for f in dataclasses.fields(solver.SolveConfig)}
+        for key, value in loaded.items():
+            if key not in types:
+                raise CliError(f"unknown --config key {key!r}; known keys: {', '.join(types)}")
+            if isinstance(value, bool) or not isinstance(value, (int, types[key])):
+                raise CliError(f"--config key {key!r} must be of type "
+                               f"{types[key].__name__}, got {value!r}")
+        kwargs.update(loaded)
     if args.restarts is not None:
         kwargs["restarts"] = args.restarts
     if args.seed is not None:
         kwargs["seed"] = args.seed
     if args.tol is not None:
         kwargs["residual_tol"] = args.tol
-    # OPTLIM_THREADS caps worker parallelism regardless of the config file
-    cap = max(1, int(os.environ.get("OPTLIM_THREADS", "1")))
-    kwargs["workers"] = min(int(kwargs.get("workers", cap)), cap)
     return solver.SolveConfig(**kwargs)
 
 
@@ -95,7 +102,8 @@ def cmd_solve(args) -> int:
     system = build_system(potential)
     cfg = _solve_config(args)
     solutions = solver.solve(system, cfg)
-    results = [optimistic.w0(potential, s, diagram=d if potential.kind == "W" else None)
+    results = [optimistic.w0(potential, s, diagram=d if potential.kind == "W" else None,
+                             system=system)
                for s in solutions]
     best_vol = max((r.vol for r in results), default=0.0)
     records = []
@@ -189,6 +197,7 @@ def cmd_verify(args) -> int:
         rec["congruent_mod_4pi2"] = bridge.congruent_mod_4pi2
         rec["z"] = {str(k): v for k, v in bridge.z.assignment.items()}
         if args.sign_flip:
+            base = optimistic.w0(pot_alt, sol.assignment)
             flips = []
             for _ in range(args.trials):
                 taus = {v: int(rng_signs.choice((-1, 1))) for v in pot_alt.variables}
@@ -196,7 +205,6 @@ def cmd_verify(args) -> int:
                 flipped = correspondence.sign_flip(pot_alt, taus, eps)
                 point = correspondence.sign_flip_point(pot_alt, taus, eps, sol.assignment)
                 res_flip = optimistic.w0(flipped, point)
-                base = optimistic.w0(pot_alt, sol.assignment)
                 flips.append(optimistic.mod_eq(res_flip.raw, base.raw,
                                                2.0 * optimistic.PI2, 1e-9))
             rec["sign_flip_passes"] = sum(flips)

@@ -71,15 +71,6 @@ def check_z_nondegenerate(diagram: LinkDiagram, a: Assignment, tol: float = 1e-1
     return True
 
 
-def degeneracy_products_w(crossing: Crossing, a: Assignment) -> list[complex]:
-    """The per-corner products whose avoidance of 1 encodes nondegeneracy.
-
-    These are exactly the candidate side ratios of the crossing, so the
-    crossing is degenerate iff one of them equals 1.
-    """
-    return list(side_ratios_from_w(crossing, a))
-
-
 # ---------------------------------------------------------------------------
 # Per-crossing ratio data
 

@@ -12,7 +12,8 @@ Because every coefficient is an integer, exp(mu_k) is a rational function
 of the assignment: a product of (1-m)^c and m^c factors.  The equation
 system exp(mu_k) = 1 is therefore solved in branch-free rational form,
 with one variable pinned to 1 (overall scaling) and one equation dropped
-(the exact relation sum_k mu_k = 0).
+(the exact relation sum_k mu_k = 0).  The same compiled factors give the
+principal-branch mu_k themselves, which the corrected potential needs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 
 from .diagram import Label
 from .potential import Assignment, EvaluationError, Monomial, Potential
-from .numerics import plog
 
 
 @dataclass(frozen=True)
@@ -41,17 +41,6 @@ class LogAtom:
 class LogDerivative:
     variable: Label
     atoms: tuple[LogAtom, ...]
-
-    def evaluate(self, a: Assignment) -> complex:
-        """Principal-branch value of mu_k at the assignment."""
-        total = 0.0 + 0.0j
-        for atom in self.atoms:
-            v = atom.m.value(a)
-            arg = 1.0 - v if atom.kind == "log1m" else v
-            if arg == 0:
-                raise EvaluationError(f"degenerate monomial value {v} in mu_{self.variable!r}")
-            total += atom.coeff * plog(arg)
-        return total
 
 
 def log_derivative(potential: Potential, var: Label) -> LogDerivative:
@@ -81,10 +70,6 @@ def log_derivative(potential: Potential, var: Label) -> LogDerivative:
     return LogDerivative(var, atoms)
 
 
-def all_log_derivatives(potential: Potential) -> dict[Label, LogDerivative]:
-    return {v: log_derivative(potential, v) for v in potential.variables}
-
-
 def euler_coefficient_sums(potential: Potential) -> dict[tuple[str, Monomial], int]:
     """Net coefficient of each log atom in sum_k mu_k; all zero for any
     degree-0 potential (the exact Euler relation)."""
@@ -100,20 +85,25 @@ def euler_coefficient_sums(potential: Potential) -> dict[tuple[str, Monomial], i
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """Pinned rational system exp(mu_k) - 1 = 0 for k over the active variables."""
+    """Compiled log-derivatives of a potential, one block of factors per variable.
+
+    The blocks of the unknowns give the pinned rational system
+    exp(mu_k) - 1 = 0; the pin's block comes last and holds its dropped,
+    redundant equation.  mu() reads every block.
+    """
 
     potential: Potential
     pin: Label
     unknowns: tuple[Label, ...]          # all variables except pin
-    active: tuple[Label, ...]            # equations kept (pin's dropped)
-    derivatives: dict[Label, LogDerivative]
 
-    # compiled arrays; one row per (equation, factor)
-    _eq_starts: np.ndarray               # (neq,) reduceat boundaries into factor arrays
+    # compiled arrays; one row per (variable, factor), blocks in _var_order
+    _eq_starts: np.ndarray               # (nvars,) reduceat boundaries, pin's block last
     _fac_exps: np.ndarray                # (nfac, nvars) integer exponents
     _fac_coeff: np.ndarray               # (nfac,) monomial sign
     _fac_power: np.ndarray               # (nfac,) integer outer exponent
     _fac_is_1m: np.ndarray               # (nfac,) bool: factor (1-m) vs m
+    _fac_mono: np.ndarray                # (nfac,) index into _monomials
+    _monomials: tuple[Monomial, ...]     # distinct factor monomials
     _var_order: tuple[Label, ...]        # pin last
 
     @property
@@ -135,24 +125,26 @@ class EquationSystem:
         return w_full
 
     def _factor_bases(self, w_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Monomial values and factor bases of the unknowns' blocks."""
         if np.any(w_full == 0.0):
             raise EvaluationError("zero variable value")
+        rows = self._eq_starts[-1]
         # Any log branch works here: the integer exponents kill 2 pi i shifts.
-        mv = self._fac_coeff * np.exp(self._fac_exps @ np.log(w_full))
-        base = np.where(self._fac_is_1m, 1.0 - mv, mv)
+        mv = self._fac_coeff[:rows] * np.exp(self._fac_exps[:rows] @ np.log(w_full))
+        base = np.where(self._fac_is_1m[:rows], 1.0 - mv, mv)
         if np.any(base == 0.0):
             raise EvaluationError("non-essential point: monomial value in {0, 1}")
         return mv, base
 
     def _products(self, base: np.ndarray) -> np.ndarray:
-        """exp(mu_k) per active equation from the factor bases."""
-        logs = self._fac_power * np.log(base)
-        if len(self._eq_starts) == 0:
+        """exp(mu_k) per unknown from the factor bases."""
+        if self.size == 0:
             return np.empty(0, dtype=complex)
-        return np.exp(np.add.reduceat(logs, self._eq_starts))
+        logs = self._fac_power[:len(base)] * np.log(base)
+        return np.exp(np.add.reduceat(logs, self._eq_starts[:-1]))
 
     def residual_vector(self, x: Sequence[complex]) -> np.ndarray:
-        """exp(mu_k) - 1 per active equation with the pin held at 1."""
+        """exp(mu_k) - 1 per unknown with the pin held at 1."""
         _, base = self._factor_bases(self._full_vector(np.asarray(x, dtype=complex)))
         return self._products(base) - 1.0
 
@@ -161,14 +153,15 @@ class EquationSystem:
         w_full = self._full_vector(np.asarray(x, dtype=complex))
         mv, base = self._factor_bases(w_full)
         nu = len(self.unknowns)
-        if len(self._eq_starts) == 0:
+        if nu == 0:
             return np.empty((0, nu), dtype=complex)
         F = self._products(base)
+        rows = len(base)
         # d log(base_f)/d w_v = power_f * exps[f, v] * g_f / w_v with
         # g = -m/(1-m) for (1-m) factors and 1 for plain monomial factors.
-        coef = self._fac_power * np.where(self._fac_is_1m, -mv / base, 1.0)
-        contrib = coef[:, None] * self._fac_exps[:, :nu]
-        dlog = np.add.reduceat(contrib, self._eq_starts, axis=0) / w_full[:nu]
+        coef = self._fac_power[:rows] * np.where(self._fac_is_1m[:rows], -mv / base, 1.0)
+        contrib = coef[:, None] * self._fac_exps[:rows, :nu]
+        dlog = np.add.reduceat(contrib, self._eq_starts[:-1], axis=0) / w_full[:nu]
         return F[:, None] * dlog
 
     def residual(self, a: Assignment) -> np.ndarray:
@@ -177,15 +170,30 @@ class EquationSystem:
         _, base = self._factor_bases(w_full)
         return self._products(base) - 1.0
 
-    def mu(self, a: Assignment, var: Label) -> complex:
-        return self.derivatives[var].evaluate(a)
+    def mu(self, a: Assignment) -> np.ndarray:
+        """Principal-branch mu_k at the assignment, in potential.variables order.
 
-    def mu_all(self, a: Assignment) -> dict[Label, complex]:
-        return {v: d.evaluate(a) for v, d in self.derivatives.items()}
+        The monomial values come from Monomial.value, the values the
+        potential itself is evaluated at.  A value on the negative real axis
+        then falls on the same side of the log cut in W and in every mu_k,
+        so W0 keeps its invariances there; exp(exps @ log w), as in the
+        residual, or a different order of products can move it across.
+        """
+        mv = np.array([m.value(a) for m in self._monomials], dtype=complex)[self._fac_mono]
+        # + 0.0 turns a -0.0 imaginary part into +0.0, so the negative real
+        # axis gets arg +pi, as numerics.plog gives it.
+        base = np.where(self._fac_is_1m, 1.0 - mv, mv) + 0.0
+        if np.any(base == 0.0) or not np.all(np.isfinite(base)):
+            raise EvaluationError("degenerate monomial value in a log-derivative")
+        # The trailing zero keeps the pin's boundary in range when its block is empty.
+        logs = np.append(self._fac_power * np.log(base), 0.0)
+        sums = np.add.reduceat(logs, self._eq_starts)
+        k = self.potential.variables.index(self.pin)
+        return np.concatenate((sums[:k], sums[-1:], sums[k:-1]))
 
 
 def build_system(potential: Potential, pin: Label | None = None) -> EquationSystem:
-    """Pin one variable to 1 and drop its (redundant) equation."""
+    """Pin one variable to 1 and compile every variable's equation, pin's last."""
     variables = potential.variables
     if not variables:
         raise ValueError("potential has no variables")
@@ -194,8 +202,6 @@ def build_system(potential: Potential, pin: Label | None = None) -> EquationSyst
     if pin not in variables:
         raise KeyError(f"pin variable {pin!r} not in potential")
     unknowns = tuple(v for v in variables if v != pin)
-    active = unknowns
-    derivs = all_log_derivatives(potential)
 
     var_order = unknowns + (pin,)
     var_index = {v: i for i, v in enumerate(var_order)}
@@ -204,11 +210,14 @@ def build_system(potential: Potential, pin: Label | None = None) -> EquationSyst
     coeffs: list[int] = []
     powers: list[int] = []
     is_1m: list[bool] = []
-    for var in active:
-        if not derivs[var].atoms:
+    mono_index: dict[Monomial, int] = {}
+    fac_mono: list[int] = []
+    for var in var_order:
+        atoms = log_derivative(potential, var).atoms
+        if not atoms and var != pin:
             raise ValueError(f"variable {var!r} has an empty equation")
         eq_starts.append(len(exps_rows))
-        for atom in derivs[var].atoms:
+        for atom in atoms:
             row = [0] * len(var_order)
             for v, e in atom.m.exps:
                 row[var_index[v]] = e
@@ -216,18 +225,19 @@ def build_system(potential: Potential, pin: Label | None = None) -> EquationSyst
             coeffs.append(atom.m.coeff)
             powers.append(atom.coeff)
             is_1m.append(atom.kind == "log1m")
+            fac_mono.append(mono_index.setdefault(atom.m, len(mono_index)))
 
     return EquationSystem(
         potential=potential,
         pin=pin,
         unknowns=unknowns,
-        active=active,
-        derivatives=derivs,
         _eq_starts=np.array(eq_starts, dtype=np.intp),
         _fac_exps=np.array(exps_rows, dtype=float).reshape(len(exps_rows), len(var_order)),
         _fac_coeff=np.array(coeffs, dtype=complex),
         _fac_power=np.array(powers, dtype=float),
         _fac_is_1m=np.array(is_1m, dtype=bool),
+        _fac_mono=np.array(fac_mono, dtype=np.intp),
+        _monomials=tuple(mono_index),
         _var_order=var_order,
     )
 
@@ -236,8 +246,7 @@ def mu_integer_multipliers(system: EquationSystem, a: Assignment,
                            tol: float = 1e-6) -> dict[Label, int]:
     """Round each mu_k/(2 pi i) to an integer; error when not a solution."""
     out = {}
-    for var in system.potential.variables:
-        mu = system.derivatives[var].evaluate(a)
+    for var, mu in zip(system.potential.variables, system.mu(a).tolist()):
         k = round(mu.imag / (2.0 * cmath.pi))
         err = abs(mu - 2j * cmath.pi * k)
         if err > tol:

@@ -205,10 +205,6 @@ def evaluate(potential: Potential, a: Assignment) -> complex:
     return total
 
 
-def term_multiset_equal(p1: Potential, p2: Potential) -> bool:
-    return Counter(p1.terms) == Counter(p2.terms)
-
-
 def to_json_dict(potential: Potential) -> dict:
     def mono(m: Monomial) -> dict:
         return {"coeff": m.coeff, "exponents": {str(v): e for v, e in m.exps}}

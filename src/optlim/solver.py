@@ -3,14 +3,12 @@
 Restarts draw starting points from an annulus, iterate Newton with a
 backtracking line search on the residual norm, then deduplicate converged
 points and keep only essential solutions (no dilogarithm argument near 0,
-1 or infinity).  Everything is deterministic given the seed; restarts are
-independent, so they can be farmed out to worker threads and merged by
-sorting before deduplication.
+1 or infinity).  Restarts run one after another, each from its own child
+of the configured seed, so the same seed gives the same solutions.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -35,9 +33,10 @@ class SolveConfig:
     seed: int = 0
     radius_min: float = 0.1
     radius_max: float = 10.0
-    workers: int = 1
 
     def __post_init__(self):
+        if self.restarts < 1 or self.max_iter < 1:
+            raise ValueError("restarts and max_iter must be at least 1")
         if min(self.residual_tol, self.dedupe_tol, self.essential_tol) <= 0:
             raise ValueError("tolerances must be positive")
         if self.residual_tol >= self.dedupe_tol:
@@ -173,11 +172,7 @@ def solve(system: EquationSystem, cfg: SolveConfig | None = None) -> list[Soluti
     if system.size == 0:
         return []
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            raw = list(pool.map(lambda s: _run_restart(system, cfg, s), seeds))
-    else:
-        raw = [_run_restart(system, cfg, s) for s in seeds]
+    raw = [_run_restart(system, cfg, s) for s in seeds]
 
     hits = [(x, fn) for item in raw if item is not None for x, fn in [item]]
     hits = [(x, fn) for x, fn in hits

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from optlim import (SolveConfig, assemble_V, assemble_W, build_system, builtin,
-                    solve)
+                    log_derivative, plog, solve)
 
 FIG8_PD = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
 
@@ -48,6 +48,19 @@ def knot52_v_solutions(knot52):
 
 def make_rng(salt: int = 0) -> np.random.Generator:
     return np.random.default_rng(987654321 + salt)
+
+
+def mu_oracle(potential, a) -> dict:
+    """Principal-branch mu_k summed atom by atom: the reference for
+    EquationSystem.mu, computed from the symbolic log-derivatives."""
+    out = {}
+    for v in potential.variables:
+        total = 0j
+        for atom in log_derivative(potential, v).atoms:
+            m = atom.m.value(a)
+            total += atom.coeff * plog(1.0 - m if atom.kind == "log1m" else m)
+        out[v] = total
+    return out
 
 
 def _term_monomials(potential):

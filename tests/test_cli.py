@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from optlim import builtin
 from optlim.cli import main
 from optlim.diagram import to_json_dict
@@ -82,13 +84,26 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["config"]["restarts"] == 96
 
-    def test_worker_threads_stable_output(self, capsys, monkeypatch):
-        args = ("--stable", "solve", "--builtin", "4_1", "--restarts", "96",
-                "--seed", "3")
-        _, base, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("OPTLIM_THREADS", "3")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert threaded == base
+    @pytest.mark.parametrize("config,message", [
+        ({"restart": 5}, "unknown --config key 'restart'"),
+        ({"workers": 2}, "unknown --config key 'workers'"),
+        ([1, 2], "JSON object"),
+        ({"restarts": "5"}, "must be of type int"),
+        ({"restarts": 0}, "at least 1"),
+        ({"max_iter": 0}, "at least 1"),
+    ])
+    def test_bad_config_exits_1(self, capsys, tmp_path, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "solve", "--builtin", "4_1", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_zero_restarts_exits_1(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--builtin", "4_1", "--restarts", "0")
+        assert code == 1
+        assert "at least 1" in err
 
 
 class TestTwist:

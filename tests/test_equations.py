@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from optlim import assemble_V, assemble_W, build_system, builtin, evaluate
+from optlim import (ALT_NEG_LOG, assemble_V, assemble_W, build_system, builtin,
+                    evaluate, sign_flip, sign_flip_point)
 from optlim import twistknot
 from optlim.equations import (EvaluationError, euler_coefficient_sums,
                               log_derivative, mu_integer_multipliers)
 from optlim.numerics import shape_double_prime, shape_prime
 from optlim.potential import Potential
 
-from conftest import make_rng, random_essential_assignment
+from conftest import make_rng, mu_oracle, random_essential_assignment
 
 TWO_PI_I = 2j * math.pi
 
@@ -46,7 +47,7 @@ class TestLogDerivative:
         from optlim.potential import crossing_terms_W
         c = Crossing(+1, ("j", "k", "l", "m"), (1, 2, 3, 4))
         p = Potential(tuple(crossing_terms_W(c)), ("j", "k", "l", "m"), "W")
-        ld = log_derivative(p, "j")
+        system = build_system(p)
         rng = make_rng(11)
         for _ in range(25):
             a = random_essential_assignment(p, rng)
@@ -54,7 +55,7 @@ class TestLogDerivative:
             expected = (shape_prime(wj * wl / (wk * wm))
                         * shape_double_prime(wm / wj)
                         * shape_double_prime(wk / wj))
-            got = cmath.exp(ld.evaluate(a))
+            got = cmath.exp(system.mu(a)[0])
             assert abs(got - expected) < 1e-10 * max(1.0, abs(expected))
 
     @pytest.mark.parametrize("maker", [
@@ -64,11 +65,11 @@ class TestLogDerivative:
     ])
     def test_matches_finite_differences(self, maker):
         p = maker()
+        system = build_system(p)
         rng = make_rng(5)
         for _ in range(20):
             a = random_essential_assignment(p, rng, off_cuts=True)
-            for var in p.variables:
-                analytic = log_derivative(p, var).evaluate(a)
+            for var, analytic in zip(p.variables, system.mu(a)):
                 numeric = mu_fd(p, a, var)
                 denom = max(1.0, abs(analytic))
                 assert abs(analytic - numeric) / denom < 1e-6
@@ -96,25 +97,31 @@ class TestEulerRelation:
 
     def test_numeric_sum_vanishes(self, fig8):
         p = assemble_W(fig8)
-        lds = {v: log_derivative(p, v) for v in p.variables}
+        system = build_system(p)
         rng = make_rng(7)
         for _ in range(200):
             a = random_essential_assignment(p, rng)
-            total = sum(ld.evaluate(a) for ld in lds.values())
-            assert abs(total) < 1e-12
+            assert abs(sum(system.mu(a))) < 1e-12
 
 
 class TestBuildSystem:
     def test_pin_and_counts_region(self, fig8):
-        system = build_system(assemble_W(fig8), pin=6)
+        p = assemble_W(fig8)
+        system = build_system(p, pin=6)
         assert system.pin == 6
         assert len(system.unknowns) == 5
-        assert len(system.active) == 5
+        # five equations kept, mu over all six variables
+        a = random_essential_assignment(p, make_rng(3))
+        assert len(system.residual(a)) == 5
+        assert len(system.mu(a)) == 6
 
     def test_pin_and_counts_side(self, fig8):
-        system = build_system(assemble_V(fig8), pin=8)
+        p = assemble_V(fig8)
+        system = build_system(p, pin=8)
         assert len(system.unknowns) == 7
-        assert len(system.active) == 7
+        a = random_essential_assignment(p, make_rng(3))
+        assert len(system.residual(a)) == 7
+        assert len(system.mu(a)) == 8
 
     def test_default_pin_is_last(self, fig8):
         system = build_system(assemble_W(fig8))
@@ -128,8 +135,8 @@ class TestBuildSystem:
         for _ in range(100):
             a = random_essential_assignment(p, rng)
             prod = 1.0 + 0j
-            for v in p.variables:
-                prod *= cmath.exp(system.derivatives[v].evaluate(a))
+            for mu in mu_oracle(p, a).values():
+                prod *= cmath.exp(mu)
             assert abs(prod - 1.0) < 1e-10
 
     def test_zero_unknown_system(self):
@@ -148,8 +155,9 @@ class TestBuildSystem:
             a = random_essential_assignment(p, rng)
             a[system.pin] = 1.0 + 0j
             res = system.residual_vector([a[v] for v in system.unknowns])
-            for i, var in enumerate(system.active):
-                direct = cmath.exp(system.derivatives[var].evaluate(a)) - 1.0
+            mu = mu_oracle(p, a)
+            for i, var in enumerate(system.unknowns):
+                direct = cmath.exp(mu[var]) - 1.0
                 assert abs(res[i] - direct) < 1e-10 * max(1.0, abs(direct))
 
 
@@ -209,9 +217,19 @@ class TestMuIntegrality:
         a = twistknot.parametrize(2, roots[0]).assignment
         ints = mu_integer_multipliers(system, a, tol=1e-8)
         assert set(ints) == set(p.variables)
-        for v, k in ints.items():
-            mu = system.derivatives[v].evaluate(a)
-            assert abs(mu - TWO_PI_I * k) < 1e-9
+        for v, mu in zip(p.variables, system.mu(a)):
+            assert abs(mu - TWO_PI_I * ints[v]) < 1e-9
+
+    def test_negative_real_axis_takes_plus_pi(self):
+        # x = -2 - 0.0j makes both log atoms of mu_x read log(-2 - 0.0j);
+        # the principal branch puts the negative real axis at +pi i.
+        from optlim import Monomial, Term
+        p = Potential((Term.logprod(1, Monomial.ratio("x", "y"), Monomial.ratio("x", "z")),),
+                      ("x", "y", "z"), "W")
+        a = {"x": complex(-2.0, -0.0), "y": 1 + 0j, "z": 1 + 0j}
+        mu = build_system(p).mu(a)
+        assert mu[0] == pytest.approx(2 * (math.log(2) + 1j * math.pi))
+        assert mu == pytest.approx(list(mu_oracle(p, a).values()))
 
     def test_rejects_non_solution(self, fig8):
         p = assemble_W(fig8)
@@ -220,3 +238,41 @@ class TestMuIntegrality:
         a = random_essential_assignment(p, rng)
         with pytest.raises(EvaluationError, match="not a solution"):
             mu_integer_multipliers(system, a, tol=1e-6)
+
+
+def _twist_mu_cases(n, kind):
+    """(potential, point) pairs at every closed-form solution of twist index n."""
+    rng = make_rng(71 + n)
+    for t in twistknot.poly_roots(twistknot.defining_poly(n)):
+        a = twistknot.parametrize(n, t).assignment
+        if kind == "W":
+            yield twistknot.twist_potential(n), a
+        elif kind == "W-alt":
+            yield twistknot.twist_potential(n, variant=ALT_NEG_LOG), a
+        elif kind == "V":
+            yield assemble_V(builtin(f"T{n}")), a
+        elif kind == "scaled":
+            for _ in range(4):
+                lam = complex(*rng.uniform(-3, 3, 2))
+                yield twistknot.twist_potential(n), {v: lam * val for v, val in a.items()}
+        else:
+            p = twistknot.twist_potential(n)
+            for _ in range(4):
+                taus = {v: int(rng.choice((-1, 1))) for v in p.variables}
+                eps = {v: int(rng.choice((-1, 1))) for v in p.variables}
+                yield sign_flip(p, taus, eps), sign_flip_point(p, taus, eps, a)
+
+
+@pytest.mark.parametrize("kind", ["W", "W-alt", "V", "scaled", "sign-flipped"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_mu_integers_match_atom_oracle(n, kind):
+    # The real roots, their rescalings and the sign flips put monomial
+    # values on the log cut up to rounding, so this pins which side of it
+    # the compiled evaluator takes.
+    for p, a in _twist_mu_cases(n, kind):
+        system = build_system(p)
+        ref = mu_oracle(p, a)
+        ints = mu_integer_multipliers(system, a)
+        assert ints == {v: round(mu.imag / (2 * math.pi)) for v, mu in ref.items()}
+        for v, mu in zip(p.variables, system.mu(a)):
+            assert abs(mu - ref[v]) < 1e-12

@@ -11,7 +11,7 @@ from optlim import twistknot
 from optlim.equations import mu_integer_multipliers
 from optlim.potential import Potential
 
-from conftest import make_rng, random_essential_assignment
+from conftest import make_rng, mu_oracle, random_essential_assignment
 
 TWO_PI = 2 * math.pi
 
@@ -32,6 +32,10 @@ class TestConfig:
             SolveConfig(residual_tol=-1)
         with pytest.raises(ValueError):
             SolveConfig(radius_min=2.0, radius_max=1.0)
+        with pytest.raises(ValueError):
+            SolveConfig(restarts=0)
+        with pytest.raises(ValueError):
+            SolveConfig(max_iter=0)
 
 
 class TestSolve:
@@ -67,12 +71,6 @@ class TestSolve:
             assert a.assignment == b.assignment
             assert a.residual_norm == b.residual_norm
 
-    def test_workers_do_not_change_output(self, fig8):
-        system = build_system(assemble_W(fig8))
-        s1 = solve(system, SolveConfig(restarts=48, seed=11, workers=1))
-        s2 = solve(system, SolveConfig(restarts=48, seed=11, workers=4))
-        assert [s.assignment for s in s1] == [s.assignment for s in s2]
-
     def test_zero_unknowns(self):
         p = Potential((), ("x",), "W")
         system = build_system(p, pin="x")
@@ -86,13 +84,14 @@ class TestSolve:
             assert s.residual_norm <= 1e-12
 
     def test_mu_multiples_of_2pi_i(self, fig8, fig8_w_solutions):
-        system = build_system(assemble_W(fig8))
+        p = assemble_W(fig8)
+        system = build_system(p)
         for s in fig8_w_solutions:
             # includes the dropped equation's variable (the pin)
             ints = mu_integer_multipliers(system, s.assignment, tol=1e-9)
+            mu = mu_oracle(p, s.assignment)
             for v, k in ints.items():
-                mu = system.derivatives[v].evaluate(s.assignment)
-                assert abs(mu - 2j * math.pi * k) < 1e-9
+                assert abs(mu[v] - 2j * math.pi * k) < 1e-9
 
     def test_dedupe_distinct(self, fig8_w_solutions):
         vecs = [s.vector(sorted(s.assignment, key=str)) for s in fig8_w_solutions]
