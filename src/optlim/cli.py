@@ -167,6 +167,8 @@ def cmd_twist(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    if args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     d = _load_diagram(args)
     potential = assemble_W(d)
     system = build_system(potential)
@@ -178,6 +180,7 @@ def cmd_verify(args) -> int:
         import numpy as np
         rng_signs = np.random.default_rng(cfg.seed + 1)
     pot_alt = assemble_W(d, variant=ALT_NEG_LOG)
+    system_alt = build_system(pot_alt) if args.sign_flip else None
     for sol in solutions:
         rec: dict = {"residual": sol.residual_norm}
         if not correspondence.check_w_nondegenerate(d, sol.assignment):
@@ -197,7 +200,7 @@ def cmd_verify(args) -> int:
         rec["congruent_mod_4pi2"] = bridge.congruent_mod_4pi2
         rec["z"] = {str(k): v for k, v in bridge.z.assignment.items()}
         if args.sign_flip:
-            base = optimistic.w0(pot_alt, sol.assignment)
+            base = optimistic.w0(pot_alt, sol.assignment, system=system_alt)
             flips = []
             for _ in range(args.trials):
                 taus = {v: int(rng_signs.choice((-1, 1))) for v in pot_alt.variables}

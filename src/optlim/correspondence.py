@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import Crossing, Label, LinkDiagram
-from .equations import build_system
+from .equations import EquationSystem, build_system
 from .numerics import PI2, PI2_OVER_6, bloch_wigner, li2, plog, shape_double_prime, shape_prime
 from .optimistic import OptimisticResult, mod_eq, w0
 from .potential import (ALT_NEG_LOG, Assignment, Monomial, Potential, Term,
@@ -166,12 +166,20 @@ def _propagate(labels, edges, what: str, tol: float) -> dict[Label, complex]:
     return values
 
 
-def w_to_z(diagram: LinkDiagram, w: Solution | Assignment,
-           tol: float = 1e-9, check_residual: bool = True) -> Solution:
-    """Convert a region solution to the side solution of the same octahedra."""
-    a = w.assignment if isinstance(w, Solution) else w
+def _check_kink_free(diagram: LinkDiagram) -> None:
     if diagram.kinked_crossings():
         raise CorrespondenceError("diagram has kinks; no side potential exists")
+
+
+def w_to_z(diagram: LinkDiagram, w: Solution | Assignment,
+           tol: float = 1e-9, check_residual: bool = True,
+           system: EquationSystem | None = None) -> Solution:
+    """Convert a region solution to the side solution of the same octahedra.
+
+    The residual check uses system, the side potential's system, when given.
+    """
+    a = w.assignment if isinstance(w, Solution) else w
+    _check_kink_free(diagram)
     if not check_w_nondegenerate(diagram, a):
         raise CorrespondenceError("degenerate crossing: wj + wl = wk + wm")
     edges = []
@@ -185,7 +193,7 @@ def w_to_z(diagram: LinkDiagram, w: Solution | Assignment,
     values = _propagate(diagram.sides, edges, "side", tol)
     residual_norm = 0.0
     if check_residual:
-        system = build_system(assemble_V(diagram))
+        system = system or build_system(assemble_V(diagram))
         res = system.residual(values)
         residual_norm = float(np.max(np.abs(res))) if len(res) else 0.0
         if residual_norm > tol:
@@ -246,11 +254,13 @@ def verify_bridge(diagram: LinkDiagram, w: Solution | Assignment,
     construction and not checked.
     """
     a = w.assignment if isinstance(w, Solution) else w
-    z = w_to_z(diagram, a, tol=tol)
+    _check_kink_free(diagram)
     pw = assemble_W(diagram, variant=ALT_NEG_LOG)
     pv = assemble_V(diagram)
-    res_w = w0(pw, a, diagram=diagram)
-    res_v = w0(pv, z.assignment)
+    system_v = build_system(pv)
+    z = w_to_z(diagram, a, tol=tol, system=system_v)
+    res_w = w0(pw, a, diagram=diagram, system=build_system(pw))
+    res_v = w0(pv, z.assignment, system=system_v)
     ok = mod_eq(res_w.raw, res_v.raw, 4.0 * PI2, tol)
     return BridgeReport(z=z, w0_region=res_w, v0_side=res_v, congruent_mod_4pi2=ok)
 

@@ -1,10 +1,17 @@
 """Multistart damped Newton search for solutions of the pinned systems.
 
-Restarts draw starting points from an annulus, iterate Newton with a
-backtracking line search on the residual norm, then deduplicate converged
-points and keep only essential solutions (no dilogarithm argument near 0,
-1 or infinity).  Restarts run one after another, each from its own child
-of the configured seed, so the same seed gives the same solutions.
+Restarts draw starting points from an annulus, one per child of the
+configured seed, and run as the rows of one lockstep Newton iteration:
+every iteration evaluates the Jacobians of all live rows in one call,
+solves them as a stack, and runs a backtracking line search on the
+residual norm with per-row rules.  Each row leaves with a status code
+(converged, left the essential domain, singular Jacobian, non-finite step,
+line-search stall, stagnation, divergence or iteration limit); refine()
+is the same iteration on a single row and turns a failure code into
+SolveError.  Converged rows are deduplicated and only essential solutions
+(no dilogarithm argument near 0, 1 or infinity) are kept.  Every row's
+arithmetic is independent of the other rows in the block, so the same
+seed gives the same solutions.
 """
 
 from __future__ import annotations
@@ -17,6 +24,27 @@ import numpy as np
 from .diagram import Label
 from .equations import EquationSystem, EvaluationError
 from .potential import Assignment
+
+# Rows per residual or Jacobian call; line-search candidates count one row
+# each.  Bounds the working memory independently of the number of restarts.
+BLOCK_ROWS = 256
+
+# Backtracking step lengths tried after a rejected full step: 1/2 .. 2^-29.
+_BACKTRACK = 0.5 ** np.arange(1, 30)
+
+# Exit status of a Newton row.
+(RUNNING, CONVERGED, LEFT_DOMAIN, SINGULAR, NONFINITE_STEP, STALLED,
+ STAGNATION, DIVERGED, MAX_ITER) = range(9)
+
+_FAILURES = {
+    LEFT_DOMAIN: "iterate left the essential domain",
+    SINGULAR: "singular Jacobian at iterate",
+    NONFINITE_STEP: "non-finite Newton step",
+    STALLED: "line search stalled at residual {fnorm:.3e}",
+    STAGNATION: "stagnation at residual {fnorm:.3e}",
+    DIVERGED: "divergence",
+    MAX_ITER: "no convergence after {max_iter} iterations (residual {fnorm:.3e})",
+}
 
 
 class SolveError(RuntimeError):
@@ -56,64 +84,132 @@ class Solution:
         return np.array([self.assignment[v] for v in order], dtype=complex)
 
 
-def _newton(system: EquationSystem, x0: np.ndarray, cfg: SolveConfig) -> tuple[np.ndarray, float, int]:
-    """Damped Newton iteration; returns (x, residual_norm, iterations)."""
-    x = np.asarray(x0, dtype=complex).copy()
+def _blocks(fn, X: np.ndarray) -> np.ndarray:
+    """fn over the rows of X, BLOCK_ROWS rows per call."""
+    if len(X) <= BLOCK_ROWS:
+        return fn(X)
+    return np.concatenate([fn(X[i:i + BLOCK_ROWS]) for i in range(0, len(X), BLOCK_ROWS)])
 
-    def norm_at(pt):
-        try:
-            with np.errstate(all="ignore"):
-                value = float(np.linalg.norm(system.residual_vector(pt)))
-            return value if np.isfinite(value) else np.inf
-        except (EvaluationError, FloatingPointError, OverflowError):
-            return np.inf
 
-    fnorm = norm_at(x)
-    if fnorm <= cfg.residual_tol:
-        return x, fnorm, 0
-    slow = 0
-    for it in range(1, cfg.max_iter + 1):
+def _norms(F: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row (last axis) of a contiguous complex array;
+    an overflowing or non-finite row gives inf or nan, which compares below
+    no residual norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(np.square(F.view(float)).sum(axis=-1))
+
+
+def _steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps -J^-1 F of a stack of rows, and which rows are singular."""
+    singular = np.zeros(len(F), dtype=bool)
+    try:
+        return np.linalg.solve(J, -F[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    # Some matrix of the stack is singular: solve row by row, the same way.
+    steps = np.full_like(F, np.nan)
+    for i in range(len(F)):
         try:
-            with np.errstate(all="ignore"):
-                F = system.residual_vector(x)
-                J = system.jacobian(x)
-        except EvaluationError as exc:
-            raise SolveError(f"iterate left the essential domain: {exc}") from exc
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as exc:
-            raise SolveError("singular Jacobian at iterate") from exc
-        if not np.all(np.isfinite(step.view(float))):
-            raise SolveError("non-finite Newton step")
+            steps[i] = np.linalg.solve(J[i:i + 1], -F[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return steps, singular
+
+
+def _line_search(system: EquationSystem, x: np.ndarray, step: np.ndarray,
+                 fnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, the first x + t*step, t = 1, 1/2, ..., 2^-29, whose residual
+    norm is below fnorm.  Returns (accepted, x, F, norm) for the new points."""
+    cand = x + step
+    F = _blocks(system.residual_vector, cand)
+    cnorm = _norms(F)
+    accepted = cnorm < fnorm
+    rejected = np.flatnonzero(~accepted)
+    # All shorter steps of the rows that rejected the full one, in blocks.
+    per_call = max(1, BLOCK_ROWS // len(_BACKTRACK))
+    for i in range(0, len(rejected), per_call):
+        rows = rejected[i:i + per_call]
+        shorter = x[rows, None, :] + _BACKTRACK[:, None] * step[rows, None, :]
+        Fs = system.residual_vector(shorter.reshape(-1, x.shape[1])).reshape(
+            shorter.shape[:2] + (F.shape[1],))
+        norms = _norms(Fs)
+        ok = norms < fnorm[rows, None]
+        found = ok.any(axis=1)
+        first = ok.argmax(axis=1)[found]
+        rows = rows[found]
+        cand[rows] = shorter[found, first]
+        F[rows] = Fs[found, first]
+        cnorm[rows] = norms[found, first]
+        accepted[rows] = True
+    return accepted, cand, F, cnorm
+
+
+def _newton(system: EquationSystem, X0: np.ndarray, cfg: SolveConfig
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lockstep damped Newton from every row of X0 (rows, n).
+
+    Returns the last iterate, its residual norm and the status code of
+    every row.  The per-row rules: the step is capped at 1 + |x|, the line
+    search takes the first halving with a smaller residual norm, 20 slow
+    steps (ratio > 0.9) above 1e-6 are stagnation, and a residual or
+    coordinate beyond 1e12 or a coordinate below 1e-12 is divergence.
+    """
+    X = np.array(X0, dtype=complex)
+    F = _blocks(system.residual_vector, X)
+    fnorm = _norms(F)
+    status = np.full(len(X), RUNNING)
+    status[fnorm <= cfg.residual_tol] = CONVERGED
+    status[~np.isfinite(fnorm)] = LEFT_DOMAIN
+    slow = np.zeros(len(X), dtype=int)
+    live = np.flatnonzero(status == RUNNING)
+    for _ in range(cfg.max_iter):
+        if not live.size:
+            break
+        x, fn = X[live], fnorm[live]
+        step, singular = _steps(_blocks(system.jacobian, x), F[live])
+        bad_step = ~np.isfinite(step.view(float)).all(axis=-1) & ~singular
+        status[live[singular]] = SINGULAR
+        status[live[bad_step]] = NONFINITE_STEP
+        keep = ~(singular | bad_step)
+        if not keep.all():
+            live, x, fn, step = live[keep], x[keep], fn[keep], step[keep]
         # Cap the step length relative to the iterate; wild early jumps
         # throw restarts out of every basin.
-        step_len = float(np.linalg.norm(step))
-        max_len = 1.0 + float(np.linalg.norm(x))
-        if step_len > max_len:
-            step *= max_len / step_len
-        t = 1.0
-        improved = False
-        for _ in range(30):
-            cand = x + t * step
-            cand_norm = norm_at(cand)
-            if cand_norm < fnorm:
-                ratio = cand_norm / fnorm
-                x, fnorm = cand, cand_norm
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            raise SolveError(f"line search stalled at residual {fnorm:.3e}")
-        if fnorm <= cfg.residual_tol:
-            return x, fnorm, it
+        step_len = _norms(step)
+        max_len = 1.0 + _norms(x)
+        over = step_len > max_len
+        step[over] *= (max_len[over] / step_len[over])[:, None]
+
+        accepted, x, Fx, fx = _line_search(system, x, step, fn)
+        status[live[~accepted]] = STALLED
+        live, x, Fx, fx, ratio = (live[accepted], x[accepted], Fx[accepted], fx[accepted],
+                                  fx[accepted] / fn[accepted])
+        X[live], F[live], fnorm[live] = x, Fx, fx
+        converged = fx <= cfg.residual_tol
         # A Newton basin shows fast decrease; persistent crawling means the
         # restart is wandering and is cheaper to abandon than to ride out.
-        slow = slow + 1 if ratio > 0.9 else 0
-        if slow >= 20 and fnorm > 1e-6:
-            raise SolveError(f"stagnation at residual {fnorm:.3e}")
-        if fnorm > 1e12 or np.max(np.abs(x)) > 1e12 or np.min(np.abs(x)) < 1e-12:
-            raise SolveError("divergence")
-    raise SolveError(f"no convergence after {cfg.max_iter} iterations (residual {fnorm:.3e})")
+        slow[live] = np.where(ratio > 0.9, slow[live] + 1, 0)
+        stagnant = ~converged & (slow[live] >= 20) & (fx > 1e-6)
+        ax = np.abs(x)
+        diverged = (~converged & ~stagnant
+                    & ((fx > 1e12) | (ax.max(axis=-1) > 1e12) | (ax.min(axis=-1) < 1e-12)))
+        status[live[converged]] = CONVERGED
+        status[live[stagnant]] = STAGNATION
+        status[live[diverged]] = DIVERGED
+        live = live[~(converged | stagnant | diverged)]
+    status[live] = MAX_ITER
+    return X, fnorm, status
+
+
+def _failure(system: EquationSystem, x: np.ndarray, fnorm: float, code: int,
+             cfg: SolveConfig) -> SolveError:
+    message = _FAILURES[code].format(fnorm=fnorm, max_iter=cfg.max_iter)
+    if code == LEFT_DOMAIN:
+        try:
+            system.residual_vector(x)
+        except EvaluationError as exc:
+            message = f"{message}: {exc}"
+    return SolveError(message)
 
 
 def is_essential(system: EquationSystem, a: Assignment, tol: float) -> bool:
@@ -137,28 +233,19 @@ def refine(system: EquationSystem, a: Assignment, cfg: SolveConfig | None = None
         raise SolveError("pinned variable is zero")
     # Rescale so the pinned variable sits at 1 (the scaling quotient).
     scaled = {v: complex(val) / pin_value for v, val in a.items()}
-    x0 = system.vector_from_assignment(scaled)
-    x, fnorm, _ = _newton(system, x0, cfg)
-    assignment = system.assignment_from_vector(x)
+    X, fnorm, status = _newton(system, system.vector_from_assignment(scaled)[None, :], cfg)
+    if status[0] != CONVERGED:
+        raise _failure(system, X[0], float(fnorm[0]), status[0], cfg)
+    assignment = system.assignment_from_vector(X[0])
     if not is_essential(system, assignment, cfg.essential_tol):
         raise SolveError("converged to a non-essential point")
-    return Solution(assignment, fnorm, True)
+    return Solution(assignment, float(fnorm[0]), True)
 
 
 def _sample(rng: np.random.Generator, size: int, cfg: SolveConfig) -> np.ndarray:
     radius = np.exp(rng.uniform(np.log(cfg.radius_min), np.log(cfg.radius_max), size))
     angle = rng.uniform(-np.pi, np.pi, size)
     return radius * np.exp(1j * angle)
-
-
-def _run_restart(system: EquationSystem, cfg: SolveConfig, seed_seq) -> tuple[np.ndarray, float] | None:
-    rng = np.random.default_rng(seed_seq)
-    x0 = _sample(rng, system.size, cfg)
-    try:
-        x, fnorm, _ = _newton(system, x0, cfg)
-    except SolveError:
-        return None
-    return x, fnorm
 
 
 def solve(system: EquationSystem, cfg: SolveConfig | None = None) -> list[Solution]:
@@ -172,9 +259,10 @@ def solve(system: EquationSystem, cfg: SolveConfig | None = None) -> list[Soluti
     if system.size == 0:
         return []
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    raw = [_run_restart(system, cfg, s) for s in seeds]
+    X0 = np.array([_sample(np.random.default_rng(s), system.size, cfg) for s in seeds])
+    X, fnorm, status = _newton(system, X0, cfg)
 
-    hits = [(x, fn) for item in raw if item is not None for x, fn in [item]]
+    hits = [(X[i], float(fnorm[i])) for i in np.flatnonzero(status == CONVERGED)]
     hits = [(x, fn) for x, fn in hits
             if is_essential(system, system.assignment_from_vector(x), cfg.essential_tol)]
     if not hits:

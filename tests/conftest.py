@@ -1,5 +1,7 @@
 """Shared fixtures: built-in diagrams and cached multistart solves."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,25 @@ def knot52_w_solutions(knot52):
 def knot52_v_solutions(knot52):
     system = build_system(assemble_V(knot52))
     return solve(system, SolveConfig(restarts=512, seed=0))
+
+
+@pytest.fixture
+def build_counter(monkeypatch):
+    """Kinds of the potentials passed to build_system by package modules."""
+    from optlim import equations
+
+    calls = []
+    original = equations.build_system
+
+    def counting(potential, *args, **kwargs):
+        calls.append(potential.kind)
+        return original(potential, *args, **kwargs)
+
+    for name in ("equations", "optimistic", "correspondence", "twistknot", "cli"):
+        module = importlib.import_module(f"optlim.{name}")
+        if getattr(module, "build_system", None) is original:
+            monkeypatch.setattr(module, "build_system", counting)
+    return calls
 
 
 def make_rng(salt: int = 0) -> np.random.Generator:

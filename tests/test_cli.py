@@ -152,6 +152,25 @@ class TestVerify:
         for rec in checked:
             assert rec["sign_flip_passes"] == rec["sign_flip_trials"] == 5
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_trials_exit_1(self, capsys, trials):
+        code, out, err = run_cli(capsys, "verify", "--builtin", "4_1", "--restarts", "8",
+                                 "--sign-flip", "--trials", trials)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "--trials" in err
+
+    def test_sign_flip_builds_base_system_once(self, capsys, build_counter):
+        code, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "4_1",
+                               "--restarts", "64", "--seed", "0",
+                               "--sign-flip", "--trials", "3")
+        assert code == 0
+        checked = sum(r["status"] == "ok" for r in json.loads(out)["solutions"])
+        assert checked
+        # the solve system, the base system, then per checked solution the
+        # bridge's two systems and one per sign-flip trial
+        assert len(build_counter) == 2 + checked * (2 + 3)
+
     def test_all_degenerate_reports_skips(self, capsys):
         pd = "X(1,7,2,6) X(5,3,6,2) X(4,8,5,7) X(3,8,4,1)"
         code, out, _ = run_cli(capsys, "--stable", "verify", "--pd", pd,

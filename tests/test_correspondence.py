@@ -188,6 +188,21 @@ class TestBridge:
                 assert res.raw.imag == pytest.approx(vol, abs=5e-4)
                 assert -res.raw.real == pytest.approx(cs, abs=5e-4)
 
+    def test_builds_each_system_once(self, build_counter):
+        for n in (1, 3):
+            par = twist_assignment(n)
+            report = verify_bridge(twistknot.twist_diagram(n), par.regions)
+            assert report.congruent_mod_4pi2
+        assert build_counter == ["V", "W"] * 2
+
+    def test_w_to_z_uses_a_given_system(self, build_counter):
+        par = twist_assignment(2)
+        d = twistknot.twist_diagram(2)
+        system_v = build_system(assemble_V(d))
+        z = w_to_z(d, par.regions, system=system_v)
+        assert build_counter == []
+        assert z.residual_norm == w_to_z(d, par.regions).residual_norm
+
     def test_solver_solutions_bridge(self, fig8, fig8_w_solutions):
         pw = assemble_W(fig8, variant=ALT_NEG_LOG)
         checked = 0

@@ -276,3 +276,73 @@ def test_mu_integers_match_atom_oracle(n, kind):
         assert ints == {v: round(mu.imag / (2 * math.pi)) for v, mu in ref.items()}
         for v, mu in zip(p.variables, system.mu(a)):
             assert abs(mu - ref[v]) < 1e-12
+
+
+BUILTIN_SYSTEMS = [(name, kind) for name in ("4_1", "5_2", "T1", "T2", "T3", "T4", "T5")
+                   for kind in ("W", "V")]
+
+
+def _builtin_system(name, kind):
+    d = builtin(name)
+    return build_system(assemble_W(d) if kind == "W" else assemble_V(d))
+
+
+def _pinned_points(system, rng, count):
+    """Random essential assignments with the pin at 1, and their unknowns as rows."""
+    points = []
+    for _ in range(count):
+        a = random_essential_assignment(system.potential, rng)
+        points.append({v: val / a[system.pin] for v, val in a.items()})
+    return points, np.array([system.vector_from_assignment(a) for a in points])
+
+
+@pytest.mark.parametrize("name,kind", BUILTIN_SYSTEMS)
+class TestBatchedKernel:
+    def test_block_equals_rows(self, name, kind):
+        system = _builtin_system(name, kind)
+        _, X = _pinned_points(system, make_rng(41), 7)
+        res, jac = system.residual_vector(X), system.jacobian(X)
+        assert res.shape == X.shape and jac.shape == X.shape + X.shape[1:]
+        for i, x in enumerate(X):
+            assert np.array_equal(res[i], system.residual_vector(x))
+            assert np.array_equal(jac[i], system.jacobian(x))
+
+    def test_residual_matches_exponentiated_mu(self, name, kind):
+        system = _builtin_system(name, kind)
+        points, X = _pinned_points(system, make_rng(43), 10)
+        res = system.residual_vector(X)
+        for a, row in zip(points, res):
+            mu = mu_oracle(system.potential, a)
+            for var, value in zip(system.unknowns, row):
+                direct = cmath.exp(mu[var]) - 1.0
+                assert abs(value - direct) <= 1e-10 * max(1.0, abs(direct))
+
+    def test_jacobian_matches_finite_differences(self, name, kind):
+        system = _builtin_system(name, kind)
+        _, X = _pinned_points(system, make_rng(47), 3)
+        h = 1e-7
+        for x, J in zip(X, system.jacobian(X)):
+            steps = h * np.maximum(1.0, np.abs(x))
+            up = system.residual_vector(x + np.diag(steps))
+            down = system.residual_vector(x - np.diag(steps))
+            fd = ((up - down) / (2 * steps[:, None])).T
+            assert np.max(np.abs(J - fd)) < 1e-5 * max(1.0, np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("bad", ["ones", "zero"])
+    def test_degenerate_row_is_non_finite(self, name, kind, bad):
+        system = _builtin_system(name, kind)
+        _, X = _pinned_points(system, make_rng(53), 4)
+        if bad == "ones":
+            X[2] = 1.0        # every ratio is 1: a (1 - m) factor vanishes
+        else:
+            X[2, 0] = 0.0
+        res, jac = system.residual_vector(X), system.jacobian(X)
+        assert not np.isfinite(res[2]).any()
+        assert not np.isfinite(jac[2]).any()
+        for i in (0, 1, 3):
+            assert np.array_equal(res[i], system.residual_vector(X[i]))
+            assert np.array_equal(jac[i], system.jacobian(X[i]))
+        with pytest.raises(EvaluationError):
+            system.residual_vector(X[2])
+        with pytest.raises(EvaluationError):
+            system.jacobian(X[2])

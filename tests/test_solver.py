@@ -1,19 +1,28 @@
 """Multistart Newton: determinism, convergence, dedup, essential filtering."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from optlim import (SolveConfig, SolveError, assemble_W, build_system, builtin,
-                    refine, solve, w0)
-from optlim import twistknot
+from optlim import (SolveConfig, SolveError, assemble_V, assemble_W, build_system,
+                    builtin, refine, solve, w0)
+from optlim import solver, twistknot
 from optlim.equations import mu_integer_multipliers
 from optlim.potential import Potential
 
 from conftest import make_rng, mu_oracle, random_essential_assignment
 
 TWO_PI = 2 * math.pi
+
+# Every message refine() raises for a failed Newton row.
+NEWTON_FAILURE = re.compile(
+    r"iterate left the essential domain(: .*)?|singular Jacobian at iterate"
+    r"|non-finite Newton step|line search stalled at residual \S+"
+    r"|stagnation at residual \S+|divergence"
+    r"|no convergence after \d+ iterations \(residual \S+\)")
 
 
 class TestConfig:
@@ -140,3 +149,90 @@ class TestRefine:
         a = {v: val * 1e6 for v, val in a.items()}
         with pytest.raises(SolveError):
             refine(system, a, SolveConfig(max_iter=12, seed=0))
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 12])
+    def test_failure_reports_a_reason(self, fig8, max_iter):
+        system = build_system(assemble_W(fig8))
+        rng = make_rng(41)
+        a = random_essential_assignment(system.potential, rng)
+        a = {v: val * 1e6 for v, val in a.items()}
+        with pytest.raises(SolveError) as info:
+            refine(system, a, SolveConfig(max_iter=max_iter, seed=0))
+        assert NEWTON_FAILURE.fullmatch(str(info.value))
+
+    def test_degenerate_start_left_the_domain(self, fig8):
+        system = build_system(assemble_W(fig8))
+        with pytest.raises(SolveError, match="^iterate left the essential domain: "
+                                             "non-essential point"):
+            refine(system, {v: 1.0 for v in system.potential.variables})
+
+
+def _starts(system, count, seed=0):
+    cfg = SolveConfig(seed=seed)
+    return np.array([solver._sample(np.random.default_rng(s), system.size, cfg)
+                     for s in np.random.SeedSequence(seed).spawn(count)])
+
+
+class TestLockstepNewton:
+    @pytest.mark.parametrize("block_rows", [solver.BLOCK_ROWS, 40])
+    @pytest.mark.parametrize("name,kind", [("4_1", "W"), ("5_2", "V"), ("T5", "W")])
+    def test_rows_independent_of_block(self, monkeypatch, name, kind, block_rows):
+        # block_rows=40 splits the line search into one row of 29
+        # candidates per call and the Jacobians into blocks of 40 rows.
+        monkeypatch.setattr(solver, "BLOCK_ROWS", block_rows)
+        d = builtin(name)
+        system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
+        cfg = SolveConfig(seed=0)
+        X0 = _starts(system, 24)
+        X, fnorm, status = solver._newton(system, X0, cfg)
+        assert (status == solver.CONVERGED).any()
+        for i in range(len(X0)):
+            x1, f1, s1 = solver._newton(system, X0[i:i + 1], cfg)
+            assert np.array_equal(x1[0], X[i])
+            assert np.array_equal(f1[0], fnorm[i], equal_nan=True)
+            assert s1[0] == status[i]
+
+    def test_singular_matrix_kills_only_its_row(self):
+        rng = make_rng(43)
+        J = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        F = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        J[1] = 0.0
+        steps, singular = solver._steps(J, F)
+        assert singular.tolist() == [False, True, False]
+        for i in (0, 2):
+            alone, none = solver._steps(J[i:i + 1], F[i:i + 1])
+            assert not none.any()
+            assert np.array_equal(steps[i], alone[0])
+
+    def test_singular_jacobian_retires_only_its_row(self, fig8):
+        system = build_system(assemble_W(fig8))
+        cfg = SolveConfig(seed=0)
+        X0 = _starts(system, 6)
+
+        class ZeroJacobianAtRow2:
+            residual_vector = staticmethod(system.residual_vector)
+
+            @staticmethod
+            def jacobian(x):
+                J = system.jacobian(x)
+                J[np.all(x == X0[2], axis=-1)] = 0.0
+                return J
+
+        X, fnorm, status = solver._newton(ZeroJacobianAtRow2, X0, cfg)
+        ref_X, ref_fnorm, ref_status = solver._newton(system, X0, cfg)
+        assert status[2] == solver.SINGULAR
+        assert np.array_equal(X[2], X0[2])
+        others = [0, 1, 3, 4, 5]
+        assert np.array_equal(X[others], ref_X[others])
+        assert np.array_equal(status[others], ref_status[others])
+
+
+def test_memory_independent_of_restarts():
+    system = build_system(assemble_W(builtin("T5")))
+    tracemalloc.start()
+    try:
+        solve(system, SolveConfig(restarts=512, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20

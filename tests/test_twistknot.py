@@ -173,6 +173,12 @@ class TestReferenceTable:
             assert r["bw_vol"] == pytest.approx(r["raw"].imag, abs=1e-9)
 
 
+def test_reference_table_builds_one_system_per_index(build_counter):
+    for n in range(1, 6):
+        reproduce_reference_table(n)
+    assert build_counter == ["W"] * 5
+
+
 class TestFixtures:
     def test_json_exports(self):
         doc = json.loads(fixtures_json())
