@@ -111,6 +111,7 @@ def cmd_solve(args) -> int:
         records.append({
             "assignment": {str(k): v for k, v in sol.assignment.items()},
             "residual": sol.residual_norm,
+            "essential_margin": solver.essential_margin(system, sol.assignment),
             "w0_raw": res.raw,
             "vol": res.vol,
             "cs_mod_pi2": res.cs_mod_pi2,
@@ -175,12 +176,11 @@ def cmd_verify(args) -> int:
     cfg = _solve_config(args)
     solutions = solver.solve(system, cfg)
     records = []
-    rng_signs = None
     if args.sign_flip:
         import numpy as np
         rng_signs = np.random.default_rng(cfg.seed + 1)
-    pot_alt = assemble_W(d, variant=ALT_NEG_LOG)
-    system_alt = build_system(pot_alt) if args.sign_flip else None
+        pot_alt = assemble_W(d, variant=ALT_NEG_LOG)
+        system_alt = build_system(pot_alt)
     for sol in solutions:
         rec: dict = {"residual": sol.residual_norm}
         if not correspondence.check_w_nondegenerate(d, sol.assignment):

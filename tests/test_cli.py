@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from optlim import builtin
+from optlim import SolveConfig, assemble_W, build_system, builtin, cli, solver
 from optlim.cli import main
 from optlim.diagram import to_json_dict
 
@@ -68,6 +68,20 @@ class TestSolve:
                                "--restarts", "128", "--seed", "0")
         assert code == 0
         assert json.loads(out)["diagram"]["regions"] == 6
+
+    def test_records_carry_essential_margin(self, capsys):
+        code, out, _ = run_cli(capsys, "--stable", "solve", "--builtin", "4_1",
+                               "--restarts", "64", "--seed", "0")
+        assert code == 0
+        system = build_system(assemble_W(builtin("4_1")))
+        records = json.loads(out)["solutions"]
+        assert records
+        for rec in records:
+            a = {k: complex(v["re"], v["im"]) for k, v in rec["assignment"].items()}
+            a = {v: a[str(v)] for v in system.potential.variables}
+            margin = solver.essential_margin(system, a)
+            assert rec["essential_margin"] >= SolveConfig().essential_tol
+            assert abs(rec["essential_margin"] - margin) <= 1e-12 * margin
 
     def test_stable_output_reproducible(self, capsys):
         args = ("--stable", "solve", "--builtin", "4_1", "--restarts", "96",
@@ -170,6 +184,24 @@ class TestVerify:
         # the solve system, the base system, then per checked solution the
         # bridge's two systems and one per sign-flip trial
         assert len(build_counter) == 2 + checked * (2 + 3)
+
+    def test_no_sign_flip_assembles_no_alternative_potential(self, capsys, monkeypatch,
+                                                             build_counter):
+        variants = []
+        original = cli.assemble_W
+
+        def recording(d, *args, **kwargs):
+            variants.append(kwargs.get("variant"))
+            return original(d, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "assemble_W", recording)
+        code, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "4_1",
+                               "--restarts", "64", "--seed", "0")
+        assert code == 0
+        assert variants == [None]
+        checked = sum(r["status"] == "ok" for r in json.loads(out)["solutions"])
+        # the solve system, then the bridge's two systems per checked solution
+        assert len(build_counter) == 1 + 2 * checked
 
     def test_all_degenerate_reports_skips(self, capsys):
         pd = "X(1,7,2,6) X(5,3,6,2) X(4,8,5,7) X(3,8,4,1)"

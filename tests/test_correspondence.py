@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from optlim import (ALT_NEG_LOG, CorrespondenceError, assemble_V, assemble_W,
-                    build_system, builtin, check_w_nondegenerate,
+from optlim import (ALT_NEG_LOG, CorrespondenceError, SolveConfig, assemble_V,
+                    assemble_W, build_system, builtin, check_w_nondegenerate,
                     check_z_nondegenerate, check_octahedron_identities, mod_eq,
-                    sign_flip, sign_flip_point, verify_bridge, w0,
+                    sign_flip, sign_flip_point, solve, verify_bridge, w0,
                     w_to_z, z_to_w)
 from optlim import twistknot
 from optlim.correspondence import region_ratios_from_z, side_ratios_from_w
@@ -211,6 +211,20 @@ class TestBridge:
                 continue
             report = verify_bridge(fig8, s)
             assert report.congruent_mod_4pi2
+            checked += 1
+        assert checked >= 2
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_solver_solutions_bridge_52(self, knot52, seed):
+        # With an essential_tol of 1e-6 these seeds return points with
+        # margins of 2e-6 to 1.1e-4 that pass the nondegeneracy check but
+        # fail the bridge; the default cut drops them.
+        system = build_system(assemble_W(knot52))
+        checked = 0
+        for s in solve(system, SolveConfig(restarts=512, seed=seed)):
+            if not check_w_nondegenerate(knot52, s.assignment):
+                continue
+            assert verify_bridge(knot52, s).congruent_mod_4pi2
             checked += 1
         assert checked >= 2
 
