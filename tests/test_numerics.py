@@ -3,9 +3,11 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from optlim import numerics
 from optlim.numerics import (PI2, PI2_OVER_6, bloch_wigner, li2, plog,
                              reduce_centered, shape_double_prime, shape_prime)
 
@@ -109,6 +111,50 @@ class TestLi2Oracle:
         for z in pts:
             z = complex(z)
             assert abs(li2(z) - li2_quadrature(z)) < 2e-12 * max(1.0, abs(li2(z)))
+
+
+def li2_grid():
+    """Points on every branch of li2's region reduction and its edges."""
+    rng = np.random.default_rng(5)
+
+    def polar(r, n):
+        return r * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+
+    third = cmath.exp(1j * math.pi / 3)
+    parts = {
+        "tiny": polar(10.0 ** rng.uniform(-300, -8, 60), 60),
+        "unit circle": polar(1.0, 80),
+        "Re z = 1/2": 0.5 + 1j * rng.uniform(-4.0, 4.0, 60),
+        "near exp(+-i pi/3)": np.concatenate([
+            w + polar(10.0 ** rng.uniform(-12, -2, 40), 40) for w in (third, third.conjugate())]),
+        "near 1": 1.0 + polar(10.0 ** rng.uniform(-12, -1, 80), 80),
+        "cut [1, 1e8]": 10.0 ** rng.uniform(0, 8, 60) + 0j,
+        "negative axis": -(10.0 ** rng.uniform(-8, 8, 60)) + 0j,
+    }
+    return [(name, complex(z)) for name, zs in parts.items() for z in zs]
+
+
+class TestLi2Mpmath:
+    def test_grid_against_mpmath(self):
+        # mpmath.polylog(2, x) takes the limit from below on the cut too.
+        worst = {}
+        with mpmath.workdps(40):
+            for name, z in li2_grid():
+                ref = complex(mpmath.polylog(2, mpmath.mpc(z.real, z.imag)))
+                worst[name] = max(worst.get(name, 0.0), abs(li2(z) - ref) / abs(ref))
+        assert max(worst.values()) < 4e-15, worst
+
+    def test_series_length_covers_reduced_domain(self):
+        # After inversion and reflection, |z| <= 1 and Re z <= 1/2; |u| of
+        # u = -log(1 - z) peaks on that boundary, at z = exp(+-i pi/3).
+        theta = np.linspace(math.pi / 3, 5 * math.pi / 3, 20001)
+        y = np.linspace(-math.sqrt(3) / 2, math.sqrt(3) / 2, 20001)
+        boundary = np.concatenate([np.exp(1j * theta), 0.5 + 1j * y])
+        max_u = np.abs(np.log(1.0 - boundary)).max()
+        assert max_u <= math.pi / 3 + 1e-12
+        k = numerics._LI2_TERMS + 1
+        first_omitted = abs(numerics._bernoulli_series_coeffs(2 * k)[2 * k]) * max_u ** (2 * k + 1)
+        assert first_omitted < 1e-18
 
 
 class TestLi2Identities:

@@ -227,8 +227,9 @@ class TestLockstepNewton:
     @pytest.mark.parametrize("block_rows", [solver.BLOCK_ROWS, 40])
     @pytest.mark.parametrize("name,kind", [("4_1", "W"), ("5_2", "V"), ("T5", "W")])
     def test_rows_independent_of_block(self, monkeypatch, name, kind, block_rows):
-        # block_rows=40 splits the line search into one row of 29
-        # candidates per call and the Jacobians into blocks of 40 rows.
+        # block_rows=40 splits the line search into 13 rows of 3 candidates
+        # (t = 1/2 .. 1/8) and then one row of 26 candidates (t = 1/16 ..
+        # 2^-29) per call, and the Jacobians into blocks of 40 rows.
         monkeypatch.setattr(solver, "BLOCK_ROWS", block_rows)
         d = builtin(name)
         system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
@@ -311,15 +312,99 @@ class TestLockstepNewton:
         assert np.array_equal(status[others], ref_status[others])
 
 
+MULTISTART_SYSTEMS = (("4_1", "W"), ("5_2", "W"), ("5_2", "V"), ("T3", "W"), ("T5", "W"),
+                      ("T5", "V"))
+
+
+def _exhaustive_line_search(system, x, step, fnorm):
+    """The line search before it was staged: t = 1 for every row, then all
+    of t = 1/2 .. 2^-29 in one call for the rows that rejected t = 1."""
+    backtrack = 0.5 ** np.arange(1, 30)
+    cand = x + step
+    F = solver._blocks(system.residual_vector, cand)
+    cnorm = solver._norms(F)
+    accepted = cnorm < fnorm
+    rejected = np.flatnonzero(~accepted)
+    per_call = max(1, solver.BLOCK_ROWS // len(backtrack))
+    for i in range(0, len(rejected), per_call):
+        rows = rejected[i:i + per_call]
+        shorter = x[rows, None, :] + backtrack[:, None] * step[rows, None, :]
+        Fs = system.residual_vector(shorter.reshape(-1, x.shape[1])).reshape(
+            shorter.shape[:2] + (F.shape[1],))
+        norms = solver._norms(Fs)
+        ok = norms < fnorm[rows, None]
+        found = ok.any(axis=1)
+        first = ok.argmax(axis=1)[found]
+        rows = rows[found]
+        cand[rows] = shorter[found, first]
+        F[rows] = Fs[found, first]
+        cnorm[rows] = norms[found, first]
+        accepted[rows] = True
+    return accepted, cand, F, cnorm
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("block_rows", [solver.BLOCK_ROWS, 40])
+    @pytest.mark.parametrize("name,kind", MULTISTART_SYSTEMS)
+    def test_matches_exhaustive_search(self, monkeypatch, name, kind, block_rows):
+        # Newton steps scaled by 10^-1 .. 10^4 accept at every depth; a
+        # reversed step is an ascent direction and rejects every length.
+        monkeypatch.setattr(solver, "BLOCK_ROWS", block_rows)
+        d = builtin(name)
+        system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
+        rng = make_rng(71)
+        x = _starts(system, 48, seed=3)
+        F = system.residual_vector(x)
+        fnorm = solver._norms(F)
+        step = solver._steps(system.jacobian(x), F)[0]
+        step *= (10.0 ** rng.uniform(-1, 4, len(x)))[:, None]
+        step[::8] *= -1e-3
+        got = solver._line_search(system, x, step, fnorm)
+        ref = _exhaustive_line_search(system, x, step, fnorm)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+        # Depth of the accepted length per row, -1 for a stall.
+        lengths = 0.5 ** np.arange(30)
+        cands = x[:, None, :] + lengths[:, None] * step[:, None, :]
+        cands[:, 0] = x + step
+        ok = solver._norms(system.residual_vector(cands.reshape(-1, x.shape[1])).reshape(
+            cands.shape[:2] + (F.shape[1],))) < fnorm[:, None]
+        depth = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+        assert np.array_equal(depth >= 0, ref[0])
+        assert (depth == -1).any() and (depth > 3).any() and (depth == 0).any()
+
+    def test_residual_rows_on_multistart_systems(self):
+        # The six systems at 12 restarts, seeds 0-4: the exhaustive search
+        # evaluated 207,998 residual rows (4,024 calls); the staged one
+        # evaluates 76,932 (4,846 calls), with the same 2,364 Jacobians.
+        rows = 0
+        for name, kind in MULTISTART_SYSTEMS:
+            d = builtin(name)
+            system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
+
+            class Counting:
+                @staticmethod
+                def residual_vector(x):
+                    nonlocal rows
+                    rows += len(x)
+                    return system.residual_vector(x)
+
+                jacobian = staticmethod(system.jacobian)
+
+            for seed in range(5):
+                cfg = SolveConfig(restarts=12, seed=seed)
+                solver._newton(Counting, _starts(system, 12, seed), cfg)
+        assert rows <= 207_998 // 2
+
+
 def test_status_counts_on_multistart_systems():
     # The six systems of the multistart benchmark at 12 restarts, seeds
     # 0-4 (360 rows).  Plain Newton steps -J^-1 F: 58 converged, 25
     # stalled in the line search, 8 at max_iter, 202 stagnated, 67
     # diverged.  Regularised Gauss-Newton steps: 116 converged, 0 stalled,
     # 1 at max_iter, 205 stagnated, 38 diverged.
-    systems = (("4_1", "W"), ("5_2", "W"), ("5_2", "V"), ("T3", "W"), ("T5", "W"), ("T5", "V"))
     status = []
-    for name, kind in systems:
+    for name, kind in MULTISTART_SYSTEMS:
         d = builtin(name)
         system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
         for seed in range(5):
