@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -102,8 +103,7 @@ def cmd_solve(args) -> int:
     system = build_system(potential)
     cfg = _solve_config(args)
     solutions = solver.solve(system, cfg)
-    results = [optimistic.w0(potential, s, diagram=d if potential.kind == "W" else None,
-                             system=system)
+    results = [optimistic.w0(potential, s, diagram=d if potential.kind == "W" else None)
                for s in solutions]
     best_vol = max((r.vol for r in results), default=0.0)
     records = []
@@ -171,16 +171,13 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
     d = _load_diagram(args)
-    potential = assemble_W(d)
-    system = build_system(potential)
     cfg = _solve_config(args)
-    solutions = solver.solve(system, cfg)
+    solutions = solver.solve(build_system(assemble_W(d)), cfg)
     records = []
     if args.sign_flip:
         import numpy as np
         rng_signs = np.random.default_rng(cfg.seed + 1)
         pot_alt = assemble_W(d, variant=ALT_NEG_LOG)
-        system_alt = build_system(pot_alt)
     for sol in solutions:
         rec: dict = {"residual": sol.residual_norm}
         if not correspondence.check_w_nondegenerate(d, sol.assignment):
@@ -200,7 +197,7 @@ def cmd_verify(args) -> int:
         rec["congruent_mod_4pi2"] = bridge.congruent_mod_4pi2
         rec["z"] = {str(k): v for k, v in bridge.z.assignment.items()}
         if args.sign_flip:
-            base = optimistic.w0(pot_alt, sol.assignment, system=system_alt)
+            base = optimistic.w0(pot_alt, sol.assignment)
             flips = []
             for _ in range(args.trials):
                 taus = {v: int(rng_signs.choice((-1, 1))) for v in pot_alt.variables}
@@ -244,7 +241,9 @@ def _add_solver_args(p):
     p.add_argument("--config", help="JSON config file mirroring SolveConfig")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="optlim",
         description="Optimistic limits of hyperbolic link diagrams",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import Crossing, Label, LinkDiagram
-from .equations import EquationSystem, build_system
+from .equations import build_system
 from .numerics import PI2, PI2_OVER_6, bloch_wigner, li2, plog, shape_double_prime, shape_prime
 from .optimistic import OptimisticResult, mod_eq, w0
 from .potential import (ALT_NEG_LOG, Assignment, Monomial, Potential, Term,
@@ -172,12 +172,8 @@ def _check_kink_free(diagram: LinkDiagram) -> None:
 
 
 def w_to_z(diagram: LinkDiagram, w: Solution | Assignment,
-           tol: float = 1e-9, check_residual: bool = True,
-           system: EquationSystem | None = None) -> Solution:
-    """Convert a region solution to the side solution of the same octahedra.
-
-    The residual check uses system, the side potential's system, when given.
-    """
+           tol: float = 1e-9, check_residual: bool = True) -> Solution:
+    """Convert a region solution to the side solution of the same octahedra."""
     a = w.assignment if isinstance(w, Solution) else w
     _check_kink_free(diagram)
     if not check_w_nondegenerate(diagram, a):
@@ -193,8 +189,7 @@ def w_to_z(diagram: LinkDiagram, w: Solution | Assignment,
     values = _propagate(diagram.sides, edges, "side", tol)
     residual_norm = 0.0
     if check_residual:
-        system = system or build_system(assemble_V(diagram))
-        res = system.residual(values)
+        res = build_system(assemble_V(diagram)).residual(values)
         residual_norm = float(np.max(np.abs(res))) if len(res) else 0.0
         if residual_norm > tol:
             raise CorrespondenceError(
@@ -223,8 +218,7 @@ def z_to_w(diagram: LinkDiagram, z: Solution | Assignment,
             raise CorrespondenceError("inconsistent 4-corner ratio (input is not a true solution)")
     residual_norm = 0.0
     if check_residual:
-        system = build_system(assemble_W(diagram))
-        res = system.residual(values)
+        res = build_system(assemble_W(diagram)).residual(values)
         residual_norm = float(np.max(np.abs(res))) if len(res) else 0.0
         if residual_norm > tol:
             raise CorrespondenceError(
@@ -255,12 +249,9 @@ def verify_bridge(diagram: LinkDiagram, w: Solution | Assignment,
     """
     a = w.assignment if isinstance(w, Solution) else w
     _check_kink_free(diagram)
-    pw = assemble_W(diagram, variant=ALT_NEG_LOG)
-    pv = assemble_V(diagram)
-    system_v = build_system(pv)
-    z = w_to_z(diagram, a, tol=tol, system=system_v)
-    res_w = w0(pw, a, diagram=diagram, system=build_system(pw))
-    res_v = w0(pv, z.assignment, system=system_v)
+    z = w_to_z(diagram, a, tol=tol)
+    res_w = w0(assemble_W(diagram, variant=ALT_NEG_LOG), a, diagram=diagram)
+    res_v = w0(assemble_V(diagram), z.assignment)
     ok = mod_eq(res_w.raw, res_v.raw, 4.0 * PI2, tol)
     return BridgeReport(z=z, w0_region=res_w, v0_side=res_v, congruent_mod_4pi2=ok)
 
@@ -284,27 +275,57 @@ def _normalize_signs(potential: Potential, values) -> dict[Label, int]:
 
 
 def sign_flip(potential: Potential, taus, epsilons) -> Potential:
-    """Substituted potential with each variable w replaced by tau * w^eps."""
+    """Substituted potential with each variable w replaced by tau * w^eps.
+
+    A flip keeps each monomial's variables and their order, and the flipped
+    monomial depends only on the eps of those variables and on the sign the
+    taus give its coefficient.  So flipped monomials and terms are built
+    once per base potential and sign pattern, kept on the base
+    (Potential._flips) and shared by every flip that needs them.  The result
+    carries its equation system, derived from the base potential's
+    (EquationSystem.sign_flipped) instead of compiled.
+    """
     taus = _normalize_signs(potential, taus)
     epsilons = _normalize_signs(potential, epsilons)
+    # Keys hold ids of base terms and monomials, which the base potential
+    # keeps alive, and of flipped monomials, which the cache keeps alive.
+    cache = potential._flips
+    flipped: dict[int, Monomial] = {}
 
     def xform(m: Monomial) -> Monomial:
-        coeff = m.coeff
-        pairs = []
-        for v, e in m.exps:
-            coeff *= taus[v] ** e
-            pairs.append((v, e * epsilons[v]))
-        return Monomial.from_pairs(pairs, coeff)
+        out = flipped.get(id(m))
+        if out is None:
+            key = [id(m)]
+            negate = False
+            for v, e in m.exps:
+                if e % 2 and taus[v] < 0:
+                    negate = not negate
+                key.append(epsilons[v])
+            key.append(negate)
+            key = tuple(key)
+            out = cache.get(key)
+            if out is None:
+                out = cache[key] = Monomial(tuple((v, e * epsilons[v]) for v, e in m.exps),
+                                            -m.coeff if negate else m.coeff)
+            flipped[id(m)] = out
+        return out
 
     terms = []
     for t in potential.terms:
         if t.kind == "const":
             terms.append(t)
-        elif t.kind == "dilog":
-            terms.append(Term.dilog(t.sign, xform(t.m1)))
-        else:
-            terms.append(Term.logprod(t.sign, xform(t.m1), xform(t.m2)))
-    return Potential(tuple(terms), potential.variables, potential.kind)
+            continue
+        m1 = xform(t.m1)
+        m2 = None if t.m2 is None else xform(t.m2)
+        key = (id(t), id(m1), id(m2))
+        out = cache.get(key)
+        if out is None:
+            out = cache[key] = (Term.dilog(t.sign, m1) if t.kind == "dilog"
+                                else Term.logprod(t.sign, m1, m2))
+        terms.append(out)
+    out = Potential(tuple(terms), potential.variables, potential.kind)
+    build_system(potential).sign_flipped(out, epsilons, xform)
+    return out
 
 
 def sign_flip_point(potential: Potential, taus, epsilons, a: Assignment) -> dict[Label, complex]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 Label = Union[int, str]
@@ -70,6 +70,9 @@ class LinkDiagram:
     regions: tuple[Label, ...]
     sides: tuple[Label, ...]
     components: int
+    # Potentials assembled from this diagram, keyed by W variant or "V";
+    # filled by potential.assemble_W / assemble_V.  Not part of the value.
+    _potentials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

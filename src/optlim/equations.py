@@ -28,14 +28,20 @@ leading batch axis of points; a batch row at a degenerate point comes out
 non-finite, while a single point raises EvaluationError.  The principal-
 branch mu_k themselves, which the corrected potential needs, are summed
 from logs of the same atoms evaluated with Monomial.value.
+
+Each system is compiled once.  build_system at the default pin (the last
+variable) keeps the system on the potential object and hands back that
+one on every later call; a sign-flipped potential carries a system derived
+from its base's (EquationSystem.sign_flipped), so it is never compiled.
+Only an explicit other pin compiles a fresh system.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Literal, Sequence
+from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -166,6 +172,12 @@ class EquationSystem:
     def _products(self) -> _Products:
         return _compile_products(self)
 
+    @cached_property
+    def _fac_var(self) -> np.ndarray:
+        """Index into _var_order of each factor's variable."""
+        block = np.diff(self._eq_starts, append=len(self._fac_power))
+        return np.repeat(np.arange(len(self._var_order)), block)
+
     @property
     def size(self) -> int:
         return len(self.unknowns)
@@ -245,6 +257,25 @@ class EquationSystem:
         x = self.vector_from_assignment(a)
         return self._kernel(x, complex(a[self.pin]))[3] - 1.0
 
+    def sign_flipped(self, potential: Potential, epsilons: Mapping[Label, int],
+                     flip: Callable[[Monomial], Monomial]) -> EquationSystem:
+        """The system of potential, the substitution w_v -> tau_v w_v^eps_v
+        of self.potential whose monomials are flip(m), kept on potential
+        where build_system finds it.
+
+        deg_v of a flipped monomial is eps_v deg_v of the original, so each
+        variable's factor block keeps its factors and order and its powers
+        are multiplied by eps_v; the factor monomials are flipped.  The
+        arrays equal those a fresh compile of potential gives whenever the
+        flip keeps the order of every log product's two monomials.
+        """
+        eps = np.array([epsilons[v] for v in self._var_order], dtype=float)
+        system = replace(self, potential=potential,
+                         _fac_power=self._fac_power * eps[self._fac_var],
+                         _monomials=tuple(flip(m) for m in self._monomials))
+        object.__setattr__(potential, "_system", system)
+        return system
+
     def mu(self, a: Assignment) -> np.ndarray:
         """Principal-branch mu_k at the assignment, in potential.variables order.
 
@@ -281,7 +312,20 @@ def _gather(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_system(potential: Potential, pin: Label | None = None) -> EquationSystem:
-    """Pin one variable to 1 and compile every variable's equation, pin's last."""
+    """Pin one variable to 1 and compile every variable's equation, pin's last.
+
+    At the default pin, the last variable, the system is compiled on the
+    first call and kept on the potential object; later calls return it.
+    Any other pin compiles a fresh system.
+    """
+    if pin is not None and potential.variables[-1:] != (pin,):
+        return _compile_system(potential, pin)
+    if potential._system is None:
+        object.__setattr__(potential, "_system", _compile_system(potential, None))
+    return potential._system
+
+
+def _compile_system(potential: Potential, pin: Label | None) -> EquationSystem:
     variables = potential.variables
     if not variables:
         raise ValueError("potential has no variables")

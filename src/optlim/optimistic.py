@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .diagram import LinkDiagram
-from .equations import EquationSystem, EvaluationError, build_system, mu_integer_multipliers
+from .equations import EvaluationError, build_system, mu_integer_multipliers
 from .numerics import PI2, bloch_wigner, plog, reduce_centered
 from .potential import Assignment, Potential, evaluate
 from .solver import Solution
@@ -40,18 +40,16 @@ class OptimisticResult:
 
 def w0(potential: Potential, solution: Solution | Assignment,
        diagram: LinkDiagram | None = None,
-       system: EquationSystem | None = None,
        mu_tol: float = 1e-6) -> OptimisticResult:
     """Corrected potential value at a solution.
 
     Accepts either a Solution or a bare assignment.  When the diagram is
     supplied and the potential is a region potential, the Bloch-Wigner
-    volume is computed as a cross-check.
+    volume is computed as a cross-check.  The mu_k come from the
+    potential's own system (build_system), compiled on its first use.
     """
     a = solution.assignment if isinstance(solution, Solution) else solution
-    if system is None or system.potential is not potential:
-        system = build_system(potential, pin=potential.variables[-1])
-    multipliers = mu_integer_multipliers(system, a, tol=mu_tol)
+    multipliers = mu_integer_multipliers(build_system(potential), a, tol=mu_tol)
     correction = sum(
         (2j * math.pi * multipliers[v]) * plog(a[v]) for v in potential.variables
     )

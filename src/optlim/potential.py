@@ -20,11 +20,14 @@ formed first, then fed to log / Li2.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, Literal, Mapping
 
 from .diagram import Crossing, DiagramError, Label, LinkDiagram
 from .numerics import PI2_OVER_6, li2, plog
+
+if TYPE_CHECKING:
+    from .equations import EquationSystem
 
 WNVariant = Literal["default", "alt_neg_log"]
 DEFAULT: WNVariant = "default"
@@ -115,6 +118,13 @@ class Potential:
     terms: tuple[Term, ...]
     variables: tuple[Label, ...]
     kind: Literal["W", "V"]
+    # The EquationSystem at the default pin, set once by
+    # equations.build_system, or by EquationSystem.sign_flipped for a
+    # sign-flipped potential.  Not part of the potential's value.
+    _system: EquationSystem | None = field(default=None, init=False, repr=False, compare=False)
+    # Flipped terms and monomials shared by this potential's sign flips,
+    # filled by correspondence.sign_flip.  Not part of the value either.
+    _flips: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dilog_monomials(self) -> list[Monomial]:
         return [t.m1 for t in self.terms if t.kind == "dilog"]
@@ -168,20 +178,30 @@ def crossing_terms_V(crossing: Crossing) -> list[Term]:
 
 
 def assemble_W(diagram: LinkDiagram, variant: WNVariant = DEFAULT) -> Potential:
-    terms: list[Term] = []
-    for crossing in diagram.crossings:
-        terms.extend(crossing_terms_W(crossing, variant))
-    return Potential(tuple(terms), tuple(diagram.regions), "W")
+    """The region potential, assembled once per diagram object and variant."""
+    potential = diagram._potentials.get(variant)
+    if potential is None:
+        terms: list[Term] = []
+        for crossing in diagram.crossings:
+            terms.extend(crossing_terms_W(crossing, variant))
+        potential = Potential(tuple(terms), tuple(diagram.regions), "W")
+        diagram._potentials[variant] = potential
+    return potential
 
 
 def assemble_V(diagram: LinkDiagram) -> Potential:
-    kinks = diagram.kinked_crossings()
-    if kinks:
-        raise DiagramError(f"diagram has kinks at crossings {kinks}; remove them first")
-    terms: list[Term] = []
-    for crossing in diagram.crossings:
-        terms.extend(crossing_terms_V(crossing))
-    return Potential(tuple(terms), tuple(diagram.sides), "V")
+    """The side potential, assembled once per diagram object."""
+    potential = diagram._potentials.get("V")
+    if potential is None:
+        kinks = diagram.kinked_crossings()
+        if kinks:
+            raise DiagramError(f"diagram has kinks at crossings {kinks}; remove them first")
+        terms: list[Term] = []
+        for crossing in diagram.crossings:
+            terms.extend(crossing_terms_V(crossing))
+        potential = Potential(tuple(terms), tuple(diagram.sides), "V")
+        diagram._potentials["V"] = potential
+    return potential
 
 
 def evaluate(potential: Potential, a: Assignment) -> complex:

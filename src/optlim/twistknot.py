@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import Label, twist_diagram
-from .equations import build_system
 from .numerics import shape_double_prime, shape_prime
 from .potential import DEFAULT, Monomial, Potential, Term, WNVariant
 
@@ -321,11 +320,10 @@ def reproduce_reference_table(n: int) -> list[dict]:
     _check_index(n)
     diagram = twist_diagram(n)
     potential = twist_potential(n)
-    system = build_system(potential)
     rows = []
     for t in poly_roots(defining_poly(n)):
         par = parametrize(n, t)
-        result = _w0(potential, par.assignment, diagram=diagram, system=system)
+        result = _w0(potential, par.assignment, diagram=diagram)
         expected = match_reference_row(n, t)
         record = {
             "n": n,

@@ -1,7 +1,5 @@
 """Shared fixtures: built-in diagrams and cached multistart solves."""
 
-import importlib
-
 import numpy as np
 import pytest
 
@@ -50,20 +48,22 @@ def knot52_v_solutions(knot52):
 
 @pytest.fixture
 def build_counter(monkeypatch):
-    """Kinds of the potentials passed to build_system by package modules."""
+    """Kinds of the potentials whose equation system gets compiled.
+
+    Every compile goes through equations._compile_system; a system that
+    build_system returns from its cache, or that sign_flip derives, is not
+    counted.
+    """
     from optlim import equations
 
     calls = []
-    original = equations.build_system
+    original = equations._compile_system
 
     def counting(potential, *args, **kwargs):
         calls.append(potential.kind)
         return original(potential, *args, **kwargs)
 
-    for name in ("equations", "optimistic", "correspondence", "twistknot", "cli"):
-        module = importlib.import_module(f"optlim.{name}")
-        if getattr(module, "build_system", None) is original:
-            monkeypatch.setattr(module, "build_system", counting)
+    monkeypatch.setattr(equations, "_compile_system", counting)
     return calls
 
 

@@ -175,15 +175,31 @@ class TestVerify:
         assert err.startswith("error: ") and "--trials" in err
 
     def test_sign_flip_builds_base_system_once(self, capsys, build_counter):
-        code, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "4_1",
-                               "--restarts", "64", "--seed", "0",
-                               "--sign-flip", "--trials", "3")
-        assert code == 0
-        checked = sum(r["status"] == "ok" for r in json.loads(out)["solutions"])
-        assert checked
-        # the solve system, the base system, then per checked solution the
-        # bridge's two systems and one per sign-flip trial
-        assert len(build_counter) == 2 + checked * (2 + 3)
+        for trials in ("3", "20"):
+            build_counter.clear()
+            code, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "4_1",
+                                   "--restarts", "64", "--seed", "0",
+                                   "--sign-flip", "--trials", trials)
+            assert code == 0
+            assert sum(r["status"] == "ok" for r in json.loads(out)["solutions"])
+            # the solve system, then the bridge's side and ALT_NEG_LOG systems,
+            # whatever the number of solutions and trials: the sign-flip base
+            # is the bridge's ALT_NEG_LOG system and every flipped system is
+            # derived from it
+            assert build_counter == ["W", "V", "W"]
+
+    def test_sign_flip_output_stable_with_warm_caches(self, capsys, monkeypatch,
+                                                      build_counter):
+        d = builtin("4_1")
+        monkeypatch.setattr(cli.diagram, "builtin", lambda name: d)
+        argv = ("--stable", "verify", "--builtin", "4_1", "--restarts", "64",
+                "--seed", "0", "--sign-flip", "--trials", "5")
+        first = run_cli(capsys, *argv)
+        assert build_counter == ["W", "V", "W"]
+        second = run_cli(capsys, *argv)
+        assert build_counter == ["W", "V", "W"]     # every system came from a cache
+        assert first[0] == 0
+        assert second == first
 
     def test_no_sign_flip_assembles_no_alternative_potential(self, capsys, monkeypatch,
                                                              build_counter):
@@ -199,9 +215,9 @@ class TestVerify:
                                "--restarts", "64", "--seed", "0")
         assert code == 0
         assert variants == [None]
-        checked = sum(r["status"] == "ok" for r in json.loads(out)["solutions"])
-        # the solve system, then the bridge's two systems per checked solution
-        assert len(build_counter) == 1 + 2 * checked
+        assert sum(r["status"] == "ok" for r in json.loads(out)["solutions"])
+        # the solve system, then the bridge's two systems once per diagram
+        assert build_counter == ["W", "V", "W"]
 
     def test_all_degenerate_reports_skips(self, capsys):
         pd = "X(1,7,2,6) X(5,3,6,2) X(4,8,5,7) X(3,8,4,1)"
@@ -211,6 +227,10 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["congruences_checked"] == 0
         assert any(r["status"] == "skipped-degenerate" for r in doc["solutions"])
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 class TestFloats:

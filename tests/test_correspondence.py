@@ -1,6 +1,8 @@
 """Region/side bridge: conversions, congruence, sign flips, octahedra."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from optlim import (ALT_NEG_LOG, CorrespondenceError, SolveConfig, assemble_V,
 from optlim import twistknot
 from optlim.correspondence import region_ratios_from_z, side_ratios_from_w
 from optlim.numerics import PI2
+from optlim.potential import Monomial, Potential, Term
 
 from conftest import make_rng, mu_oracle, random_essential_assignment
 
@@ -190,18 +193,20 @@ class TestBridge:
 
     def test_builds_each_system_once(self, build_counter):
         for n in (1, 3):
-            par = twist_assignment(n)
-            report = verify_bridge(twistknot.twist_diagram(n), par.regions)
-            assert report.congruent_mod_4pi2
+            d = twistknot.twist_diagram(n)
+            for which in (0, 1):
+                report = verify_bridge(d, twist_assignment(n, which).regions)
+                assert report.congruent_mod_4pi2
         assert build_counter == ["V", "W"] * 2
 
     def test_w_to_z_uses_a_given_system(self, build_counter):
+        # the side system already built for the diagram is the one checked
         par = twist_assignment(2)
         d = twistknot.twist_diagram(2)
         system_v = build_system(assemble_V(d))
-        z = w_to_z(d, par.regions, system=system_v)
-        assert build_counter == []
-        assert z.residual_norm == w_to_z(d, par.regions).residual_norm
+        z = w_to_z(d, par.regions)
+        assert build_counter == ["V"]
+        assert z.residual_norm == float(np.max(np.abs(system_v.residual(z.assignment))))
 
     def test_solver_solutions_bridge(self, fig8, fig8_w_solutions):
         pw = assemble_W(fig8, variant=ALT_NEG_LOG)
@@ -227,6 +232,26 @@ class TestBridge:
             assert verify_bridge(knot52, s).congruent_mod_4pi2
             checked += 1
         assert checked >= 2
+
+
+def substituted_terms(potential, taus, eps):
+    """The terms of potential under w -> tau * w^eps, each monomial rebuilt
+    through Monomial.from_pairs: the reference for sign_flip."""
+    def xform(m):
+        coeff = m.coeff
+        for v, e in m.exps:
+            coeff *= taus[v] ** e
+        return Monomial.from_pairs([(v, e * eps[v]) for v, e in m.exps], coeff)
+
+    out = []
+    for t in potential.terms:
+        if t.kind == "const":
+            out.append(t)
+        elif t.kind == "dilog":
+            out.append(Term.dilog(t.sign, xform(t.m1)))
+        else:
+            out.append(Term.logprod(t.sign, xform(t.m1), xform(t.m2)))
+    return tuple(out)
 
 
 class TestSignFlip:
@@ -262,6 +287,44 @@ class TestSignFlip:
             mu0, mu1 = mus0[v], mus1[v]
             diff = (mu1 - eps[v] * mu0) / (2j * math.pi)
             assert abs(diff - round(diff.real)) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["W-alt", "V"])
+    @pytest.mark.parametrize("name", ["4_1", "5_2", "T3", "T5"])
+    def test_derived_system_equals_a_fresh_compile(self, name, kind, build_counter):
+        d = builtin(name)
+        p = assemble_W(d, variant=ALT_NEG_LOG) if kind == "W-alt" else assemble_V(d)
+        rng = make_rng(71)
+        flips = []
+        for _ in range(20):
+            taus = {v: int(rng.choice((-1, 1))) for v in p.variables}
+            eps = {v: int(rng.choice((-1, 1))) for v in p.variables}
+            flipped = sign_flip(p, taus, eps)
+            # later flips reuse the terms earlier ones built
+            assert flipped.terms == substituted_terms(p, taus, eps)
+            flips.append(flipped)
+        assert build_counter == [p.kind]          # the base system only
+        for flipped in flips:
+            derived = build_system(flipped)
+            fresh = build_system(Potential(flipped.terms, flipped.variables, flipped.kind))
+            assert fresh is not derived
+            assert derived._monomials == fresh._monomials
+            a = random_essential_assignment(flipped, rng)
+            x = derived.vector_from_assignment(a)
+            assert np.array_equal(derived.mu(a), fresh.mu(a))
+            assert np.array_equal(derived.residual_vector(x), fresh.residual_vector(x))
+            assert np.array_equal(derived.jacobian(x), fresh.jacobian(x))
+
+    def test_flipped_potential_is_collected(self):
+        p = assemble_W(builtin("5_2"), variant=ALT_NEG_LOG)
+        par = twist_assignment(2)
+        ones = {v: 1 for v in p.variables}
+        signs = {v: -1 for v in p.variables}
+        flipped = sign_flip(p, signs, ones)
+        w0(flipped, sign_flip_point(p, signs, ones, par.assignment))
+        refs = (weakref.ref(flipped), weakref.ref(build_system(flipped)))
+        del flipped
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
     def test_sign_vectors_validated(self, fig8):
         p = assemble_W(fig8)

@@ -110,13 +110,22 @@ class TestModEq:
             mod_eq(0, 0, -1.0, 1e-9)
 
 
+def test_w0_uses_the_potentials_system(build_counter):
+    p = assemble_W(builtin("T2"))
+    system = build_system(p)
+    for t in twistknot.poly_roots(twistknot.defining_poly(2)):
+        w0(p, twistknot.parametrize(2, t).assignment)
+    assert build_counter == ["W"]
+    assert build_system(p) is system
+
+
 class TestInvariances:
     def test_component_constancy_under_refinement(self, fig8, fig8_w_solutions):
         p = assemble_W(fig8)
         system = build_system(p)
         rng = make_rng(47)
         base = fig8_w_solutions[0]
-        raw0 = w0(p, base, system=system).raw
+        raw0 = w0(p, base).raw
         for _ in range(5):
             noise = 1e-5 * (rng.standard_normal(system.size)
                             + 1j * rng.standard_normal(system.size))
@@ -124,7 +133,7 @@ class TestInvariances:
             for v, dz in zip(system.unknowns, noise):
                 shifted[v] = shifted[v] + dz
             sol = refine(system, shifted)
-            raw1 = w0(p, sol, system=system).raw
+            raw1 = w0(p, sol).raw
             assert mod_eq(raw1, raw0, FOUR_PI2, 1e-8)
 
     def test_variant_independence_mod_4pi2(self):
