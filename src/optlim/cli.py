@@ -103,8 +103,8 @@ def cmd_solve(args) -> int:
     system = build_system(potential)
     cfg = _solve_config(args)
     solutions = solver.solve(system, cfg)
-    results = [optimistic.w0(potential, s, diagram=d if potential.kind == "W" else None)
-               for s in solutions]
+    results = optimistic.w0_batch(potential, solutions,
+                                  diagram=d if potential.kind == "W" else None)
     best_vol = max((r.vol for r in results), default=0.0)
     records = []
     for sol, res in zip(solutions, results):

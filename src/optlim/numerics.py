@@ -1,16 +1,24 @@
 """Complex principal logarithm, dilogarithm and Bloch-Wigner function.
 
 All branch choices follow the principal convention arg z in (-pi, pi].
-Points on the negative real axis therefore get arg = +pi, and the
-dilogarithm on its cut [1, oo) takes the limit from below, which is the
-convention that makes D(x) = 0 for every real x.
+Points on the negative real axis therefore get arg = +pi, whatever the
+sign of a zero imaginary part, and the dilogarithm on its cut [1, oo)
+takes the limit from below, which is the convention that makes D(x) = 0
+for every real x.
+
+plog, li2 and bloch_wigner are array functions with one implementation
+each: they take a scalar or an array of any shape and work elementwise,
+and a scalar call returns a numpy scalar equal, bit for bit, to the
+matching element of an array call.  Li2(0) = 0 and Li2(1) = pi^2/6;
+log(0), D(0), D(1) and any non-finite element raise ValueError.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
+
+import numpy as np
 
 PI = math.pi
 PI2 = math.pi * math.pi
@@ -41,96 +49,95 @@ def _bernoulli_series_coeffs(nmax: int) -> list[float]:
 # with equality at z = exp(+-i pi/3); K = 10 terms leave a first omitted
 # term of 6.9e-19 there (K = 9 would leave 2.7e-17).
 _LI2_TERMS = 10
-_LI2_HORNER = tuple(reversed(_bernoulli_series_coeffs(2 * _LI2_TERMS)[2::2]))
+# The coefficients of P, ascending in u^2, split into even and odd powers:
+# P is evaluated by Horner in u^4 over the pair values c_2i + c_2i+1 u^2,
+# which takes fewer array operations than Horner in u^2.
+_LI2_EVEN, _LI2_ODD = (np.array(_bernoulli_series_coeffs(2 * _LI2_TERMS)[2::2])
+                       .reshape(-1, 2).T.copy())
 
 
-def _collapse(z: complex) -> complex:
-    """z with a -0.0 imaginary part made +0.0, so the negative real axis
-    has arg +pi."""
-    return complex(z.real, 0.0) if z.imag == 0.0 else z
+def _as_complex(z) -> np.ndarray:
+    """z as a complex array of at least one dimension, every -0.0 imaginary
+    part made +0.0 so the negative real axis has arg +pi.
 
-
-def _as_complex(z) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite complex value {z!r}")
-    return _collapse(z)
-
-
-def _log(z: complex) -> complex:
-    """plog of a finite nonzero complex, without plog's validation."""
-    return cmath.log(_collapse(z))
-
-
-def plog(z) -> complex:
-    """Principal logarithm, arg in (-pi, pi]."""
-    z = _as_complex(z)
-    if z == 0:
-        raise ValueError("log of zero")
-    return cmath.log(z)
-
-
-def _li2_series(z: complex) -> complex:
-    """Li2 on |z| <= 1, Re z <= 1/2 by the fixed-length Bernoulli series.
-
-    u = -log(1 - z) is formed as -log(w) * (-z / (w - 1)) with w = 1 - z
-    (the log1p correction), so tiny |z| keeps its relative accuracy.
+    A scalar becomes shape (1,) rather than 0-d: numpy computes on 0-d
+    values with its scalar routines, which can round differently from the
+    array loops, and a scalar call must equal the matching array element.
     """
-    w = 1.0 - z
-    d = w - 1.0
-    if d == 0:
-        return z
-    u = -cmath.log(w) * (-z / d)
-    u2 = u * u
-    p = 0.0
-    for c in _LI2_HORNER:
-        p = p * u2 + c
-    return u - 0.25 * u2 + u * u2 * p
+    z = np.array(z, dtype=complex, ndmin=1, copy=None) + 0.0
+    if np.count_nonzero(np.isfinite(z)) != z.size:
+        raise ValueError(f"non-finite complex value in {z!r}")
+    return z
 
 
-def li2(z) -> complex:
-    """Principal-branch dilogarithm Li2(z) = -int_0^z log(1-t)/t dt.
+def _shaped(out: np.ndarray, z):
+    """out in the shape of the argument z: a numpy scalar for a scalar."""
+    return out[0] if np.ndim(z) == 0 else out
+
+
+def plog(z):
+    """Principal logarithm, arg in (-pi, pi], elementwise."""
+    v = _as_complex(z)
+    if np.count_nonzero(v) != v.size:
+        raise ValueError("log of zero")
+    return _shaped(np.log(v), z)
+
+
+def li2(z):
+    """Principal-branch dilogarithm Li2(z) = -int_0^z log(1-t)/t dt, elementwise.
 
     Total on finite inputs; Li2(1) = pi^2/6.  Region reduction: inversion
     for |z| > 1, reflection for Re z > 1/2, then one fixed-length Bernoulli
-    series in -log(1 - z).
+    series in u = -log(1 - z).  Every element takes the same sequence of
+    array operations, so its value does not depend on the array around it.
     """
-    z = _as_complex(z)
-    if z == 0:
-        return 0.0 + 0.0j
-    if z == 1:
-        return complex(PI2_OVER_6, 0.0)
-
-    shift = 0.0 + 0.0j
-    sign = 1.0
-    if abs(z) > 1.0:
-        # Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
-        lg = _log(-z)
-        shift += -PI2_OVER_6 - 0.5 * lg * lg
-        sign = -sign
-        z = 1.0 / z
-    if z.real > 0.5:
-        # Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z)
-        one_minus = _collapse(1.0 - z)
-        if one_minus == 0:
-            return shift + sign * PI2_OVER_6
-        shift += sign * (PI2_OVER_6 - _log(z) * _log(one_minus))
-        sign = -sign
-        z = one_minus
-    return shift + sign * _li2_series(z)
+    return _shaped(_li2(_as_complex(z)), z)
 
 
-def bloch_wigner(z) -> float:
-    """Bloch-Wigner function D(z) = Im Li2(z) + log|z| * arg(1-z).
+def _li2(z: np.ndarray) -> np.ndarray:
+    """li2 of a complex array as _as_complex returns it."""
+    # Inversion for |z| > 1: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2.
+    inv = np.abs(z) > 1.0
+    y = np.divide(1.0, z, out=z.copy(), where=inv)
+    # Reflection for Re y > 1/2: Li2(y) = pi^2/6 - log(y) log(1 - y) - Li2(1 - y).
+    refl = y.real > 0.5
+    s = np.subtract(1.0, y, out=y.copy(), where=refl)
+    # The logs of both reductions, 0 where a reduction does not apply; at
+    # s = 1 - y = 0 log(s) is taken as 0, the log product being 0 there.
+    lg = np.log(-z + 0.0, out=np.zeros_like(z), where=inv)
+    ly = np.log(y, out=np.zeros_like(y), where=refl)
+    ls = np.log(s, out=np.zeros_like(s), where=s != 0.0)
+    sign = np.where(inv, -1.0, 1.0)
+    shift = sign * (PI2_OVER_6 * refl - ly * ls) - PI2_OVER_6 * inv - 0.5 * lg * lg
+    sign[refl] *= -1.0
+    # The series on |s| <= 1, Re s <= 1/2.  u = -log(1 - s) is formed as
+    # s * log(w) / (w - 1) with w = 1 - s (the log1p correction), so tiny
+    # |s| keeps its relative accuracy; where w - 1 rounds to 0 the ratio
+    # log(w) / (w - 1) is 1.
+    w = 1.0 - s
+    d = w - 1.0
+    u = s * np.divide(np.log(w), d, out=np.ones_like(w), where=d != 0.0)
+    x = u * u
+    pairs = _LI2_EVEN + _LI2_ODD * x[..., None]
+    x2 = x * x
+    p = pairs[..., -1]
+    for i in range(len(_LI2_EVEN) - 2, -1, -1):
+        p = p * x2 + pairs[..., i]
+    return shift + sign * (u + x * (u * p - 0.25))
+
+
+def bloch_wigner(z):
+    """Bloch-Wigner function D(z) = Im Li2(z) + log|z| * arg(1-z), elementwise.
 
     Real-valued; the hyperbolic volume of the ideal tetrahedron with shape z.
     Undefined at z in {0, 1}.
     """
-    z = _as_complex(z)
-    if z == 0 or z == 1:
-        raise ValueError(f"Bloch-Wigner function undefined at {z}")
-    one_minus = _collapse(1.0 - z)
-    return li2(z).imag + math.log(abs(z)) * cmath.phase(one_minus)
+    v = _as_complex(z)
+    if np.count_nonzero((v == 0) | (v == 1)):
+        raise ValueError("Bloch-Wigner function undefined at 0 and 1")
+    one_minus = (1.0 - v) + 0.0
+    return _shaped(_li2(v).imag
+                   + np.log(np.abs(v)) * np.arctan2(one_minus.imag, one_minus.real), z)
 
 
 def shape_prime(u) -> complex:

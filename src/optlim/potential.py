@@ -14,7 +14,8 @@ in the frame where the over-strand runs upper-right to lower-left (at
 negative crossings this rotates the stored side labels by one corner).
 
 Evaluation uses the principal branches throughout: monomial values are
-formed first, then fed to log / Li2.
+formed first, then fed to log / Li2.  The compiled equation system of the
+potential does this with array arithmetic; see equations.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Literal, Mapping
 
 from .diagram import Crossing, DiagramError, Label, LinkDiagram
-from .numerics import PI2_OVER_6, li2, plog
 
 if TYPE_CHECKING:
     from .equations import EquationSystem
@@ -209,20 +209,14 @@ def evaluate(potential: Potential, a: Assignment) -> complex:
 
     Monomial values are computed first and then logged, so the result is a
     single well-defined branch choice (the one used by the reference
-    numerical tables).
+    numerical tables).  The values come from the gather of the potential's
+    equation system (EquationSystem.monomial_values), which every mu_k and
+    W0 read as well.
     """
-    total = 0.0 + 0.0j
-    for t in potential.terms:
-        if t.kind == "const":
-            total += t.sign * PI2_OVER_6
-        elif t.kind == "dilog":
-            v = t.m1.value(a)
-            if v == 0 or v == 1:
-                raise EvaluationError(f"non-essential assignment: dilog argument equals {v}")
-            total += t.sign * li2(v)
-        else:
-            total += t.sign * plog(t.m1.value(a)) * plog(t.m2.value(a))
-    return total
+    from .equations import build_system
+
+    system = build_system(potential)
+    return complex(system.potential_value(system.point_from_assignment(a)))
 
 
 def to_json_dict(potential: Potential) -> dict:

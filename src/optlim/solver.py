@@ -247,18 +247,23 @@ def _failure(system: EquationSystem, x: np.ndarray, fnorm: float, code: int,
     return SolveError(message)
 
 
-def essential_margin(system: EquationSystem, a: Assignment) -> float:
+def essential_margin(system: EquationSystem, a: Assignment | np.ndarray) -> float | np.ndarray:
     """Distance of the dilogarithm arguments from {0, 1, oo}: the minimum over
-    the dilogarithm monomials m of min(|m|, |1 - m|, 1/|m|)."""
-    margin = math.inf
-    for m in system.potential.dilog_monomials():
-        v = m.value(a)
-        r = abs(v)
-        margin = min(margin, r, abs(1.0 - v), 1.0 / r if r else math.inf)
-    return margin
+    the dilogarithm monomials m of min(|m|, |1 - m|, 1/|m|).
+
+    a is an assignment, or points (..., nvars) in the order of
+    EquationSystem.point_from_assignment, which give an array of margins.
+    The arguments come from the system's monomial value gather.
+    """
+    w = a if isinstance(a, np.ndarray) else system.point_from_assignment(a)
+    m = system.dilog_arguments(w)
+    r = np.abs(m)
+    with np.errstate(divide="ignore"):
+        margin = np.minimum(np.minimum(r, np.abs(1.0 - m)), 1.0 / r).min(axis=-1, initial=math.inf)
+    return margin if isinstance(a, np.ndarray) else float(margin)
 
 
-def is_essential(system: EquationSystem, a: Assignment, tol: float) -> bool:
+def is_essential(system: EquationSystem, a: Assignment | np.ndarray, tol: float) -> bool | np.ndarray:
     """No dilogarithm argument within tol of {0, 1} or larger than 1/tol."""
     return essential_margin(system, a) >= tol
 
@@ -304,9 +309,10 @@ def solve(system: EquationSystem, cfg: SolveConfig | None = None) -> list[Soluti
     X0 = np.array([_sample(np.random.default_rng(s), system.size, cfg) for s in seeds])
     X, fnorm, status = _newton(system, X0, cfg)
 
-    hits = [(X[i], float(fnorm[i])) for i in np.flatnonzero(status == CONVERGED)]
-    hits = [(x, fn) for x, fn in hits
-            if is_essential(system, system.assignment_from_vector(x), cfg.essential_tol)]
+    rows = np.flatnonzero(status == CONVERGED)
+    points = np.concatenate((X[rows], np.ones((len(rows), 1))), axis=1)
+    rows = rows[is_essential(system, points, cfg.essential_tol)]
+    hits = [(X[i], float(fnorm[i])) for i in rows]
     if not hits:
         return []
     # Deterministic merge order, then greedy clustering by max coordinate distance.

@@ -313,17 +313,17 @@ def reproduce_reference_table(n: int) -> list[dict]:
     """Corrected potential values at every root of the defining polynomial.
 
     Returns one record per root with the computed raw value and the matched
-    reference row; the heavy lifting lives in the optimistic module.
+    reference row; the heavy lifting lives in the optimistic module, which
+    evaluates all roots in one batch.
     """
-    from .optimistic import w0 as _w0
+    from .optimistic import w0_batch
 
     _check_index(n)
-    diagram = twist_diagram(n)
-    potential = twist_potential(n)
+    roots = poly_roots(defining_poly(n))
+    points = [parametrize(n, t).assignment for t in roots]
+    results = w0_batch(twist_potential(n), points, diagram=twist_diagram(n))
     rows = []
-    for t in poly_roots(defining_poly(n)):
-        par = parametrize(n, t)
-        result = _w0(potential, par.assignment, diagram=diagram)
+    for t, result in zip(roots, results):
         expected = match_reference_row(n, t)
         record = {
             "n": n,

@@ -1,5 +1,6 @@
 """Shared fixtures: built-in diagrams and cached multistart solves."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -82,6 +83,44 @@ def mu_oracle(potential, a) -> dict:
             total += atom.coeff * plog(1.0 - m if atom.kind == "log1m" else m)
         out[v] = total
     return out
+
+
+def w0_oracle(potential, a, dps=30):
+    """W0 = W - sum_k mu_k log w_k term by term in mpmath at dps digits: the
+    reference for the one-pass W0.
+
+    Monomial values are formed in mpmath from the given doubles, then fed
+    to mpmath.polylog(2, m) and principal logs.  The mu_k are summed from
+    the symbolic log-derivatives and rounded to integers.  Returns the raw
+    value and the mu integers in potential.variables order.
+    """
+    with mpmath.workdps(dps):
+        values = {v: mpmath.mpc(complex(a[v])) for v in potential.variables}
+
+        def value(m):
+            out = mpmath.mpc(m.coeff)
+            for v, e in m.exps:
+                out *= values[v] ** e
+            return out
+
+        total = mpmath.mpc(0)
+        for t in potential.terms:
+            if t.kind == "const":
+                total += t.sign * mpmath.pi ** 2 / 6
+            elif t.kind == "dilog":
+                total += t.sign * mpmath.polylog(2, value(t.m1))
+            else:
+                total += t.sign * mpmath.log(value(t.m1)) * mpmath.log(value(t.m2))
+        integers = []
+        for v in potential.variables:
+            mu = mpmath.mpc(0)
+            for atom in log_derivative(potential, v).atoms:
+                m = value(atom.m)
+                mu += atom.coeff * mpmath.log(1 - m if atom.kind == "log1m" else m)
+            k = int(mpmath.nint(mu.imag / (2 * mpmath.pi)))
+            integers.append(k)
+            total -= 2j * mpmath.pi * k * mpmath.log(values[v])
+        return complex(total), tuple(integers)
 
 
 def _term_monomials(potential):

@@ -308,6 +308,13 @@ class TestSignFlip:
             fresh = build_system(Potential(flipped.terms, flipped.variables, flipped.kind))
             assert fresh is not derived
             assert derived._monomials == fresh._monomials
+            # the W0 pass: term arrays, log atoms and the value gather
+            for name in ("dilog_mono", "dilog_sign", "logprod_atom", "logprod_sign",
+                         "atom_mono", "atom_is_1m"):
+                assert np.array_equal(getattr(derived._terms, name), getattr(fresh._terms, name))
+            assert derived._terms.const == fresh._terms.const
+            for name in ("_fac_atom", "_mono_coeff", "_value_gather", "_value_starts"):
+                assert np.array_equal(getattr(derived, name), getattr(fresh, name))
             a = random_essential_assignment(flipped, rng)
             x = derived.vector_from_assignment(a)
             assert np.array_equal(derived.mu(a), fresh.mu(a))

@@ -144,6 +144,16 @@ class TestLi2Mpmath:
                 worst[name] = max(worst.get(name, 0.0), abs(li2(z) - ref) / abs(ref))
         assert max(worst.values()) < 4e-15, worst
 
+    def test_grid_as_one_array_call(self):
+        names, zs = zip(*li2_grid())
+        values = li2(np.array(zs))
+        worst = 0.0
+        with mpmath.workdps(40):
+            for z, value in zip(zs, values):
+                ref = complex(mpmath.polylog(2, mpmath.mpc(z.real, z.imag)))
+                worst = max(worst, abs(value - ref) / abs(ref))
+        assert worst < 4e-15
+
     def test_series_length_covers_reduced_domain(self):
         # After inversion and reflection, |z| <= 1 and Re z <= 1/2; |u| of
         # u = -log(1 - z) peaks on that boundary, at z = exp(+-i pi/3).
@@ -155,6 +165,61 @@ class TestLi2Mpmath:
         k = numerics._LI2_TERMS + 1
         first_omitted = abs(numerics._bernoulli_series_coeffs(2 * k)[2 * k]) * max_u ** (2 * k + 1)
         assert first_omitted < 1e-18
+
+
+def bits(x):
+    return np.asarray(x).tobytes()
+
+
+class TestArrayContract:
+    """li2, plog and bloch_wigner are elementwise on arrays of any shape;
+    a scalar gives a numpy scalar equal to the matching array element."""
+
+    @pytest.mark.parametrize("f", [li2, plog, bloch_wigner])
+    def test_scalar_equals_array_element_bitwise(self, f):
+        zs = np.array([z for _, z in li2_grid() if z != 1.0])
+        values = f(zs)
+        assert values.shape == zs.shape
+        for z, value in zip(zs, values):
+            single = f(complex(z))
+            assert np.ndim(single) == 0
+            assert bits(single) == bits(value)
+
+    @pytest.mark.parametrize("f", [li2, plog, bloch_wigner])
+    def test_shapes_are_preserved(self, f):
+        zs = np.array([z for _, z in li2_grid() if z != 1.0])[:480 - 480 % 12]
+        grid = zs.reshape(3, 4, -1)
+        assert f(grid).shape == grid.shape
+        assert bits(f(grid)) == bits(f(zs))
+        assert f(zs[:0]).shape == (0,)
+        assert f([complex(zs[0])]).shape == (1,)
+
+    def test_zero_and_one(self):
+        assert bits(li2(np.array([0.0, 1.0]))) == bits(np.array([0.0, PI2_OVER_6], dtype=complex))
+        assert li2(0.0) == 0.0
+        assert li2(1.0) == PI2_OVER_6
+
+    @pytest.mark.parametrize("f", [li2, plog, bloch_wigner])
+    def test_non_finite_rejected(self, f):
+        for bad in (complex(math.inf, 0.0), complex(0.0, math.nan)):
+            with pytest.raises(ValueError):
+                f(bad)
+            with pytest.raises(ValueError):
+                f(np.array([0.5 + 0.5j, bad]))
+
+    def test_cut_takes_the_limit_from_below_for_both_zero_signs(self):
+        xs = np.array([1.0, 1.5, 2.0, 10.0, 1e8])
+        below = li2(xs + 0.0j)
+        minus_zero = np.conj(xs + 0.0j)
+        assert np.all(np.signbit(minus_zero.imag))
+        assert bits(li2(minus_zero)) == bits(below)
+        for x, value in zip(xs, below):
+            assert abs(value.imag + math.pi * math.log(x)) < 1e-12 * max(1.0, math.log(x))
+
+    def test_bloch_wigner_vanishes_on_the_reals(self):
+        xs = np.array([-1e6, -3.0, -1.0, -1e-9, 1e-9, 0.2, 0.999, 1.001, 5.0, 1e6])
+        assert np.all(np.abs(bloch_wigner(xs)) < 1e-12)
+        assert np.all(np.abs(bloch_wigner(np.conj(xs + 0.0j))) < 1e-12)
 
 
 class TestLi2Identities:

@@ -1,14 +1,16 @@
 """Corrected potential values: volume, Chern-Simons part, cross-checks."""
 
+import numpy as np
 import pytest
 
-from optlim import (ALT_NEG_LOG, assemble_W, build_system, builtin, bw_volume,
-                    mod_eq, refine, w0)
+from optlim import (ALT_NEG_LOG, assemble_V, assemble_W, build_system, builtin, bw_volume,
+                    mod_eq, refine, sign_flip, sign_flip_point, w0)
 from optlim import twistknot
 from optlim.equations import EvaluationError
-from optlim.numerics import PI2
+from optlim.numerics import PI2, bloch_wigner
+from optlim.optimistic import w0_batch
 
-from conftest import make_rng, random_essential_assignment
+from conftest import make_rng, random_essential_assignment, w0_oracle
 
 FOUR_PI2 = 4 * PI2
 
@@ -66,7 +68,92 @@ class TestW0Values:
             w0(p, a)
 
 
+def closed_form_points(n, kind):
+    """The closed-form solutions of twist index n on the region (W, W-alt)
+    or side (V) variables."""
+    pars = [twistknot.parametrize(n, t) for t in twistknot.poly_roots(twistknot.defining_poly(n))]
+    return [par.sides if kind == "V" else par.regions for par in pars]
+
+
+def twist_potential_of_kind(n, kind):
+    d = builtin(f"T{n}")
+    if kind == "V":
+        return assemble_V(d)
+    return assemble_W(d, variant=ALT_NEG_LOG if kind == "W-alt" else "default")
+
+
+def result_bits(results):
+    """Every float of a list of OptimisticResult, as bytes."""
+    return np.array([(r.raw.real, r.raw.imag, r.vol, r.cs_mod_pi2,
+                      np.nan if r.bw_vol is None else r.bw_vol) for r in results]).tobytes()
+
+
+class TestOnePassW0:
+    @pytest.mark.parametrize("kind", ["W", "W-alt", "V"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_mpmath_oracle_at_twist_points(self, n, kind):
+        p = twist_potential_of_kind(n, kind)
+        for a in closed_form_points(n, kind):
+            res = w0(p, a)
+            raw, integers = w0_oracle(p, a)
+            assert abs(res.raw - raw) < 1e-12
+            assert res.mu_integers == integers
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_mpmath_oracle_at_sign_flips(self, n):
+        p = twist_potential_of_kind(n, "W-alt")
+        points = closed_form_points(n, "W-alt")
+        rng = make_rng(90 + n)
+        for i in range(20):
+            taus = {v: int(rng.choice((-1, 1))) for v in p.variables}
+            eps = {v: int(rng.choice((-1, 1))) for v in p.variables}
+            point = sign_flip_point(p, taus, eps, points[i % len(points)])
+            flipped = sign_flip(p, taus, eps)
+            res = w0(flipped, point)
+            raw, integers = w0_oracle(flipped, point)
+            assert abs(res.raw - raw) < 1e-12
+            assert res.mu_integers == integers
+
+    @pytest.mark.parametrize("kind", ["W", "W-alt", "V"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_batch_rows_equal_single_calls(self, n, kind):
+        p = twist_potential_of_kind(n, kind)
+        d = None if kind == "V" else builtin(f"T{n}")
+        points = closed_form_points(n, kind)
+        batch = w0_batch(p, points, diagram=d)
+        single = [w0(p, a, diagram=d) for a in points]
+        assert [r.mu_integers for r in batch] == [r.mu_integers for r in single]
+        assert result_bits(batch) == result_bits(single)
+
+    def test_empty_batch(self, fig8):
+        assert w0_batch(assemble_W(fig8), [], diagram=fig8) == []
+
+
+def bw_volume_reference(diagram, a):
+    """The Bloch-Wigner sum crossing by crossing, one scalar bloch_wigner
+    call per tetrahedron."""
+    total = 0.0
+    for cr in diagram.crossings:
+        wj, wk, wl, wm = (complex(a[r]) for r in cr.regions)
+        total += cr.sign * (bloch_wigner(wm / wj) + bloch_wigner(wk / wj)
+                            - bloch_wigner(wl / wk) - bloch_wigner(wl / wm)
+                            + bloch_wigner(wj * wl / (wk * wm)))
+    return total
+
+
 class TestBlochWignerVolume:
+    def test_equals_the_per_crossing_sum(self, fig8, fig8_w_solutions):
+        cases = [(builtin(f"T{n}"), a) for n in range(1, 6) for a in closed_form_points(n, "W")]
+        cases += [(fig8, s.assignment) for s in fig8_w_solutions]
+        for d, a in cases:
+            assert abs(bw_volume(d, a) - bw_volume_reference(d, a)) < 1e-13
+
+    def test_degenerate_inputs_raise(self, fig8):
+        with pytest.raises(EvaluationError, match="degenerate shape at crossing"):
+            bw_volume(fig8, {r: 1.0 for r in fig8.regions})
+        with pytest.raises(EvaluationError, match="zero region value"):
+            bw_volume(fig8, {r: float(i) for i, r in enumerate(fig8.regions)})
+
     def test_figure_eight_geometric(self):
         par = twist_solution(1, complex(2, 1.1547))
         d = builtin("T1")
