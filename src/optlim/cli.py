@@ -16,6 +16,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import correspondence, diagram, optimistic, solver, twistknot
 from .equations import EvaluationError, build_system
 from .potential import ALT_NEG_LOG, assemble_V, assemble_W
@@ -106,12 +108,15 @@ def cmd_solve(args) -> int:
     results = optimistic.w0_batch(potential, solutions,
                                   diagram=d if potential.kind == "W" else None)
     best_vol = max((r.vol for r in results), default=0.0)
+    margins = (solver.essential_margin(system, np.array([system.point_from_assignment(s.assignment)
+                                                         for s in solutions])).tolist()
+               if solutions else [])
     records = []
-    for sol, res in zip(solutions, results):
+    for sol, res, margin in zip(solutions, results, margins):
         records.append({
             "assignment": {str(k): v for k, v in sol.assignment.items()},
             "residual": sol.residual_norm,
-            "essential_margin": solver.essential_margin(system, sol.assignment),
+            "essential_margin": margin,
             "w0_raw": res.raw,
             "vol": res.vol,
             "cs_mod_pi2": res.cs_mod_pi2,
@@ -175,7 +180,6 @@ def cmd_verify(args) -> int:
     solutions = solver.solve(build_system(assemble_W(d)), cfg)
     records = []
     if args.sign_flip:
-        import numpy as np
         rng_signs = np.random.default_rng(cfg.seed + 1)
         pot_alt = assemble_W(d, variant=ALT_NEG_LOG)
     for sol in solutions:

@@ -34,8 +34,7 @@ from .diagram import Crossing, Label, LinkDiagram
 from .equations import build_system
 from .numerics import PI2, PI2_OVER_6, bloch_wigner, li2, plog, shape_double_prime, shape_prime
 from .optimistic import OptimisticResult, mod_eq, w0
-from .potential import (ALT_NEG_LOG, Assignment, Monomial, Potential, Term,
-                        assemble_V, assemble_W)
+from .potential import ALT_NEG_LOG, Assignment, Potential, assemble_V, assemble_W
 from .solver import Solution
 
 
@@ -260,16 +259,17 @@ def verify_bridge(diagram: LinkDiagram, w: Solution | Assignment,
 # Sign flips of the variables
 
 
-def _normalize_signs(potential: Potential, values) -> dict[Label, int]:
+def _normalize_signs(potential: Potential, values) -> list:
+    """A dict over the variables or a sequence in potential.variables order
+    as a list in that order; ValueError unless every value is +-1."""
     if isinstance(values, dict):
-        out = dict(values)
+        out = [values.get(v) for v in potential.variables]
     else:
-        vals = list(values)
-        if len(vals) != len(potential.variables):
+        out = list(values)
+        if len(out) != len(potential.variables):
             raise ValueError("sign vector length mismatch")
-        out = dict(zip(potential.variables, vals))
-    for v in potential.variables:
-        if out.get(v) not in (-1, 1):
+    for v, s in zip(potential.variables, out):
+        if s not in (-1, 1):
             raise ValueError(f"sign for {v!r} must be +-1")
     return out
 
@@ -277,62 +277,26 @@ def _normalize_signs(potential: Potential, values) -> dict[Label, int]:
 def sign_flip(potential: Potential, taus, epsilons) -> Potential:
     """Substituted potential with each variable w replaced by tau * w^eps.
 
-    A flip keeps each monomial's variables and their order, and the flipped
-    monomial depends only on the eps of those variables and on the sign the
-    taus give its coefficient.  So flipped monomials and terms are built
-    once per base potential and sign pattern, kept on the base
-    (Potential._flips) and shared by every flip that needs them.  The result
-    carries its equation system, derived from the base potential's
-    (EquationSystem.sign_flipped) instead of compiled.
+    taus and epsilons are dicts over the variables or sequences in
+    potential.variables order, every value +-1.  The result carries its
+    equation system, derived from the base potential's
+    (EquationSystem.sign_flipped) instead of compiled.  Its terms come from
+    the base system's flip table: one array pass keys every monomial by the
+    eps of its own variables and its tau parity, and each term is looked up
+    under its monomials' keys, so flipped monomials and terms are built once
+    per base system and key and shared by every later flip.
     """
     taus = _normalize_signs(potential, taus)
     epsilons = _normalize_signs(potential, epsilons)
-    # Keys hold ids of base terms and monomials, which the base potential
-    # keeps alive, and of flipped monomials, which the cache keeps alive.
-    cache = potential._flips
-    flipped: dict[int, Monomial] = {}
-
-    def xform(m: Monomial) -> Monomial:
-        out = flipped.get(id(m))
-        if out is None:
-            key = [id(m)]
-            negate = False
-            for v, e in m.exps:
-                if e % 2 and taus[v] < 0:
-                    negate = not negate
-                key.append(epsilons[v])
-            key.append(negate)
-            key = tuple(key)
-            out = cache.get(key)
-            if out is None:
-                out = cache[key] = Monomial(tuple((v, e * epsilons[v]) for v, e in m.exps),
-                                            -m.coeff if negate else m.coeff)
-            flipped[id(m)] = out
-        return out
-
-    terms = []
-    for t in potential.terms:
-        if t.kind == "const":
-            terms.append(t)
-            continue
-        m1 = xform(t.m1)
-        m2 = None if t.m2 is None else xform(t.m2)
-        key = (id(t), id(m1), id(m2))
-        out = cache.get(key)
-        if out is None:
-            out = cache[key] = (Term.dilog(t.sign, m1) if t.kind == "dilog"
-                                else Term.logprod(t.sign, m1, m2))
-        terms.append(out)
-    out = Potential(tuple(terms), potential.variables, potential.kind)
-    build_system(potential).sign_flipped(out, epsilons, xform)
-    return out
+    # The default-pin system orders its variables as potential.variables.
+    return build_system(potential).sign_flipped(taus, epsilons).potential
 
 
 def sign_flip_point(potential: Potential, taus, epsilons, a: Assignment) -> dict[Label, complex]:
     """The transformed solution (tau_k w_k^(eps_k)) matching sign_flip."""
     taus = _normalize_signs(potential, taus)
     epsilons = _normalize_signs(potential, epsilons)
-    return {v: taus[v] * complex(a[v]) ** epsilons[v] for v in potential.variables}
+    return {v: t * complex(a[v]) ** e for v, t, e in zip(potential.variables, taus, epsilons)}
 
 
 # ---------------------------------------------------------------------------

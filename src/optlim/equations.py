@@ -39,7 +39,11 @@ Each system is compiled once.  build_system at the default pin (the last
 variable) keeps the system on the potential object and hands back that
 one on every later call; a sign-flipped potential carries a system derived
 from its base's (EquationSystem.sign_flipped), so it is never compiled.
-Only an explicit other pin compiles a fresh system.
+A flip reads a flip table compiled once per system from its exponent
+matrix: one array pass gives every monomial a small integer key (the eps
+bits of its own variables and its tau parity), and the flipped monomials
+and terms come from per-index caches under those keys.  Only an explicit
+other pin compiles a fresh system.
 """
 
 from __future__ import annotations
@@ -47,13 +51,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 from .diagram import Label
 from .numerics import PI2_OVER_6, TWO_PI, li2, plog
-from .potential import Assignment, EvaluationError, Monomial, Potential
+from .potential import Assignment, EvaluationError, Monomial, Potential, Term
 
 
 @dataclass(frozen=True)
@@ -80,26 +84,29 @@ class _Terms:
     every factor's, and every log product monomial m.
     """
 
-    dilog_mono: np.ndarray       # (ndilog,) index into _monomials of each Li2 argument
+    dilog_mono: np.ndarray       # (ndilog,) monomial index of each Li2 argument
     dilog_sign: np.ndarray       # (ndilog,) its sign, as float
     logprod_atom: np.ndarray     # (nlogprod, 2) the log atoms of each log product
     logprod_sign: np.ndarray     # (nlogprod,) its sign, as float
     const: int                   # net sign count of the pi^2/6 constants
-    atom_mono: np.ndarray        # (natoms,) index into _monomials
+    atom_mono: np.ndarray        # (natoms,) monomial index (row of _exps)
     atom_is_1m: np.ndarray       # (natoms,) bool: base 1 - m vs m
+    term_mono: np.ndarray        # (nterms, 2) monomial indices m1, m2 of each term; -1 for none
 
 
 def _atom_table(potential: Potential) -> tuple[list[Monomial], dict[Label, dict[tuple[bool, int], int]],
-                                              tuple[list, list, int]]:
+                                              tuple[list, list, int, list]]:
     """The distinct term monomials; per variable the net coefficient of each
     atom (is_1m, monomial index), in order of first appearance; and the
     terms by monomial index: (monomial, sign) per dilogarithm,
-    (monomial, monomial, sign) per log product, and the net constant count."""
+    (monomial, monomial, sign) per log product, the net constant count, and
+    (m1, m2) per term in order, -1 for a missing monomial."""
     monomials: dict[Monomial, int] = {}
     acc: dict[Label, dict[tuple[bool, int], int]] = {v: {} for v in potential.variables}
     dilogs: list[tuple[int, int]] = []
     logprods: list[tuple[int, int, int]] = []
     const = 0
+    term_mono: list[tuple[int, int]] = []
 
     def add(var: Label, is_1m: bool, mono: int, coeff: int):
         atoms = acc.get(var)
@@ -115,19 +122,22 @@ def _atom_table(potential: Potential) -> tuple[list[Monomial], dict[Label, dict[
     for t in potential.terms:
         if t.kind == "const":
             const += t.sign
+            term_mono.append((-1, -1))
             continue
         i1 = monomials.setdefault(t.m1, len(monomials))
         if t.kind == "dilog":
             dilogs.append((i1, t.sign))
+            term_mono.append((i1, -1))
             for var, e in t.m1.exps:
                 add(var, True, i1, -t.sign * e)
         else:
             i2 = monomials.setdefault(t.m2, len(monomials))
             logprods.append((i1, i2, t.sign))
+            term_mono.append((i1, i2))
             for var in dict.fromkeys(t.m1.variables() + t.m2.variables()):
                 add(var, False, i2, t.sign * t.m1.exponent(var))
                 add(var, False, i1, t.sign * t.m2.exponent(var))
-    return list(monomials), acc, (dilogs, logprods, const)
+    return list(monomials), acc, (dilogs, logprods, const, term_mono)
 
 
 def log_derivatives(potential: Potential) -> dict[Label, LogDerivative]:
@@ -194,7 +204,7 @@ class EquationSystem:
     _eq_starts: np.ndarray               # (nvars,) reduceat boundaries, pin's block last
     _fac_power: np.ndarray               # (nfac,) integer outer exponent
     _fac_atom: np.ndarray                # (nfac,) index into _terms.atom_mono
-    _monomials: tuple[Monomial, ...]     # every distinct term monomial
+    _exps: np.ndarray                    # (nmono, nvars) exponents of every distinct term monomial
     _var_order: tuple[Label, ...]        # pin last
     _to_variables: np.ndarray            # (nvars,) index into _var_order of each variable
     _terms: _Terms                       # shared by sign flips
@@ -207,10 +217,8 @@ class EquationSystem:
         return _compile_products(self)
 
     @cached_property
-    def _fac_var(self) -> np.ndarray:
-        """Index into _var_order of each factor's variable."""
-        block = np.diff(self._eq_starts, append=len(self._fac_power))
-        return np.repeat(np.arange(len(self._var_order)), block)
+    def _flip_table(self) -> _FlipTable:
+        return _compile_flip_table(self)
 
     @property
     def size(self) -> int:
@@ -233,7 +241,7 @@ class EquationSystem:
             raise EvaluationError(f"variable {exc.args[0]!r} not assigned") from None
 
     def monomial_values(self, w: np.ndarray) -> np.ndarray:
-        """Value of every monomial in _monomials at points w (..., nvars):
+        """Value of every term monomial (the rows of _exps) at points w (..., nvars):
         the products gathered from [w, 1/w, 1], times the coefficients.
 
         This is the one evaluator of monomial values behind W, the mu_k, W0
@@ -403,35 +411,137 @@ class EquationSystem:
         x = self.vector_from_assignment(a)
         return self._kernel(x, complex(a[self.pin]))[3] - 1.0
 
-    def sign_flipped(self, potential: Potential, epsilons: Mapping[Label, int],
-                     flip: Callable[[Monomial], Monomial]) -> EquationSystem:
-        """The system of potential, the substitution w_v -> tau_v w_v^eps_v
-        of self.potential whose monomials are flip(m), kept on potential
-        where build_system finds it.
+    def sign_flipped(self, taus: Sequence[int], epsilons: Sequence[int]) -> EquationSystem:
+        """The system of the potential that w_v -> tau_v w_v^eps_v makes of
+        self.potential, the signs given over _var_order; that flipped
+        potential is its .potential and keeps it where build_system finds it.
 
         deg_v of a flipped monomial is eps_v deg_v of the original, so each
         variable's factor block keeps its factors and order and its powers
-        are multiplied by eps_v; the factor monomials are flipped.  The term
-        arrays are shared, and the value gather swaps the w and 1/w indices
-        of the eps_v = -1 variables, so a flip compiles nothing.  The arrays
-        equal those a fresh compile of potential gives whenever the flip
-        keeps the order of every log product's two monomials.
+        are multiplied by eps_v.  The term arrays are shared; the exponents
+        are multiplied by eps, the coefficients by the tau parity signs, and
+        the value gather swaps the w and 1/w indices of the eps_v = -1
+        variables, so a flip compiles nothing.  The flipped terms come from
+        the flip table (_FlipTable): one matmul gives every key, and each
+        term is one cache lookup.  The arrays equal those a fresh compile of
+        the flipped potential gives whenever the flip keeps the order of
+        every log product's two monomials.
         """
-        eps = np.array([epsilons[v] for v in self._var_order])
-        nv = len(eps)
-        flipped = np.flatnonzero(eps < 0)
-        swap = np.arange(2 * nv + 1)
-        swap[flipped] += nv
-        swap[flipped + nv] -= nv
-        monomials = tuple(flip(m) for m in self._monomials)
+        table = self._flip_table
+        nmono = len(self._mono_coeff)
+        # The trailing +1 is the sign the trailing 1 of the value gather reads.
+        signs = np.array([*taus, *epsilons, 1])
+        neg = signs < 0
+        counts = neg @ table.key_matrix
+        term_keys = (counts[nmono:] & table.term_mask).tolist()
+        exps = self._exps * signs[len(taus):-1]
+        coeff = self._mono_coeff * _PARITY_SIGN[counts[:nmono] & 1]
+        try:
+            terms = [cache[k] for cache, k in zip(table.term_cache, term_keys)]
+        except KeyError:
+            terms = table.flipped_terms(self, term_keys, (counts[:nmono] & table.mono_mask).tolist(),
+                                        exps, coeff)
+        potential = Potential(tuple(terms), self.potential.variables, self.potential.kind)
         system = replace(self, potential=potential,
-                         _fac_power=self._fac_power * eps[self._fac_var],
-                         _monomials=monomials,
-                         _mono_coeff=np.fromiter((m.coeff for m in monomials), float,
-                                                 len(monomials)),
-                         _value_gather=swap[self._value_gather])
+                         _fac_power=self._fac_power * signs[table.fac_eps],
+                         _exps=exps, _mono_coeff=coeff,
+                         _value_gather=np.where(neg[table.gather_eps], table.gather_swapped,
+                                                self._value_gather))
         object.__setattr__(potential, "_system", system)
         return system
+
+
+# The coefficient sign of a flipped monomial, by its tau parity.
+_PARITY_SIGN = np.array([1.0, -1.0])
+
+
+@dataclass(frozen=True)
+class _FlipTable:
+    """The sign flips w_v -> tau_v w_v^eps_v of a system's terms.
+
+    A flip keeps each monomial's variables and their order, so the flipped
+    monomial depends only on the eps of its own variables and on its tau
+    parity (the number of odd-exponent variables with tau_v = -1, mod 2).
+    Its key packs them into one integer, bit 0 the parity and one bit per
+    own variable's eps above, so a monomial with k variables has at most
+    2^(k+1) flips; a term's key packs its monomials' keys side by side.
+
+    The sign vector of a flip, its tau < 0 and eps < 0 bits over _var_order
+    and a trailing 0, times key_matrix gives every monomial's and term's
+    key at once, except that the low bits of each hold the whole count of
+    odd-exponent variables with tau_v = -1, clear of the eps bits; the
+    masks keep only its parity.  Flipped monomials and terms are cached per
+    index under those keys.  The same sign vector gives each factor's and
+    each value gather entry's eps by index.
+    """
+
+    key_matrix: np.ndarray       # (2 nvars + 1, nmono + nterms) monomial columns, then term columns
+    mono_mask: int
+    term_mask: int
+    own: tuple[np.ndarray, ...]  # per monomial, its variables' positions in Monomial.exps order
+    mono_cache: list[dict[int, Monomial]]
+    term_cache: list[dict[int, Term]]   # a constant's one entry is the term itself
+    fac_eps: np.ndarray          # (nfac,) sign index of each factor's eps
+    gather_eps: np.ndarray       # sign index of each value gather entry's eps
+    gather_swapped: np.ndarray   # the value gather with every w and 1/w swapped
+
+    def flipped_terms(self, system: EquationSystem, term_keys: list[int], mono_keys: list[int],
+                      exps: np.ndarray, coeff: np.ndarray) -> list[Term]:
+        """The terms under term_keys, building and caching the missing ones
+        from the flipped exponents and coefficients."""
+        def monomial(i: int) -> Monomial:
+            cache = self.mono_cache[i]
+            m = cache.get(mono_keys[i])
+            if m is None:
+                own = self.own[i]
+                m = cache[mono_keys[i]] = Monomial(
+                    tuple(zip([system._var_order[p] for p in own], exps[i, own].tolist())),
+                    int(coeff[i]))
+            return m
+
+        terms = []
+        for cache, k, t, (i1, i2) in zip(self.term_cache, term_keys, system.potential.terms,
+                                         system._terms.term_mono.tolist()):
+            out = cache.get(k)
+            if out is None:
+                out = cache[k] = (Term.dilog(t.sign, monomial(i1)) if i2 < 0
+                                  else Term.logprod(t.sign, monomial(i1), monomial(i2)))
+            terms.append(out)
+        return terms
+
+
+def _compile_flip_table(system: EquationSystem) -> _FlipTable:
+    exps = system._exps
+    nmono, nv = exps.shape
+    # Monomial.exps lists a monomial's variables sorted by name.
+    by_name = sorted(range(nv), key=lambda p: str(system._var_order[p]))
+    own = tuple(np.array([p for p in by_name if row[p]], dtype=np.intp) for row in exps.tolist())
+    width = max((len(p) for p in own), default=0)
+    low = width.bit_length()            # bits that hold any odd-exponent count
+    mono = np.zeros((2 * nv + 1, nmono + 1), dtype=np.intp)   # the last column: no monomial
+    mono[:nv, :nmono] = (exps % 2).T
+    for i, positions in enumerate(own):
+        mono[nv + positions, i] = 1 << np.arange(low, low + len(positions))
+    term_mono = system._terms.term_mono
+    shift = low + width
+    count_bits = (1 << low) - 2
+    # Each gather entry reads w_p (index p), 1/w_p (nv + p) or the trailing 1 (2 nv).
+    gather = system._value_gather
+    var = np.where(gather < nv, gather, gather - nv)
+    return _FlipTable(
+        key_matrix=np.concatenate((mono[:, :nmono],
+                                   (mono[:, term_mono[:, 0]] << shift) + mono[:, term_mono[:, 1]]),
+                                  axis=1),
+        mono_mask=~count_bits,
+        term_mask=~((count_bits << shift) | count_bits),
+        own=own,
+        mono_cache=[{} for _ in own],
+        term_cache=[{0: t} if t.kind == "const" else {} for t in system.potential.terms],
+        fac_eps=nv + np.repeat(np.arange(nv), np.diff(system._eq_starts,
+                                                      append=len(system._fac_power))),
+        gather_eps=nv + var,
+        gather_swapped=np.where(gather < nv, gather + nv, np.where(gather < 2 * nv, var, gather)),
+    )
 
 
 def row_sums(x: np.ndarray) -> np.ndarray:
@@ -460,7 +570,8 @@ def _gather(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _exponents(monomials: Sequence[Monomial], var_order: Sequence[Label]) -> np.ndarray:
     """The exponent matrix (nmono, nvars) of the monomials over var_order,
-    from which both the value gather and the product kernel are built."""
+    from which the value gather, the product kernel and the flip table are
+    built."""
     var_index = {v: i for i, v in enumerate(var_order)}
     exps = np.zeros((len(monomials), len(var_order)), dtype=np.intp)
     for i, m in enumerate(monomials):
@@ -494,7 +605,7 @@ def _compile_system(potential: Potential, pin: Label | None) -> EquationSystem:
     unknowns = tuple(v for v in variables if v != pin)
 
     var_order = unknowns + (pin,)
-    monomials, table, (dilogs, logprods, const) = _atom_table(potential)
+    monomials, table, (dilogs, logprods, const, term_mono) = _atom_table(potential)
     eq_starts = []
     facs: list[tuple[bool, int]] = []
     powers: list[int] = []
@@ -515,8 +626,10 @@ def _compile_system(potential: Potential, pin: Label | None) -> EquationSystem:
     terms = _Terms(dilog_mono=dilog[:, 0], dilog_sign=dilog[:, 1].astype(float),
                    logprod_atom=atom_of_key[len(fac_mono):].reshape(-1, 2),
                    logprod_sign=logprod[:, 2].astype(float), const=const,
-                   atom_mono=atoms // 2, atom_is_1m=atoms % 2 == 1)
-    value_gather, value_starts = _gather(_exponents(monomials, var_order))
+                   atom_mono=atoms // 2, atom_is_1m=atoms % 2 == 1,
+                   term_mono=np.array(term_mono, dtype=np.intp).reshape(-1, 2))
+    exps = _exponents(monomials, var_order)
+    value_gather, value_starts = _gather(exps)
     return EquationSystem(
         potential=potential,
         pin=pin,
@@ -524,7 +637,7 @@ def _compile_system(potential: Potential, pin: Label | None) -> EquationSystem:
         _eq_starts=np.array(eq_starts, dtype=np.intp),
         _fac_power=np.array(powers, dtype=float),
         _fac_atom=atom_of_key[:len(fac_mono)],
-        _monomials=tuple(monomials),
+        _exps=exps,
         _var_order=var_order,
         _to_variables=np.array([var_order.index(v) for v in variables], dtype=np.intp),
         _terms=terms,
@@ -547,7 +660,7 @@ def _compile_products(system: EquationSystem) -> _Products:
     atom_mono, atom_is_1m = fac_mono[first], fac_is_1m[first]
     C = np.zeros((nu, len(atoms)), dtype=np.intp)
     C[np.repeat(np.arange(nu), np.diff(system._eq_starts)), atom_of_row] = system._fac_power[:rows]
-    E = _exponents(system._monomials, system._var_order)[atom_mono]
+    E = system._exps[atom_mono]
     mono_gather, mono_starts = _gather(E)
     prod_gather, prod_starts = _gather(C)
     # Jacobian terms C[k, a] * deg_v(m_a), grouped by entry (k, v).

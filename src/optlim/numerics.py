@@ -106,7 +106,7 @@ def _li2(z: np.ndarray) -> np.ndarray:
     # s = 1 - y = 0 log(s) is taken as 0, the log product being 0 there.
     lg = np.log(-z + 0.0, out=np.zeros_like(z), where=inv)
     ly = np.log(y, out=np.zeros_like(y), where=refl)
-    ls = np.log(s, out=np.zeros_like(s), where=s != 0.0)
+    ls = np.log(s, out=np.zeros_like(s), where=refl & (s != 0.0))
     sign = np.where(inv, -1.0, 1.0)
     shift = sign * (PI2_OVER_6 * refl - ly * ls) - PI2_OVER_6 * inv - 0.5 * lg * lg
     sign[refl] *= -1.0

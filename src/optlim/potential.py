@@ -122,9 +122,6 @@ class Potential:
     # equations.build_system, or by EquationSystem.sign_flipped for a
     # sign-flipped potential.  Not part of the potential's value.
     _system: EquationSystem | None = field(default=None, init=False, repr=False, compare=False)
-    # Flipped terms and monomials shared by this potential's sign flips,
-    # filled by correspondence.sign_flip.  Not part of the value either.
-    _flips: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dilog_monomials(self) -> list[Monomial]:
         return [t.m1 for t in self.terms if t.kind == "dilog"]

@@ -254,6 +254,36 @@ def substituted_terms(potential, taus, eps):
     return tuple(out)
 
 
+def potential_of(name, kind):
+    d = builtin(name)
+    return assemble_W(d, variant=ALT_NEG_LOG) if kind == "W-alt" else assemble_V(d)
+
+
+def random_signs(potential, rng):
+    return {v: int(rng.choice((-1, 1))) for v in potential.variables}
+
+
+def assert_equals_a_fresh_compile(flipped, rng):
+    """The system sign_flip derived for flipped equals, array for array and
+    bit for bit in mu, residual and Jacobian, a fresh compile of its terms."""
+    derived = build_system(flipped)
+    fresh = build_system(Potential(flipped.terms, flipped.variables, flipped.kind))
+    assert fresh is not derived
+    # the W0 pass: term arrays, log atoms, monomials and the value gather
+    for name in ("dilog_mono", "dilog_sign", "logprod_atom", "logprod_sign",
+                 "atom_mono", "atom_is_1m", "term_mono"):
+        assert np.array_equal(getattr(derived._terms, name), getattr(fresh._terms, name))
+    assert derived._terms.const == fresh._terms.const
+    for name in ("_fac_atom", "_fac_power", "_exps", "_mono_coeff", "_value_gather",
+                 "_value_starts"):
+        assert np.array_equal(getattr(derived, name), getattr(fresh, name))
+    a = random_essential_assignment(flipped, rng)
+    x = derived.vector_from_assignment(a)
+    assert np.array_equal(derived.mu(a), fresh.mu(a))
+    assert np.array_equal(derived.residual_vector(x), fresh.residual_vector(x))
+    assert np.array_equal(derived.jacobian(x), fresh.jacobian(x))
+
+
 class TestSignFlip:
     def test_identity_transform(self, fig8):
         p = assemble_W(fig8)
@@ -291,35 +321,48 @@ class TestSignFlip:
     @pytest.mark.parametrize("kind", ["W-alt", "V"])
     @pytest.mark.parametrize("name", ["4_1", "5_2", "T3", "T5"])
     def test_derived_system_equals_a_fresh_compile(self, name, kind, build_counter):
-        d = builtin(name)
-        p = assemble_W(d, variant=ALT_NEG_LOG) if kind == "W-alt" else assemble_V(d)
+        p = potential_of(name, kind)
         rng = make_rng(71)
         flips = []
         for _ in range(20):
-            taus = {v: int(rng.choice((-1, 1))) for v in p.variables}
-            eps = {v: int(rng.choice((-1, 1))) for v in p.variables}
+            taus, eps = random_signs(p, rng), random_signs(p, rng)
             flipped = sign_flip(p, taus, eps)
             # later flips reuse the terms earlier ones built
             assert flipped.terms == substituted_terms(p, taus, eps)
             flips.append(flipped)
         assert build_counter == [p.kind]          # the base system only
         for flipped in flips:
-            derived = build_system(flipped)
-            fresh = build_system(Potential(flipped.terms, flipped.variables, flipped.kind))
-            assert fresh is not derived
-            assert derived._monomials == fresh._monomials
-            # the W0 pass: term arrays, log atoms and the value gather
-            for name in ("dilog_mono", "dilog_sign", "logprod_atom", "logprod_sign",
-                         "atom_mono", "atom_is_1m"):
-                assert np.array_equal(getattr(derived._terms, name), getattr(fresh._terms, name))
-            assert derived._terms.const == fresh._terms.const
-            for name in ("_fac_atom", "_mono_coeff", "_value_gather", "_value_starts"):
-                assert np.array_equal(getattr(derived, name), getattr(fresh, name))
-            a = random_essential_assignment(flipped, rng)
-            x = derived.vector_from_assignment(a)
-            assert np.array_equal(derived.mu(a), fresh.mu(a))
-            assert np.array_equal(derived.residual_vector(x), fresh.residual_vector(x))
-            assert np.array_equal(derived.jacobian(x), fresh.jacobian(x))
+            assert_equals_a_fresh_compile(flipped, rng)
+
+    @pytest.mark.parametrize("kind", ["W-alt", "V"])
+    @pytest.mark.parametrize("name", ["4_1", "T3"])
+    def test_flip_of_a_flipped_potential(self, name, kind, build_counter):
+        p = potential_of(name, kind)
+        rng = make_rng(73)
+        flips = []
+        for _ in range(10):
+            taus1, eps1, taus2, eps2 = (random_signs(p, rng) for _ in range(4))
+            once = sign_flip(p, taus1, eps1)
+            twice = sign_flip(once, taus2, eps2)
+            composed = Potential(substituted_terms(p, taus1, eps1), p.variables, p.kind)
+            assert twice.terms == substituted_terms(composed, taus2, eps2)
+            flips.append(twice)
+        assert build_counter == [p.kind]          # the base system only
+        for twice in flips:
+            assert_equals_a_fresh_compile(twice, rng)
+
+    def test_flip_caches_stay_bounded(self):
+        rng = make_rng(79)
+        for n in range(1, 6):
+            p = assemble_W(builtin(f"T{n}"), variant=ALT_NEG_LOG)
+            for _ in range(2000):
+                sign_flip(p, random_signs(p, rng), random_signs(p, rng))
+            system = build_system(p)
+            table = system._flip_table
+            bound = [2 ** (np.count_nonzero(row) + 1) for row in system._exps]
+            assert all(len(c) <= b for c, b in zip(table.mono_cache, bound))
+            for cache, (i1, i2) in zip(table.term_cache, system._terms.term_mono.tolist()):
+                assert len(cache) <= (bound[i1] if i1 >= 0 else 1) * (bound[i2] if i2 >= 0 else 1)
 
     def test_flipped_potential_is_collected(self):
         p = assemble_W(builtin("5_2"), variant=ALT_NEG_LOG)
@@ -337,6 +380,32 @@ class TestSignFlip:
         p = assemble_W(fig8)
         with pytest.raises(ValueError):
             sign_flip(p, {v: 2 for v in p.variables}, {v: 1 for v in p.variables})
+
+    def test_sign_vectors_as_lists(self, fig8):
+        p = assemble_W(fig8, variant=ALT_NEG_LOG)
+        rng = make_rng(83)
+        for _ in range(10):
+            taus, eps = random_signs(p, rng), random_signs(p, rng)
+            by_list = sign_flip(p, [taus[v] for v in p.variables], [eps[v] for v in p.variables])
+            by_dict = sign_flip(p, taus, eps)
+            assert by_list == by_dict
+            assert np.array_equal(build_system(by_list)._value_gather,
+                                  build_system(by_dict)._value_gather)
+
+    @pytest.mark.parametrize("bad", ["short list", "zero", "missing key"])
+    def test_malformed_sign_vectors_rejected(self, fig8, bad):
+        p = assemble_W(fig8)
+        ones = {v: 1 for v in p.variables}
+        if bad == "short list":
+            signs = [1] * (len(p.variables) - 1)
+        elif bad == "zero":
+            signs = {**ones, p.variables[0]: 0}
+        else:
+            signs = {v: 1 for v in p.variables[1:]}
+        with pytest.raises(ValueError):
+            sign_flip(p, signs, ones)
+        with pytest.raises(ValueError):
+            sign_flip(p, ones, signs)
 
 
 FLIPPED_CLASP_PD = "X(1,7,2,6) X(5,3,6,2) X(4,8,5,7) X(3,8,4,1)"
