@@ -10,7 +10,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -64,19 +63,6 @@ def _load_diagram(args) -> diagram.LinkDiagram:
 
 def _solve_config(args) -> solver.SolveConfig:
     kwargs = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise CliError(f"--config must hold a JSON object, got {type(loaded).__name__}")
-        types = {f.name: type(f.default) for f in dataclasses.fields(solver.SolveConfig)}
-        for key, value in loaded.items():
-            if key not in types:
-                raise CliError(f"unknown --config key {key!r}; known keys: {', '.join(types)}")
-            if isinstance(value, bool) or not isinstance(value, (int, types[key])):
-                raise CliError(f"--config key {key!r} must be of type "
-                               f"{types[key].__name__}, got {value!r}")
-        kwargs.update(loaded)
     if args.restarts is not None:
         kwargs["restarts"] = args.restarts
     if args.seed is not None:
@@ -201,7 +187,6 @@ def cmd_verify(args) -> int:
         rec["congruent_mod_4pi2"] = bridge.congruent_mod_4pi2
         rec["z"] = {str(k): v for k, v in bridge.z.assignment.items()}
         if args.sign_flip:
-            base = optimistic.w0(pot_alt, sol.assignment)
             flips = []
             for _ in range(args.trials):
                 taus = {v: int(rng_signs.choice((-1, 1))) for v in pot_alt.variables}
@@ -209,7 +194,7 @@ def cmd_verify(args) -> int:
                 flipped = correspondence.sign_flip(pot_alt, taus, eps)
                 point = correspondence.sign_flip_point(pot_alt, taus, eps, sol.assignment)
                 res_flip = optimistic.w0(flipped, point)
-                flips.append(optimistic.mod_eq(res_flip.raw, base.raw,
+                flips.append(optimistic.mod_eq(res_flip.raw, bridge.w0_region.raw,
                                                2.0 * optimistic.PI2, 1e-9))
             rec["sign_flip_passes"] = sum(flips)
             rec["sign_flip_trials"] = len(flips)
@@ -242,7 +227,6 @@ def _add_solver_args(p):
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=None, help="residual tolerance")
-    p.add_argument("--config", help="JSON config file mirroring SolveConfig")
 
 
 @functools.cache

@@ -170,8 +170,7 @@ def _check_kink_free(diagram: LinkDiagram) -> None:
         raise CorrespondenceError("diagram has kinks; no side potential exists")
 
 
-def w_to_z(diagram: LinkDiagram, w: Solution | Assignment,
-           tol: float = 1e-9, check_residual: bool = True) -> Solution:
+def w_to_z(diagram: LinkDiagram, w: Solution | Assignment, tol: float = 1e-9) -> Solution:
     """Convert a region solution to the side solution of the same octahedra."""
     a = w.assignment if isinstance(w, Solution) else w
     _check_kink_free(diagram)
@@ -186,18 +185,15 @@ def w_to_z(diagram: LinkDiagram, w: Solution | Assignment,
             raise CorrespondenceError(f"cyclic ratio product {cyc} != 1 at crossing {cr.sides}")
         edges.extend([(sa, sb, r_ba), (sb, sc, r_cb), (sc, sd, r_dc), (sd, sa, r_ad)])
     values = _propagate(diagram.sides, edges, "side", tol)
-    residual_norm = 0.0
-    if check_residual:
-        res = build_system(assemble_V(diagram)).residual(values)
-        residual_norm = float(np.max(np.abs(res))) if len(res) else 0.0
-        if residual_norm > tol:
-            raise CorrespondenceError(
-                f"converted side values violate the side system ({residual_norm:.2e})")
-    return Solution(values, residual_norm, True)
+    res = build_system(assemble_V(diagram)).residual(values)
+    residual_norm = float(np.max(np.abs(res))) if len(res) else 0.0
+    if residual_norm > tol:
+        raise CorrespondenceError(
+            f"converted side values violate the side system ({residual_norm:.2e})")
+    return Solution(values, residual_norm)
 
 
-def z_to_w(diagram: LinkDiagram, z: Solution | Assignment,
-           tol: float = 1e-9, check_residual: bool = True) -> Solution:
+def z_to_w(diagram: LinkDiagram, z: Solution | Assignment, tol: float = 1e-9) -> Solution:
     """Convert a side solution to the region solution of the same octahedra."""
     a = z.assignment if isinstance(z, Solution) else z
     if not check_z_nondegenerate(diagram, a):
@@ -215,14 +211,12 @@ def z_to_w(diagram: LinkDiagram, z: Solution | Assignment,
         want = wj * wl / (wk * wm) if cr.sign > 0 else wk * wm / (wj * wl)
         if abs(want - quad) > tol * max(1.0, abs(quad)):
             raise CorrespondenceError("inconsistent 4-corner ratio (input is not a true solution)")
-    residual_norm = 0.0
-    if check_residual:
-        res = build_system(assemble_W(diagram)).residual(values)
-        residual_norm = float(np.max(np.abs(res))) if len(res) else 0.0
-        if residual_norm > tol:
-            raise CorrespondenceError(
-                f"converted region values violate the region system ({residual_norm:.2e})")
-    return Solution(values, residual_norm, True)
+    res = build_system(assemble_W(diagram)).residual(values)
+    residual_norm = float(np.max(np.abs(res))) if len(res) else 0.0
+    if residual_norm > tol:
+        raise CorrespondenceError(
+            f"converted region values violate the region system ({residual_norm:.2e})")
+    return Solution(values, residual_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +282,6 @@ def sign_flip(potential: Potential, taus, epsilons) -> Potential:
     """
     taus = _normalize_signs(potential, taus)
     epsilons = _normalize_signs(potential, epsilons)
-    # The default-pin system orders its variables as potential.variables.
     return build_system(potential).sign_flipped(taus, epsilons).potential
 
 

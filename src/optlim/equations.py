@@ -14,8 +14,8 @@ of the assignment:
     exp(mu_k) = prod_a base_a ** C[k, a],   base_a = 1 - m_a  or  m_a,
 
 over the distinct atoms a = (kind, m_a).  The system exp(mu_k) = 1 is
-solved in this product form, with one variable pinned to 1 (overall
-scaling) and one equation dropped (the exact relation sum_k mu_k = 0).
+solved in this product form, with the last variable pinned to 1 (overall
+scaling) and its equation dropped (the exact relation sum_k mu_k = 0).
 The residual and its Jacobian
 
     d exp(mu_k) / d w_v = exp(mu_k) * sum_a C[k, a] g_a deg_v(m_a) / w_v,
@@ -35,15 +35,14 @@ logs of the atom bases), their snapping to 2 pi i Z and the correction
 are all read from those values.  potential.evaluate and the essential
 margin read the same gather.
 
-Each system is compiled once.  build_system at the default pin (the last
-variable) keeps the system on the potential object and hands back that
-one on every later call; a sign-flipped potential carries a system derived
-from its base's (EquationSystem.sign_flipped), so it is never compiled.
-A flip reads a flip table compiled once per system from its exponent
-matrix: one array pass gives every monomial a small integer key (the eps
-bits of its own variables and its tau parity), and the flipped monomials
-and terms come from per-index caches under those keys.  Only an explicit
-other pin compiles a fresh system.
+Each system is compiled once.  build_system keeps the system on the
+potential object and hands back that one on every later call; a
+sign-flipped potential carries a system derived from its base's
+(EquationSystem.sign_flipped), so it is never compiled.  A flip reads a
+flip table compiled once per system from its exponent matrix: one array
+pass gives every monomial a small integer key (the eps bits of its own
+variables and its tau parity), and the flipped monomials and terms come
+from per-index caches under those keys.
 """
 
 from __future__ import annotations
@@ -58,6 +57,10 @@ import numpy as np
 from .diagram import Label
 from .numerics import PI2_OVER_6, TWO_PI, li2, plog
 from .potential import Assignment, EvaluationError, Monomial, Potential, Term
+
+# Largest distance of a solution's mu_k from 2 pi i Z; each mu_k is snapped
+# to the nearest multiple before the W0 correction.
+MU_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ class _Products:
     """Index arrays of the product kernel over the distinct atoms a of the
     unknowns' equations, exp(mu_k) = prod_a base_a ** C[k, a]."""
 
-    mono_gather: np.ndarray      # indices into [w, 1/w, 1], w in _var_order
+    mono_gather: np.ndarray      # indices into [w, 1/w, 1], w in potential.variables order
     mono_starts: np.ndarray      # (natoms,) reduceat boundaries of mono_gather
     atom_coeff: np.ndarray       # (natoms,) -coeff(m) for (1-m) atoms, coeff(m) for m
     atom_is_1m: np.ndarray       # (natoms,) bool
@@ -187,8 +190,9 @@ class _Products:
 @dataclass(frozen=True)
 class EquationSystem:
     """Compiled log-derivatives of a potential, one block of factors per
-    variable with the pin's redundant equation last, and the potential's
-    terms as index arrays into the same monomials.
+    variable in potential.variables order, so the pin's redundant equation
+    comes last, and the potential's terms as index arrays into the same
+    monomials.
 
     mu() and corrected_value() read every block.  The product kernel of the
     unknowns' equations, which residual_vector() and jacobian() evaluate,
@@ -197,19 +201,17 @@ class EquationSystem:
     """
 
     potential: Potential
-    pin: Label
+    pin: Label                           # the last variable
     unknowns: tuple[Label, ...]          # all variables except pin
 
-    # compiled arrays; one row per (variable, factor), blocks in _var_order
+    # compiled arrays; one row per (variable, factor), blocks in potential.variables order
     _eq_starts: np.ndarray               # (nvars,) reduceat boundaries, pin's block last
     _fac_power: np.ndarray               # (nfac,) integer outer exponent
     _fac_atom: np.ndarray                # (nfac,) index into _terms.atom_mono
     _exps: np.ndarray                    # (nmono, nvars) exponents of every distinct term monomial
-    _var_order: tuple[Label, ...]        # pin last
-    _to_variables: np.ndarray            # (nvars,) index into _var_order of each variable
     _terms: _Terms                       # shared by sign flips
     _mono_coeff: np.ndarray              # (nmono,) coefficients, as float
-    _value_gather: np.ndarray            # indices into [w, 1/w, 1], w in _var_order
+    _value_gather: np.ndarray            # indices into [w, 1/w, 1], w in potential.variables order
     _value_starts: np.ndarray            # (nmono,) reduceat boundaries of _value_gather
 
     @cached_property
@@ -233,10 +235,11 @@ class EquationSystem:
         return np.array([complex(a[v]) for v in self.unknowns], dtype=complex)
 
     def point_from_assignment(self, a: Assignment) -> np.ndarray:
-        """Every variable's value, unknowns first and the pin last: the
-        points that monomial_values() and the passes built on it take."""
+        """Every variable's value in potential.variables order, the pin
+        last: the points that monomial_values() and the passes built on it
+        take."""
         try:
-            return np.array([complex(a[v]) for v in self._var_order], dtype=complex)
+            return np.array([complex(a[v]) for v in self.potential.variables], dtype=complex)
         except KeyError as exc:
             raise EvaluationError(f"variable {exc.args[0]!r} not assigned") from None
 
@@ -299,7 +302,8 @@ class EquationSystem:
                 + t.const * PI2_OVER_6)
 
     def _mu_blocks(self, atom_logs: np.ndarray) -> np.ndarray:
-        """mu_k (..., nvars) in _var_order: each block's powers times its atoms' logs."""
+        """mu_k (..., nvars) in potential.variables order: each block's powers
+        times its atoms' logs."""
         terms = self._fac_power * atom_logs[..., self._fac_atom]
         # The trailing zero keeps the pin's boundary in range when its block is empty.
         terms = np.concatenate((terms, np.zeros(terms.shape[:-1] + (1,))), axis=-1)
@@ -323,26 +327,25 @@ class EquationSystem:
         products can move it across.
         """
         w = self.point_from_assignment(a)
-        return self._mu_blocks(self._logs(w, self.monomial_values(w))[0])[self._to_variables]
+        return self._mu_blocks(self._logs(w, self.monomial_values(w))[0])
 
-    def corrected_value(self, w: np.ndarray, mu_tol: float = 1e-6
-                        ) -> tuple[np.ndarray, np.ndarray]:
+    def corrected_value(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """W0 = W - sum_k mu_k log w_k at points w (..., nvars), in one pass.
 
         The monomial values are gathered once and logged in one plog call;
         W, the mu_k, their snapping to 2 pi i Z and the correction are all
         formed from them.  Returns the raw values (...) and the mu integers
         (..., nvars) in potential.variables order.  Raises EvaluationError
-        when some mu_k is more than mu_tol from 2 pi i Z, that is at a
+        when some mu_k is more than MU_TOL from 2 pi i Z, that is at a
         non-solution.
         """
         w = np.asarray(w, dtype=complex)
         mv = self.monomial_values(w)
         arg = self._essential_arguments(mv)
         atom_logs, log_w = self._logs(w, mv)
-        k = _snap(self._mu_blocks(atom_logs), mu_tol, self._var_order)
+        k = _snap(self._mu_blocks(atom_logs), MU_TOL, self.potential.variables)
         raw = self._potential_value(arg, atom_logs) - row_sums(2j * math.pi * k * log_w)
-        return raw, k[..., self._to_variables]
+        return raw, k
 
     def _kernel(self, x: np.ndarray, pin: complex = 1.0):
         """[w, 1/w, 1], the atom values t with base = is_1m + t, [base, 1/base, 1]
@@ -413,7 +416,7 @@ class EquationSystem:
 
     def sign_flipped(self, taus: Sequence[int], epsilons: Sequence[int]) -> EquationSystem:
         """The system of the potential that w_v -> tau_v w_v^eps_v makes of
-        self.potential, the signs given over _var_order; that flipped
+        self.potential, the signs given over potential.variables; that flipped
         potential is its .potential and keeps it where build_system finds it.
 
         deg_v of a flipped monomial is eps_v deg_v of the original, so each
@@ -466,11 +469,11 @@ class _FlipTable:
     own variable's eps above, so a monomial with k variables has at most
     2^(k+1) flips; a term's key packs its monomials' keys side by side.
 
-    The sign vector of a flip, its tau < 0 and eps < 0 bits over _var_order
-    and a trailing 0, times key_matrix gives every monomial's and term's
-    key at once, except that the low bits of each hold the whole count of
-    odd-exponent variables with tau_v = -1, clear of the eps bits; the
-    masks keep only its parity.  Flipped monomials and terms are cached per
+    The sign vector of a flip, its tau < 0 and eps < 0 bits over the
+    variables and a trailing 0, times key_matrix gives every monomial's and
+    term's key at once, except that the low bits of each hold the whole
+    count of odd-exponent variables with tau_v = -1, clear of the eps bits;
+    the masks keep only its parity.  Flipped monomials and terms are cached per
     index under those keys.  The same sign vector gives each factor's and
     each value gather entry's eps by index.
     """
@@ -495,7 +498,8 @@ class _FlipTable:
             if m is None:
                 own = self.own[i]
                 m = cache[mono_keys[i]] = Monomial(
-                    tuple(zip([system._var_order[p] for p in own], exps[i, own].tolist())),
+                    tuple(zip([system.potential.variables[p] for p in own],
+                              exps[i, own].tolist())),
                     int(coeff[i]))
             return m
 
@@ -514,7 +518,7 @@ def _compile_flip_table(system: EquationSystem) -> _FlipTable:
     exps = system._exps
     nmono, nv = exps.shape
     # Monomial.exps lists a monomial's variables sorted by name.
-    by_name = sorted(range(nv), key=lambda p: str(system._var_order[p]))
+    by_name = sorted(range(nv), key=lambda p: str(system.potential.variables[p]))
     own = tuple(np.array([p for p in by_name if row[p]], dtype=np.intp) for row in exps.tolist())
     width = max((len(p) for p in own), default=0)
     low = width.bit_length()            # bits that hold any odd-exponent count
@@ -568,48 +572,39 @@ def _gather(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(src.ravel(), reps.ravel()), ends - reps.sum(axis=1)
 
 
-def _exponents(monomials: Sequence[Monomial], var_order: Sequence[Label]) -> np.ndarray:
-    """The exponent matrix (nmono, nvars) of the monomials over var_order,
+def _exponents(monomials: Sequence[Monomial], variables: Sequence[Label]) -> np.ndarray:
+    """The exponent matrix (nmono, nvars) of the monomials over the variables,
     from which the value gather, the product kernel and the flip table are
     built."""
-    var_index = {v: i for i, v in enumerate(var_order)}
-    exps = np.zeros((len(monomials), len(var_order)), dtype=np.intp)
+    var_index = {v: i for i, v in enumerate(variables)}
+    exps = np.zeros((len(monomials), len(variables)), dtype=np.intp)
     for i, m in enumerate(monomials):
         for v, e in m.exps:
             exps[i, var_index[v]] = e
     return exps
 
 
-def build_system(potential: Potential, pin: Label | None = None) -> EquationSystem:
-    """Pin one variable to 1 and compile every variable's equation, pin's last.
+def build_system(potential: Potential) -> EquationSystem:
+    """Pin the last variable to 1 and compile every variable's equation.
 
-    At the default pin, the last variable, the system is compiled on the
-    first call and kept on the potential object; later calls return it.
-    Any other pin compiles a fresh system.
+    The system is compiled on the first call and kept on the potential
+    object; later calls return it.
     """
-    if pin is not None and potential.variables[-1:] != (pin,):
-        return _compile_system(potential, pin)
     if potential._system is None:
-        object.__setattr__(potential, "_system", _compile_system(potential, None))
+        object.__setattr__(potential, "_system", _compile_system(potential))
     return potential._system
 
 
-def _compile_system(potential: Potential, pin: Label | None) -> EquationSystem:
+def _compile_system(potential: Potential) -> EquationSystem:
     variables = potential.variables
     if not variables:
         raise ValueError("potential has no variables")
-    if pin is None:
-        pin = variables[-1]
-    if pin not in variables:
-        raise KeyError(f"pin variable {pin!r} not in potential")
-    unknowns = tuple(v for v in variables if v != pin)
-
-    var_order = unknowns + (pin,)
+    pin = variables[-1]
     monomials, table, (dilogs, logprods, const, term_mono) = _atom_table(potential)
     eq_starts = []
     facs: list[tuple[bool, int]] = []
     powers: list[int] = []
-    for var in var_order:
+    for var in variables:
         atoms = table[var]
         if not atoms and var != pin:
             raise ValueError(f"variable {var!r} has an empty equation")
@@ -628,18 +623,16 @@ def _compile_system(potential: Potential, pin: Label | None) -> EquationSystem:
                    logprod_sign=logprod[:, 2].astype(float), const=const,
                    atom_mono=atoms // 2, atom_is_1m=atoms % 2 == 1,
                    term_mono=np.array(term_mono, dtype=np.intp).reshape(-1, 2))
-    exps = _exponents(monomials, var_order)
+    exps = _exponents(monomials, variables)
     value_gather, value_starts = _gather(exps)
     return EquationSystem(
         potential=potential,
         pin=pin,
-        unknowns=unknowns,
+        unknowns=variables[:-1],
         _eq_starts=np.array(eq_starts, dtype=np.intp),
         _fac_power=np.array(powers, dtype=float),
         _fac_atom=atom_of_key[:len(fac_mono)],
         _exps=exps,
-        _var_order=var_order,
-        _to_variables=np.array([var_order.index(v) for v in variables], dtype=np.intp),
         _terms=terms,
         _mono_coeff=np.array([m.coeff for m in monomials], dtype=float),
         _value_gather=value_gather,
@@ -695,7 +688,7 @@ def _snap(mu: np.ndarray, tol: float, variables: Sequence[Label]) -> np.ndarray:
 
 
 def mu_integer_multipliers(system: EquationSystem, a: Assignment,
-                           tol: float = 1e-6) -> dict[Label, int]:
+                           tol: float = MU_TOL) -> dict[Label, int]:
     """Round each mu_k/(2 pi i) to an integer; error when not a solution."""
     variables = system.potential.variables
     return dict(zip(variables, _snap(system.mu(a), tol, variables).tolist()))

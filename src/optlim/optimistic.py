@@ -51,8 +51,7 @@ def _assignment(solution: Solution | Assignment) -> Assignment:
 
 
 def w0(potential: Potential, solution: Solution | Assignment,
-       diagram: LinkDiagram | None = None,
-       mu_tol: float = 1e-6) -> OptimisticResult:
+       diagram: LinkDiagram | None = None) -> OptimisticResult:
     """Corrected potential value at a solution.
 
     Accepts either a Solution or a bare assignment.  When the diagram is
@@ -61,12 +60,11 @@ def w0(potential: Potential, solution: Solution | Assignment,
     pass of the potential's own system (build_system), compiled on its
     first use.
     """
-    return w0_batch(potential, [solution], diagram, mu_tol)[0]
+    return w0_batch(potential, [solution], diagram)[0]
 
 
 def w0_batch(potential: Potential, solutions: Sequence[Solution | Assignment],
-             diagram: LinkDiagram | None = None,
-             mu_tol: float = 1e-6) -> list[OptimisticResult]:
+             diagram: LinkDiagram | None = None) -> list[OptimisticResult]:
     """w0 at every solution, with one array pass over all of them.
 
     Each result equals the one w0 gives for that solution alone.
@@ -76,7 +74,7 @@ def w0_batch(potential: Potential, solutions: Sequence[Solution | Assignment],
         return []
     system = build_system(potential)
     w = np.array([system.point_from_assignment(a) for a in points])
-    raw, mu_integers = system.corrected_value(w, mu_tol)
+    raw, mu_integers = system.corrected_value(w)
     bw = [None] * len(points)
     if diagram is not None and potential.kind == "W":
         bw = _bw_volumes(diagram, points).tolist()

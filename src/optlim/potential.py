@@ -118,7 +118,7 @@ class Potential:
     terms: tuple[Term, ...]
     variables: tuple[Label, ...]
     kind: Literal["W", "V"]
-    # The EquationSystem at the default pin, set once by
+    # The potential's EquationSystem, set once by
     # equations.build_system, or by EquationSystem.sign_flipped for a
     # sign-flipped potential.  Not part of the potential's value.
     _system: EquationSystem | None = field(default=None, init=False, repr=False, compare=False)

@@ -1,10 +1,10 @@
 """Multistart damped Newton search for solutions of the pinned systems.
 
-Restarts draw starting points from an annulus, one per child of the
-configured seed, and run as the rows of one lockstep Newton iteration:
-every iteration evaluates the Jacobians of all live rows in one call,
-solves them as a stack, and runs a backtracking line search on the
-residual norm with per-row rules.
+Restarts draw starting points from the annulus START_RADII, one per
+child of the configured seed, and run as the rows of one lockstep Newton
+iteration: every iteration evaluates the Jacobians of all live rows in
+one call, solves them as a stack, and runs a backtracking line search on
+the residual norm with per-row rules.
 
 The step is the Tikhonov-regularised Gauss-Newton step
 -(J^H J + lam I)^-1 J^H F with lam = REGULARISATION * ||J||_F^2, not the
@@ -22,7 +22,7 @@ line-search stall, stagnation, divergence or iteration limit); refine()
 is the same iteration on a single row and turns a failure code into
 SolveError.  Converged rows are deduplicated and only essential solutions
 (essential_margin, the distance of every dilogarithm argument from 0, 1
-and infinity, at least essential_tol) are kept.  Every row's
+and infinity, at least ESSENTIAL_TOL) are kept.  Every row's
 arithmetic is independent of the other rows in the block, so the same
 seed gives the same solutions.
 """
@@ -47,6 +47,22 @@ BLOCK_ROWS = 256
 # ||J||_F^2 = trace(J^H J): J^H J + lam I is invertible wherever J != 0.
 REGULARISATION = 1e-10
 
+# Newton iterations per row before it leaves with MAX_ITER.
+ITERATIONS = 200
+
+# Converged points closer than this in every coordinate are one solution.
+DEDUPE_TOL = 1e-8
+
+# Cut-off of essential_margin.  The regularised step also converges
+# onto points near the non-essential boundary, where the region/side
+# bridge can fail (5_2 W at seeds 2 and 3 with a cut of 1e-6 or 1e-4);
+# the closed-form twist points have margins of at least 1.1e-2.
+ESSENTIAL_TOL = 1e-3
+
+# Inner and outer radius of the annulus the starting points are drawn
+# from, log-uniformly in the radius.
+START_RADII = (0.1, 10.0)
+
 # Backtracking step lengths tried after a rejected full step, in stages:
 # 1/2 .. 1/8, then 1/16 .. 2^-29 for the rows that rejected all of those.
 # About 90% of accepted steps have t >= 1/8, so the long tail is rare.
@@ -63,7 +79,7 @@ _FAILURES = {
     STALLED: "line search stalled at residual {fnorm:.3e}",
     STAGNATION: "stagnation at residual {fnorm:.3e}",
     DIVERGED: "divergence",
-    MAX_ITER: "no convergence after {max_iter} iterations (residual {fnorm:.3e})",
+    MAX_ITER: "no convergence after {iterations} iterations (residual {fnorm:.3e})",
 }
 
 
@@ -74,34 +90,20 @@ class SolveError(RuntimeError):
 @dataclass(frozen=True)
 class SolveConfig:
     restarts: int = 512
-    max_iter: int = 200
     residual_tol: float = 1e-12
-    dedupe_tol: float = 1e-8
-    # Cut-off of essential_margin.  The regularised step also converges
-    # onto points near the non-essential boundary, where the region/side
-    # bridge can fail (5_2 W at seeds 2 and 3 with a cut of 1e-6 or 1e-4);
-    # the closed-form twist points have margins of at least 1.1e-2.
-    essential_tol: float = 1e-3
     seed: int = 0
-    radius_min: float = 0.1
-    radius_max: float = 10.0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iter < 1:
-            raise ValueError("restarts and max_iter must be at least 1")
-        if min(self.residual_tol, self.dedupe_tol, self.essential_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.residual_tol >= self.dedupe_tol:
-            raise ValueError("residual_tol must be below dedupe_tol")
-        if not (0 < self.radius_min < self.radius_max):
-            raise ValueError("invalid sampling annulus")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
+        if not 0 < self.residual_tol < DEDUPE_TOL:
+            raise ValueError(f"residual_tol must lie in (0, {DEDUPE_TOL:g})")
 
 
 @dataclass(frozen=True)
 class Solution:
     assignment: dict[Label, complex]
     residual_norm: float
-    essential: bool
     component_hint: int = -1
 
     def vector(self, order: Sequence[Label]) -> np.ndarray:
@@ -197,7 +199,7 @@ def _newton(system: EquationSystem, X0: np.ndarray, cfg: SolveConfig
     status[~np.isfinite(fnorm)] = LEFT_DOMAIN
     slow = np.zeros(len(X), dtype=int)
     live = np.flatnonzero(status == RUNNING)
-    for _ in range(cfg.max_iter):
+    for _ in range(ITERATIONS):
         if not live.size:
             break
         x, fn = X[live], fnorm[live]
@@ -236,9 +238,8 @@ def _newton(system: EquationSystem, X0: np.ndarray, cfg: SolveConfig
     return X, fnorm, status
 
 
-def _failure(system: EquationSystem, x: np.ndarray, fnorm: float, code: int,
-             cfg: SolveConfig) -> SolveError:
-    message = _FAILURES[code].format(fnorm=fnorm, max_iter=cfg.max_iter)
+def _failure(system: EquationSystem, x: np.ndarray, fnorm: float, code: int) -> SolveError:
+    message = _FAILURES[code].format(fnorm=fnorm, iterations=ITERATIONS)
     if code == LEFT_DOMAIN:
         try:
             system.residual_vector(x)
@@ -282,15 +283,15 @@ def refine(system: EquationSystem, a: Assignment, cfg: SolveConfig | None = None
     scaled = {v: complex(val) / pin_value for v, val in a.items()}
     X, fnorm, status = _newton(system, system.vector_from_assignment(scaled)[None, :], cfg)
     if status[0] != CONVERGED:
-        raise _failure(system, X[0], float(fnorm[0]), status[0], cfg)
+        raise _failure(system, X[0], float(fnorm[0]), status[0])
     assignment = system.assignment_from_vector(X[0])
-    if not is_essential(system, assignment, cfg.essential_tol):
+    if not is_essential(system, assignment, ESSENTIAL_TOL):
         raise SolveError("converged to a non-essential point")
-    return Solution(assignment, float(fnorm[0]), True)
+    return Solution(assignment, float(fnorm[0]))
 
 
-def _sample(rng: np.random.Generator, size: int, cfg: SolveConfig) -> np.ndarray:
-    radius = np.exp(rng.uniform(np.log(cfg.radius_min), np.log(cfg.radius_max), size))
+def _sample(rng: np.random.Generator, size: int) -> np.ndarray:
+    radius = np.exp(rng.uniform(*np.log(START_RADII), size))
     angle = rng.uniform(-np.pi, np.pi, size)
     return radius * np.exp(1j * angle)
 
@@ -306,12 +307,12 @@ def solve(system: EquationSystem, cfg: SolveConfig | None = None) -> list[Soluti
     if system.size == 0:
         return []
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    X0 = np.array([_sample(np.random.default_rng(s), system.size, cfg) for s in seeds])
+    X0 = np.array([_sample(np.random.default_rng(s), system.size) for s in seeds])
     X, fnorm, status = _newton(system, X0, cfg)
 
     rows = np.flatnonzero(status == CONVERGED)
     points = np.concatenate((X[rows], np.ones((len(rows), 1))), axis=1)
-    rows = rows[is_essential(system, points, cfg.essential_tol)]
+    rows = rows[is_essential(system, points, ESSENTIAL_TOL)]
     hits = [(X[i], float(fnorm[i])) for i in rows]
     if not hits:
         return []
@@ -320,7 +321,7 @@ def solve(system: EquationSystem, cfg: SolveConfig | None = None) -> list[Soluti
     clusters: list[list[tuple[np.ndarray, float]]] = []
     for x, fn in hits:
         for cluster in clusters:
-            if np.max(np.abs(cluster[0][0] - x)) < cfg.dedupe_tol:
+            if np.max(np.abs(cluster[0][0] - x)) < DEDUPE_TOL:
                 cluster.append((x, fn))
                 break
         else:
@@ -328,7 +329,7 @@ def solve(system: EquationSystem, cfg: SolveConfig | None = None) -> list[Soluti
     solutions = []
     for idx, cluster in enumerate(clusters):
         x, fn = min(cluster, key=lambda h: h[1])
-        solutions.append(Solution(system.assignment_from_vector(x), fn, True, component_hint=idx))
+        solutions.append(Solution(system.assignment_from_vector(x), fn, component_hint=idx))
     solutions.sort(key=lambda s: s.residual_norm)
     solutions = [replace(s, component_hint=i) for i, s in enumerate(solutions)]
     return solutions

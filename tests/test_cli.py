@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from optlim import SolveConfig, assemble_W, build_system, builtin, cli, solver
+from optlim import assemble_W, build_system, builtin, cli, solver
 from optlim.cli import main
 from optlim.diagram import to_json_dict
 
@@ -80,7 +80,7 @@ class TestSolve:
             a = {k: complex(v["re"], v["im"]) for k, v in rec["assignment"].items()}
             a = {v: a[str(v)] for v in system.potential.variables}
             margin = solver.essential_margin(system, a)
-            assert rec["essential_margin"] >= SolveConfig().essential_tol
+            assert rec["essential_margin"] >= solver.ESSENTIAL_TOL
             assert abs(rec["essential_margin"] - margin) <= 1e-12 * margin
 
     def test_stable_output_reproducible(self, capsys):
@@ -90,34 +90,18 @@ class TestSolve:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
-    def test_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"restarts": 96, "seed": 3}))
-        code, out, _ = run_cli(capsys, "--stable", "solve", "--builtin", "4_1",
-                               "--config", str(cfg))
-        assert code == 0
-        assert json.loads(out)["config"]["restarts"] == 96
-
-    @pytest.mark.parametrize("config,message", [
-        ({"restart": 5}, "unknown --config key 'restart'"),
-        ({"workers": 2}, "unknown --config key 'workers'"),
-        ([1, 2], "JSON object"),
-        ({"restarts": "5"}, "must be of type int"),
-        ({"restarts": 0}, "at least 1"),
-        ({"max_iter": 0}, "at least 1"),
-    ])
-    def test_bad_config_exits_1(self, capsys, tmp_path, config, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        code, out, err = run_cli(capsys, "solve", "--builtin", "4_1", "--config", str(cfg))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and message in err
-
     def test_zero_restarts_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--builtin", "4_1", "--restarts", "0")
         assert code == 1
         assert "at least 1" in err
+
+    @pytest.mark.parametrize("tol", ["1e-6", "0"])
+    def test_out_of_range_tol_exits_1(self, capsys, tol):
+        # residual_tol must lie in (0, solver.DEDUPE_TOL)
+        code, out, err = run_cli(capsys, "solve", "--builtin", "4_1", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "residual_tol" in err
 
 
 class TestTwist:
@@ -187,6 +171,24 @@ class TestVerify:
             # is the bridge's ALT_NEG_LOG system and every flipped system is
             # derived from it
             assert build_counter == ["W", "V", "W"]
+
+    def test_sign_flip_base_is_the_bridge_w0(self, capsys, monkeypatch):
+        calls = []
+        original = cli.optimistic.w0
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.optimistic, "w0", counting)
+        code, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "4_1",
+                               "--restarts", "64", "--seed", "0", "--sign-flip", "--trials", "3")
+        assert code == 0
+        checked = sum(r["status"] == "ok" for r in json.loads(out)["solutions"])
+        assert checked
+        # one W0 per trial, of the flipped potential; the unflipped value
+        # the trials compare with is the bridge's w0_region
+        assert len(calls) == 3 * checked
 
     def test_sign_flip_output_stable_with_warm_caches(self, capsys, monkeypatch,
                                                       build_counter):

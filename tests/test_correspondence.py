@@ -221,7 +221,7 @@ class TestBridge:
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_solver_solutions_bridge_52(self, knot52, seed):
-        # With an essential_tol of 1e-6 these seeds return points with
+        # With solver.ESSENTIAL_TOL at 1e-6 these seeds return points with
         # margins of 2e-6 to 1.1e-4 that pass the nondegeneracy check but
         # fail the bridge; the default cut drops them.
         system = build_system(assemble_W(knot52))

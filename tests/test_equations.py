@@ -107,7 +107,7 @@ class TestEulerRelation:
 class TestBuildSystem:
     def test_pin_and_counts_region(self, fig8):
         p = assemble_W(fig8)
-        system = build_system(p, pin=6)
+        system = build_system(p)
         assert system.pin == 6
         assert len(system.unknowns) == 5
         # five equations kept, mu over all six variables
@@ -117,7 +117,7 @@ class TestBuildSystem:
 
     def test_pin_and_counts_side(self, fig8):
         p = assemble_V(fig8)
-        system = build_system(p, pin=8)
+        system = build_system(p)
         assert len(system.unknowns) == 7
         a = random_essential_assignment(p, make_rng(3))
         assert len(system.residual(a)) == 7
@@ -141,7 +141,7 @@ class TestBuildSystem:
 
     def test_zero_unknown_system(self):
         p = Potential((), ("x",), "W")
-        system = build_system(p, pin="x")
+        system = build_system(p)
         assert system.size == 0
         assert len(system.residual_vector([])) == 0
 
