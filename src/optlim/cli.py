@@ -62,14 +62,7 @@ def _load_diagram(args) -> diagram.LinkDiagram:
 
 
 def _solve_config(args) -> solver.SolveConfig:
-    kwargs = {}
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.tol is not None:
-        kwargs["residual_tol"] = args.tol
-    return solver.SolveConfig(**kwargs)
+    return solver.SolveConfig(restarts=args.restarts, residual_tol=args.tol, seed=args.seed)
 
 
 def _diagram_stats(d: diagram.LinkDiagram) -> dict:
@@ -211,10 +204,9 @@ def cmd_verify(args) -> int:
     _emit(report, args.stable)
     if not solutions:
         return EXIT_EMPTY
-    checked = [r for r in records if r["status"] == "ok"]
-    if checked and all(r["congruent_mod_4pi2"] for r in checked):
-        return EXIT_OK
-    return EXIT_OK if not checked else EXIT_INPUT
+    if any(r["status"] == "ok" and not r["congruent_mod_4pi2"] for r in records):
+        return EXIT_INPUT
+    return EXIT_OK
 
 
 def _add_diagram_args(p):
@@ -224,9 +216,10 @@ def _add_diagram_args(p):
 
 
 def _add_solver_args(p):
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None, help="residual tolerance")
+    p.add_argument("--restarts", type=int, default=solver.SolveConfig.restarts)
+    p.add_argument("--seed", type=int, default=solver.SolveConfig.seed)
+    p.add_argument("--tol", type=float, default=solver.SolveConfig.residual_tol,
+                   help="residual tolerance")
 
 
 @functools.cache

@@ -165,15 +165,11 @@ def _propagate(labels, edges, what: str, tol: float) -> dict[Label, complex]:
     return values
 
 
-def _check_kink_free(diagram: LinkDiagram) -> None:
-    if diagram.kinked_crossings():
-        raise CorrespondenceError("diagram has kinks; no side potential exists")
-
-
 def w_to_z(diagram: LinkDiagram, w: Solution | Assignment, tol: float = 1e-9) -> Solution:
     """Convert a region solution to the side solution of the same octahedra."""
     a = w.assignment if isinstance(w, Solution) else w
-    _check_kink_free(diagram)
+    if diagram.kinked_crossings():
+        raise CorrespondenceError("diagram has kinks; no side potential exists")
     if not check_w_nondegenerate(diagram, a):
         raise CorrespondenceError("degenerate crossing: wj + wl = wk + wm")
     edges = []
@@ -241,7 +237,6 @@ def verify_bridge(diagram: LinkDiagram, w: Solution | Assignment,
     construction and not checked.
     """
     a = w.assignment if isinstance(w, Solution) else w
-    _check_kink_free(diagram)
     z = w_to_z(diagram, a, tol=tol)
     res_w = w0(assemble_W(diagram, variant=ALT_NEG_LOG), a, diagram=diagram)
     res_v = w0(assemble_V(diagram), z.assignment)

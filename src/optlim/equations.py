@@ -13,9 +13,12 @@ of the assignment:
 
     exp(mu_k) = prod_a base_a ** C[k, a],   base_a = 1 - m_a  or  m_a,
 
-over the distinct atoms a = (kind, m_a).  The system exp(mu_k) = 1 is
-solved in this product form, with the last variable pinned to 1 (overall
-scaling) and its equation dropped (the exact relation sum_k mu_k = 0).
+over the distinct atoms a = (kind, m_a).  The integer matrix C is the one
+compiled form of the log-derivatives: mu, W0, the product kernel, its
+Jacobian, sign flips and the log_derivatives views all read it.  The
+system exp(mu_k) = 1 is solved in this product form, with the last
+variable pinned to 1 (overall scaling) and its equation dropped (the
+exact relation sum_k mu_k = 0).
 The residual and its Jacobian
 
     d exp(mu_k) / d w_v = exp(mu_k) * sum_a C[k, a] g_a deg_v(m_a) / w_v,
@@ -84,7 +87,7 @@ class _Terms:
     W = sum s Li2(m) + sum s log(m1) log(m2) + const * pi^2/6.
 
     The log atoms are the bases, 1 - m or m, whose logs the pass takes:
-    every factor's, and every log product monomial m.
+    those with a nonzero column of C, and every log product monomial m.
     """
 
     dilog_mono: np.ndarray       # (ndilog,) monomial index of each Li2 argument
@@ -97,31 +100,18 @@ class _Terms:
     term_mono: np.ndarray        # (nterms, 2) monomial indices m1, m2 of each term; -1 for none
 
 
-def _atom_table(potential: Potential) -> tuple[list[Monomial], dict[Label, dict[tuple[bool, int], int]],
-                                              tuple[list, list, int, list]]:
-    """The distinct term monomials; per variable the net coefficient of each
-    atom (is_1m, monomial index), in order of first appearance; and the
-    terms by monomial index: (monomial, sign) per dilogarithm,
-    (monomial, monomial, sign) per log product, the net constant count, and
-    (m1, m2) per term in order, -1 for a missing monomial."""
+def _term_table(potential: Potential) -> tuple[list[Monomial], np.ndarray, _Terms, np.ndarray]:
+    """The distinct term monomials, their exponent matrix over
+    potential.variables, the terms as index arrays and the coefficient
+    matrix C (nvars, natoms) of the log-derivatives.
+
+    The atoms are keyed 2 * monomial index + is_1m and sorted by key.
+    """
     monomials: dict[Monomial, int] = {}
-    acc: dict[Label, dict[tuple[bool, int], int]] = {v: {} for v in potential.variables}
     dilogs: list[tuple[int, int]] = []
     logprods: list[tuple[int, int, int]] = []
     const = 0
     term_mono: list[tuple[int, int]] = []
-
-    def add(var: Label, is_1m: bool, mono: int, coeff: int):
-        atoms = acc.get(var)
-        if atoms is None or not coeff:
-            return
-        key = (is_1m, mono)
-        c = atoms.get(key, 0) + coeff
-        if c:
-            atoms[key] = c
-        else:
-            del atoms[key]
-
     for t in potential.terms:
         if t.kind == "const":
             const += t.sign
@@ -131,24 +121,45 @@ def _atom_table(potential: Potential) -> tuple[list[Monomial], dict[Label, dict[
         if t.kind == "dilog":
             dilogs.append((i1, t.sign))
             term_mono.append((i1, -1))
-            for var, e in t.m1.exps:
-                add(var, True, i1, -t.sign * e)
         else:
             i2 = monomials.setdefault(t.m2, len(monomials))
             logprods.append((i1, i2, t.sign))
             term_mono.append((i1, i2))
-            for var in dict.fromkeys(t.m1.variables() + t.m2.variables()):
-                add(var, False, i2, t.sign * t.m1.exponent(var))
-                add(var, False, i1, t.sign * t.m2.exponent(var))
-    return list(monomials), acc, (dilogs, logprods, const, term_mono)
+    exps = _exponents(list(monomials), potential.variables)
+    dilog = np.array(dilogs, dtype=np.intp).reshape(-1, 2)
+    logprod = np.array(logprods, dtype=np.intp).reshape(-1, 3)
+    # C transposed, one row per key 2 * monomial + is_1m: s Li2(m) adds
+    # -s deg_k(m) to 1 - m, and s log(m1) log(m2) adds s deg_k(m1) to m2
+    # and s deg_k(m2) to m1.
+    CT = np.zeros((2 * len(monomials), len(potential.variables)), dtype=np.intp)
+    d, s = dilog.T
+    np.add.at(CT, 2 * d + 1, -s[:, None] * exps[d])
+    m1, m2, s = logprod.T
+    np.add.at(CT, 2 * m2, s[:, None] * exps[m1])
+    np.add.at(CT, 2 * m1, s[:, None] * exps[m2])
+    keep = CT.any(axis=1)
+    keep[2 * logprod[:, :2]] = True
+    atoms = np.flatnonzero(keep)
+    terms = _Terms(dilog_mono=dilog[:, 0], dilog_sign=dilog[:, 1].astype(float),
+                   logprod_atom=np.searchsorted(atoms, 2 * logprod[:, :2]),
+                   logprod_sign=logprod[:, 2].astype(float), const=const,
+                   atom_mono=atoms // 2, atom_is_1m=atoms % 2 == 1,
+                   term_mono=np.array(term_mono, dtype=np.intp).reshape(-1, 2))
+    return list(monomials), exps, terms, CT[atoms].T
+
+
+def _atoms(monomials: list[Monomial], terms: _Terms) -> list[tuple[str, Monomial]]:
+    """(kind, m) of every log atom, in column order of C."""
+    return [("log1m" if is_1m else "log", monomials[i])
+            for i, is_1m in zip(terms.atom_mono.tolist(), terms.atom_is_1m.tolist())]
 
 
 def log_derivatives(potential: Potential) -> dict[Label, LogDerivative]:
-    """Every variable's log-derivative, from one pass over the terms."""
-    monomials, acc, _ = _atom_table(potential)
-    return {var: LogDerivative(var, tuple(LogAtom(c, "log1m" if is_1m else "log", monomials[i])
-                                          for (is_1m, i), c in atoms.items()))
-            for var, atoms in acc.items()}
+    """Every variable's log-derivative: the nonzero entries of its row of C."""
+    monomials, _, terms, C = _term_table(potential)
+    atoms = _atoms(monomials, terms)
+    return {var: LogDerivative(var, tuple(LogAtom(c, *atom) for c, atom in zip(row, atoms) if c))
+            for var, row in zip(potential.variables, C.tolist())}
 
 
 def log_derivative(potential: Potential, var: Label) -> LogDerivative:
@@ -158,16 +169,11 @@ def log_derivative(potential: Potential, var: Label) -> LogDerivative:
 
 
 def euler_coefficient_sums(potential: Potential) -> dict[tuple[str, Monomial], int]:
-    """Net coefficient of each log atom in sum_k mu_k; all zero for any
-    degree-0 potential (the exact Euler relation)."""
-    acc: dict[tuple[str, Monomial], int] = {}
-    for deriv in log_derivatives(potential).values():
-        for atom in deriv.atoms:
-            key = (atom.kind, atom.m)
-            acc[key] = acc.get(key, 0) + atom.coeff
-            if acc[key] == 0:
-                del acc[key]
-    return acc
+    """Net coefficient of each log atom in sum_k mu_k, the nonzero column
+    sums of C; all zero for any degree-0 potential (the exact Euler
+    relation)."""
+    monomials, _, terms, C = _term_table(potential)
+    return {atom: c for atom, c in zip(_atoms(monomials, terms), C.sum(axis=0).tolist()) if c}
 
 
 @dataclass(frozen=True)
@@ -189,25 +195,22 @@ class _Products:
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """Compiled log-derivatives of a potential, one block of factors per
-    variable in potential.variables order, so the pin's redundant equation
-    comes last, and the potential's terms as index arrays into the same
-    monomials.
+    """Compiled log-derivatives of a potential, the integer matrix C with
+    one row per variable in potential.variables order, so the pin's
+    redundant equation is the last row, and the potential's terms as index
+    arrays into the same monomials and atoms.
 
-    mu() and corrected_value() read every block.  The product kernel of the
-    unknowns' equations, which residual_vector() and jacobian() evaluate,
-    is compiled from the blocks on first use, so a system built only for
-    W0 never pays for it.
+    mu() and corrected_value() read every row of C.  The product kernel of
+    the unknowns' equations, which residual_vector() and jacobian()
+    evaluate, is compiled from the other rows on first use, so a system
+    built only for W0 never pays for it.
     """
 
     potential: Potential
     pin: Label                           # the last variable
     unknowns: tuple[Label, ...]          # all variables except pin
 
-    # compiled arrays; one row per (variable, factor), blocks in potential.variables order
-    _eq_starts: np.ndarray               # (nvars,) reduceat boundaries, pin's block last
-    _fac_power: np.ndarray               # (nfac,) integer outer exponent
-    _fac_atom: np.ndarray                # (nfac,) index into _terms.atom_mono
+    _coeffs: np.ndarray                  # (nvars, natoms) C, columns the atoms of _terms
     _exps: np.ndarray                    # (nmono, nvars) exponents of every distinct term monomial
     _terms: _Terms                       # shared by sign flips
     _mono_coeff: np.ndarray              # (nmono,) coefficients, as float
@@ -301,14 +304,6 @@ class EquationSystem:
                 + row_sums(lp[..., 0] * lp[..., 1] * t.logprod_sign)
                 + t.const * PI2_OVER_6)
 
-    def _mu_blocks(self, atom_logs: np.ndarray) -> np.ndarray:
-        """mu_k (..., nvars) in potential.variables order: each block's powers
-        times its atoms' logs."""
-        terms = self._fac_power * atom_logs[..., self._fac_atom]
-        # The trailing zero keeps the pin's boundary in range when its block is empty.
-        terms = np.concatenate((terms, np.zeros(terms.shape[:-1] + (1,))), axis=-1)
-        return np.add.reduceat(terms, self._eq_starts, axis=-1)
-
     def potential_value(self, w: np.ndarray) -> np.ndarray:
         """W at points w (..., nvars), principal branches throughout."""
         mv = self.monomial_values(w)
@@ -327,7 +322,7 @@ class EquationSystem:
         products can move it across.
         """
         w = self.point_from_assignment(a)
-        return self._mu_blocks(self._logs(w, self.monomial_values(w))[0])
+        return self._logs(w, self.monomial_values(w))[0] @ self._coeffs.T
 
     def corrected_value(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """W0 = W - sum_k mu_k log w_k at points w (..., nvars), in one pass.
@@ -343,7 +338,7 @@ class EquationSystem:
         mv = self.monomial_values(w)
         arg = self._essential_arguments(mv)
         atom_logs, log_w = self._logs(w, mv)
-        k = _snap(self._mu_blocks(atom_logs), MU_TOL, self.potential.variables)
+        k = _snap(atom_logs @ self._coeffs.T, MU_TOL, self.potential.variables)
         raw = self._potential_value(arg, atom_logs) - row_sums(2j * math.pi * k * log_w)
         return raw, k
 
@@ -419,12 +414,12 @@ class EquationSystem:
         self.potential, the signs given over potential.variables; that flipped
         potential is its .potential and keeps it where build_system finds it.
 
-        deg_v of a flipped monomial is eps_v deg_v of the original, so each
-        variable's factor block keeps its factors and order and its powers
-        are multiplied by eps_v.  The term arrays are shared; the exponents
-        are multiplied by eps, the coefficients by the tau parity signs, and
-        the value gather swaps the w and 1/w indices of the eps_v = -1
-        variables, so a flip compiles nothing.  The flipped terms come from
+        deg_v of a flipped monomial is eps_v deg_v of the original, so row v
+        of C becomes row v of C times eps_v over the same atoms.  The term
+        arrays are shared; the exponents are multiplied by eps, the
+        coefficients by the tau parity signs, and the value gather swaps the
+        w and 1/w indices of the eps_v = -1 variables, so a flip compiles
+        nothing.  The flipped terms come from
         the flip table (_FlipTable): one matmul gives every key, and each
         term is one cache lookup.  The arrays equal those a fresh compile of
         the flipped potential gives whenever the flip keeps the order of
@@ -437,7 +432,8 @@ class EquationSystem:
         neg = signs < 0
         counts = neg @ table.key_matrix
         term_keys = (counts[nmono:] & table.term_mask).tolist()
-        exps = self._exps * signs[len(taus):-1]
+        eps = signs[len(taus):-1]
+        exps = self._exps * eps
         coeff = self._mono_coeff * _PARITY_SIGN[counts[:nmono] & 1]
         try:
             terms = [cache[k] for cache, k in zip(table.term_cache, term_keys)]
@@ -446,7 +442,7 @@ class EquationSystem:
                                         exps, coeff)
         potential = Potential(tuple(terms), self.potential.variables, self.potential.kind)
         system = replace(self, potential=potential,
-                         _fac_power=self._fac_power * signs[table.fac_eps],
+                         _coeffs=self._coeffs * eps[:, None],
                          _exps=exps, _mono_coeff=coeff,
                          _value_gather=np.where(neg[table.gather_eps], table.gather_swapped,
                                                 self._value_gather))
@@ -474,8 +470,8 @@ class _FlipTable:
     term's key at once, except that the low bits of each hold the whole
     count of odd-exponent variables with tau_v = -1, clear of the eps bits;
     the masks keep only its parity.  Flipped monomials and terms are cached per
-    index under those keys.  The same sign vector gives each factor's and
-    each value gather entry's eps by index.
+    index under those keys.  The same sign vector gives each value gather
+    entry's eps by index.
     """
 
     key_matrix: np.ndarray       # (2 nvars + 1, nmono + nterms) monomial columns, then term columns
@@ -484,7 +480,6 @@ class _FlipTable:
     own: tuple[np.ndarray, ...]  # per monomial, its variables' positions in Monomial.exps order
     mono_cache: list[dict[int, Monomial]]
     term_cache: list[dict[int, Term]]   # a constant's one entry is the term itself
-    fac_eps: np.ndarray          # (nfac,) sign index of each factor's eps
     gather_eps: np.ndarray       # sign index of each value gather entry's eps
     gather_swapped: np.ndarray   # the value gather with every w and 1/w swapped
 
@@ -541,8 +536,6 @@ def _compile_flip_table(system: EquationSystem) -> _FlipTable:
         own=own,
         mono_cache=[{} for _ in own],
         term_cache=[{0: t} if t.kind == "const" else {} for t in system.potential.terms],
-        fac_eps=nv + np.repeat(np.arange(nv), np.diff(system._eq_starts,
-                                                      append=len(system._fac_power))),
         gather_eps=nv + var,
         gather_swapped=np.where(gather < nv, gather + nv, np.where(gather < 2 * nv, var, gather)),
     )
@@ -574,8 +567,8 @@ def _gather(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _exponents(monomials: Sequence[Monomial], variables: Sequence[Label]) -> np.ndarray:
     """The exponent matrix (nmono, nvars) of the monomials over the variables,
-    from which the value gather, the product kernel and the flip table are
-    built."""
+    from which C, the value gather, the product kernel and the flip table
+    are built."""
     var_index = {v: i for i, v in enumerate(variables)}
     exps = np.zeros((len(monomials), len(variables)), dtype=np.intp)
     for i, m in enumerate(monomials):
@@ -599,39 +592,16 @@ def _compile_system(potential: Potential) -> EquationSystem:
     variables = potential.variables
     if not variables:
         raise ValueError("potential has no variables")
-    pin = variables[-1]
-    monomials, table, (dilogs, logprods, const, term_mono) = _atom_table(potential)
-    eq_starts = []
-    facs: list[tuple[bool, int]] = []
-    powers: list[int] = []
-    for var in variables:
-        atoms = table[var]
-        if not atoms and var != pin:
-            raise ValueError(f"variable {var!r} has an empty equation")
-        eq_starts.append(len(facs))
-        facs.extend(atoms)
-        powers.extend(atoms.values())
-    fac_is_1m, fac_mono = np.array(facs, dtype=np.intp).reshape(-1, 2).T
-    dilog = np.array(dilogs, dtype=np.intp).reshape(-1, 2)
-    logprod = np.array(logprods, dtype=np.intp).reshape(-1, 3)
-    # The log atoms, keyed 2 * monomial + is_1m: the factors' and the log
-    # products' monomials.
-    keys = np.concatenate((2 * fac_mono + fac_is_1m, 2 * logprod[:, :2].ravel()))
-    atoms, atom_of_key = np.unique(keys, return_inverse=True)
-    terms = _Terms(dilog_mono=dilog[:, 0], dilog_sign=dilog[:, 1].astype(float),
-                   logprod_atom=atom_of_key[len(fac_mono):].reshape(-1, 2),
-                   logprod_sign=logprod[:, 2].astype(float), const=const,
-                   atom_mono=atoms // 2, atom_is_1m=atoms % 2 == 1,
-                   term_mono=np.array(term_mono, dtype=np.intp).reshape(-1, 2))
-    exps = _exponents(monomials, variables)
+    monomials, exps, terms, C = _term_table(potential)
+    empty = np.flatnonzero(~C[:-1].any(axis=1))
+    if empty.size:
+        raise ValueError(f"variable {variables[empty[0]]!r} has an empty equation")
     value_gather, value_starts = _gather(exps)
     return EquationSystem(
         potential=potential,
-        pin=pin,
+        pin=variables[-1],
         unknowns=variables[:-1],
-        _eq_starts=np.array(eq_starts, dtype=np.intp),
-        _fac_power=np.array(powers, dtype=float),
-        _fac_atom=atom_of_key[:len(fac_mono)],
+        _coeffs=C,
         _exps=exps,
         _terms=terms,
         _mono_coeff=np.array([m.coeff for m in monomials], dtype=float),
@@ -641,18 +611,12 @@ def _compile_system(potential: Potential) -> EquationSystem:
 
 
 def _compile_products(system: EquationSystem) -> _Products:
-    """The product kernel of the unknowns' factor blocks."""
+    """The product kernel of the unknowns' rows of C, over their nonzero
+    columns."""
     nu = system.size
-    # Distinct atoms (monomial, kind) of the unknowns' rows and the integer
-    # exponent matrix C[k, a].
-    rows = system._eq_starts[-1]
-    fac_atom = system._fac_atom[:rows]
-    fac_mono, fac_is_1m = system._terms.atom_mono[fac_atom], system._terms.atom_is_1m[fac_atom]
-    atoms, first, atom_of_row = np.unique(2 * fac_mono + fac_is_1m,
-                                          return_index=True, return_inverse=True)
-    atom_mono, atom_is_1m = fac_mono[first], fac_is_1m[first]
-    C = np.zeros((nu, len(atoms)), dtype=np.intp)
-    C[np.repeat(np.arange(nu), np.diff(system._eq_starts)), atom_of_row] = system._fac_power[:rows]
+    used = np.flatnonzero(system._coeffs[:nu].any(axis=0))
+    C = system._coeffs[:nu, used]
+    atom_mono, atom_is_1m = system._terms.atom_mono[used], system._terms.atom_is_1m[used]
     E = system._exps[atom_mono]
     mono_gather, mono_starts = _gather(E)
     prod_gather, prod_starts = _gather(C)

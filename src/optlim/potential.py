@@ -134,10 +134,12 @@ def _ratio(num: Label, den: Label) -> Monomial:
     return Monomial.ratio(num, den)
 
 
-def crossing_terms_W(crossing: Crossing, variant: WNVariant = DEFAULT) -> list[Term]:
-    """The seven W-terms of one crossing (five dilogs, a constant, a log product)."""
-    j, k, l, m = crossing.regions
-    s = crossing.sign
+def region_terms_W(sign: int, regions: tuple[Label, Label, Label, Label],
+                   variant: WNVariant = DEFAULT) -> list[Term]:
+    """The seven W-terms (five dilogs, a constant, a log product) of a
+    crossing of the given sign with regions (j, k, l, m)."""
+    j, k, l, m = regions
+    s = sign
     terms = [
         Term.dilog(-s, _ratio(l, m)),
         Term.dilog(-s, _ratio(l, k)),
@@ -151,6 +153,11 @@ def crossing_terms_W(crossing: Crossing, variant: WNVariant = DEFAULT) -> list[T
     else:
         terms.append(Term.logprod(s, _ratio(j, m), _ratio(j, k)))
     return terms
+
+
+def crossing_terms_W(crossing: Crossing, variant: WNVariant = DEFAULT) -> list[Term]:
+    """The seven W-terms of one crossing (five dilogs, a constant, a log product)."""
+    return region_terms_W(crossing.sign, crossing.regions, variant)
 
 
 def crossing_terms_V(crossing: Crossing) -> list[Term]:

@@ -30,7 +30,7 @@ seed gives the same solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -313,23 +313,13 @@ def solve(system: EquationSystem, cfg: SolveConfig | None = None) -> list[Soluti
     rows = np.flatnonzero(status == CONVERGED)
     points = np.concatenate((X[rows], np.ones((len(rows), 1))), axis=1)
     rows = rows[is_essential(system, points, ESSENTIAL_TOL)]
-    hits = [(X[i], float(fnorm[i])) for i in rows]
-    if not hits:
-        return []
-    # Deterministic merge order, then greedy clustering by max coordinate distance.
-    hits.sort(key=lambda h: (h[1],) + tuple(np.round(h[0].view(float), 6)))
-    clusters: list[list[tuple[np.ndarray, float]]] = []
+    hits = sorted(((X[i], float(fnorm[i])) for i in rows),
+                  key=lambda h: (h[1],) + tuple(np.round(h[0].view(float), 6)))
+    # Keep a row unless it lies within DEDUPE_TOL of a kept one: the kept
+    # rows come in residual order, each with the smallest residual near it.
+    kept: list[tuple[np.ndarray, float]] = []
     for x, fn in hits:
-        for cluster in clusters:
-            if np.max(np.abs(cluster[0][0] - x)) < DEDUPE_TOL:
-                cluster.append((x, fn))
-                break
-        else:
-            clusters.append([(x, fn)])
-    solutions = []
-    for idx, cluster in enumerate(clusters):
-        x, fn = min(cluster, key=lambda h: h[1])
-        solutions.append(Solution(system.assignment_from_vector(x), fn, component_hint=idx))
-    solutions.sort(key=lambda s: s.residual_norm)
-    solutions = [replace(s, component_hint=i) for i, s in enumerate(solutions)]
-    return solutions
+        if not any(np.max(np.abs(y - x)) < DEDUPE_TOL for y, _ in kept):
+            kept.append((x, fn))
+    return [Solution(system.assignment_from_vector(x), fn, component_hint=i)
+            for i, (x, fn) in enumerate(kept)]

@@ -31,7 +31,7 @@ import numpy as np
 
 from .diagram import Label, twist_diagram
 from .numerics import shape_double_prime, shape_prime
-from .potential import DEFAULT, Monomial, Potential, Term, WNVariant
+from .potential import DEFAULT, Potential, WNVariant, region_terms_W
 
 MAX_INDEX = 5
 
@@ -226,38 +226,6 @@ def region_closed_form(k: int, t: complex) -> complex:
 # The printed region potential, assembled directly from its block structure
 
 
-def _ratio(a: Label, b: Label) -> Monomial:
-    return Monomial.ratio(a, b)
-
-
-def _pos_block(j, k, l, m) -> list[Term]:
-    return [
-        Term.dilog(-1, _ratio(l, m)),
-        Term.dilog(-1, _ratio(l, k)),
-        Term.dilog(+1, Monomial.from_pairs([(j, 1), (l, 1), (k, -1), (m, -1)])),
-        Term.dilog(+1, _ratio(m, j)),
-        Term.dilog(+1, _ratio(k, j)),
-        Term.const(-1),
-        Term.logprod(+1, _ratio(m, j), _ratio(k, j)),
-    ]
-
-
-def _neg_block(j, k, l, m, variant: WNVariant) -> list[Term]:
-    terms = [
-        Term.dilog(+1, _ratio(l, m)),
-        Term.dilog(+1, _ratio(l, k)),
-        Term.dilog(-1, Monomial.from_pairs([(j, 1), (l, 1), (k, -1), (m, -1)])),
-        Term.dilog(-1, _ratio(m, j)),
-        Term.dilog(-1, _ratio(k, j)),
-        Term.const(+1),
-    ]
-    if variant == DEFAULT:
-        terms.append(Term.logprod(-1, _ratio(m, j), _ratio(k, j)))
-    else:
-        terms.append(Term.logprod(-1, _ratio(j, m), _ratio(j, k)))
-    return terms
-
-
 def twist_potential(n: int, variant: WNVariant = DEFAULT) -> Potential:
     """The closed-form region potential of the twist diagram.
 
@@ -266,34 +234,30 @@ def twist_potential(n: int, variant: WNVariant = DEFAULT) -> Potential:
         A_k: lower region e, upper region c, over w_k, w_{k+1}
         B_k: the same with c and e exchanged,
 
-    both negative crossings.  Equals the crossing-by-crossing assembly of
-    the built-in diagram as a term multiset.
+    both negative crossings.  Each block (sign, (j, k, l, m)) gives the
+    terms of potential.region_terms_W.  Equals the crossing-by-crossing
+    assembly of the built-in diagram as a term multiset.
     """
     _check_index(n)
     w = [f"w{i}" for i in range(n + 2)]
 
     def A(K):
-        return _neg_block("e", w[K + 1], "c", w[K], variant)
+        return -1, ("e", w[K + 1], "c", w[K])
 
     def B(K):
-        return _neg_block("c", w[K + 1], "e", w[K], variant)
+        return -1, ("c", w[K + 1], "e", w[K])
 
-    terms: list[Term] = []
     if n % 2 == 1:
-        terms += _pos_block(w[0], "d", w[n + 1], "c")
-        terms += _pos_block(w[n + 1], "e", w[0], "d")
+        blocks = [(+1, (w[0], "d", w[n + 1], "c")), (+1, (w[n + 1], "e", w[0], "d"))]
         for k in range(0, (n - 1) // 2 + 1):
-            terms += A(2 * k)
-            terms += B(2 * k + 1)
+            blocks += [A(2 * k), B(2 * k + 1)]
     else:
-        terms += _neg_block("d", w[n + 1], "c", w[0], variant)
-        terms += _neg_block("e", w[n + 1], "d", w[0], variant)
-        terms += B(0)
+        blocks = [(-1, ("d", w[n + 1], "c", w[0])), (-1, ("e", w[n + 1], "d", w[0])), B(0)]
         for k in range(1, n // 2 + 1):
-            terms += A(2 * k - 1)
-            terms += B(2 * k)
+            blocks += [A(2 * k - 1), B(2 * k)]
+    terms = tuple(t for sign, regions in blocks for t in region_terms_W(sign, regions, variant))
     variables = tuple(["c", "d", "e"] + w)
-    return Potential(tuple(terms), variables, "W")
+    return Potential(terms, variables, "W")
 
 
 def reference_rows(n: int) -> list[tuple[complex, float, float]]:

@@ -274,8 +274,7 @@ def assert_equals_a_fresh_compile(flipped, rng):
                  "atom_mono", "atom_is_1m", "term_mono"):
         assert np.array_equal(getattr(derived._terms, name), getattr(fresh._terms, name))
     assert derived._terms.const == fresh._terms.const
-    for name in ("_fac_atom", "_fac_power", "_exps", "_mono_coeff", "_value_gather",
-                 "_value_starts"):
+    for name in ("_coeffs", "_exps", "_mono_coeff", "_value_gather", "_value_starts"):
         assert np.array_equal(getattr(derived, name), getattr(fresh, name))
     a = random_essential_assignment(flipped, rng)
     x = derived.vector_from_assignment(a)

@@ -86,6 +86,70 @@ class TestLogDerivative:
                 assert atom.coeff != 0
 
 
+def coefficients_term_by_term(potential) -> dict:
+    """Every variable's net coefficient of each atom (kind, m), accumulated
+    over potential.terms in plain Python ints from the two rules
+    w d/dw s Li2(m) = -s deg(m) log(1 - m) and
+    w d/dw s log(m1) log(m2) = s deg(m1) log(m2) + s deg(m2) log(m1)."""
+    acc = {v: {} for v in potential.variables}
+
+    def add(var, atom, c):
+        acc[var][atom] = acc[var].get(atom, 0) + c
+
+    for t in potential.terms:
+        if t.kind == "dilog":
+            for var, e in t.m1.exps:
+                add(var, ("log1m", t.m1), -t.sign * e)
+        elif t.kind == "logprod":
+            for var, e in t.m1.exps:
+                add(var, ("log", t.m2), t.sign * e)
+            for var, e in t.m2.exps:
+                add(var, ("log", t.m1), t.sign * e)
+    return {var: {atom: c for atom, c in atoms.items() if c} for var, atoms in acc.items()}
+
+
+@pytest.mark.parametrize("name", ["4_1", "5_2", "T1", "T2", "T3", "T4", "T5"])
+@pytest.mark.parametrize("kind", ["W", "W-alt", "V"])
+def test_log_derivatives_match_terms(name, kind):
+    d = builtin(name)
+    p = {"W": lambda: assemble_W(d), "W-alt": lambda: assemble_W(d, variant=ALT_NEG_LOG),
+         "V": lambda: assemble_V(d)}[kind]()
+    expected = coefficients_term_by_term(p)
+    for v in p.variables:
+        atoms = log_derivative(p, v).atoms
+        assert all(type(a.coeff) is int for a in atoms)
+        assert {(a.kind, a.m): a.coeff for a in atoms} == expected[v]
+        assert len(atoms) == len(expected[v])
+
+
+class TestEmptyEquation:
+    def test_unused_unknown_is_rejected(self):
+        from optlim import Monomial, Term
+        p = Potential((Term.dilog(1, Monomial.ratio("x", "z")),), ("x", "y", "z"), "W")
+        with pytest.raises(ValueError, match="variable 'y' has an empty equation"):
+            build_system(p)
+        # the symbolic views still take it
+        assert log_derivative(p, "y").atoms == ()
+        assert euler_coefficient_sums(p) == {}
+
+    def test_cancelling_terms_leave_an_empty_equation(self):
+        from optlim import Monomial, Term
+        m = Monomial.ratio("x", "z")
+        p = Potential((Term.dilog(1, m), Term.dilog(-1, m)), ("x", "z"), "W")
+        with pytest.raises(ValueError, match="variable 'x' has an empty equation"):
+            build_system(p)
+
+    def test_unused_pin_builds(self):
+        from optlim import Monomial, Term
+        p = Potential((Term.dilog(1, Monomial.ratio("x", "y")),), ("x", "y", "z"), "W")
+        system = build_system(p)
+        assert system.pin == "z"
+        a = {"x": 0.5 + 0.5j, "y": 1.5 - 0.2j, "z": 2.0 + 0j}
+        mu = system.mu(a)
+        assert mu[2] == 0
+        assert mu == pytest.approx(list(mu_oracle(p, a).values()))
+
+
 class TestEulerRelation:
     @pytest.mark.parametrize("name,kind", [
         ("4_1", "W"), ("4_1", "V"), ("5_2", "W"), ("5_2", "V"), ("T4", "W"),
