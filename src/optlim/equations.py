@@ -26,9 +26,13 @@ The residual and its Jacobian
 
 are evaluated without exp or log: monomial values are products gathered
 from [w, 1/w, 1] and the exp(mu_k) products gathered from
-[base, 1/base, 1], both reduced with np.multiply.reduceat.  Both take a
-leading batch axis of points; a batch row at a degenerate point comes out
-non-finite, while a single point raises EvaluationError.
+[base, 1/base, 1], both reduced with np.multiply.reduceat.  One kernel
+pass per point writes both, with the atom values and exp(mu_k), into one
+packed row, the kernel state; residual_state returns the residual with
+that state, and jacobian_at forms the Jacobian from it without a second
+pass, so the Newton iteration evaluates the kernel once per trial point.
+Both take a leading batch axis of points; a batch row at a degenerate
+point comes out non-finite, while a single point raises EvaluationError.
 
 The corrected potential W0 = W - sum_k mu_k log w_k is formed in one pass
 (EquationSystem.corrected_value): the value of every term monomial is
@@ -51,7 +55,7 @@ from per-index caches under those keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Sequence
 
@@ -191,6 +195,7 @@ class _Products:
     jac_coeff: np.ndarray        # that product
     jac_starts: np.ndarray       # reduceat boundaries, one segment per Jacobian entry
     jac_entry: np.ndarray        # flat index k * nunknowns + v of each segment
+    views: tuple[slice, ...]     # [w, 1/w, 1], [base, 1/base, 1], t, exp(mu_k) in a state row
 
 
 @dataclass(frozen=True)
@@ -201,9 +206,9 @@ class EquationSystem:
     arrays into the same monomials and atoms.
 
     mu() and corrected_value() read every row of C.  The product kernel of
-    the unknowns' equations, which residual_vector() and jacobian()
-    evaluate, is compiled from the other rows on first use, so a system
-    built only for W0 never pays for it.
+    the unknowns' equations, which residual_state() evaluates and
+    jacobian_at() differentiates, is compiled from the other rows on first
+    use, so a system built only for W0 never pays for it.
     """
 
     potential: Potential
@@ -342,30 +347,32 @@ class EquationSystem:
         raw = self._potential_value(arg, atom_logs) - row_sums(2j * math.pi * k * log_w)
         return raw, k
 
-    def _kernel(self, x: np.ndarray, pin: complex = 1.0):
-        """[w, 1/w, 1], the atom values t with base = is_1m + t, [base, 1/base, 1]
-        and exp(mu_k) at unknowns x (..., n) and the given pin value.
+    def _kernel(self, x: np.ndarray, pin: complex = 1.0) -> np.ndarray:
+        """The kernel state at unknowns x (..., n) and the given pin value:
+        per point one packed row [w, 1/w, 1 | base, 1/base, 1 | t | exp(mu_k)],
+        t the atom values with base = is_1m + t (_Products.views).
 
-        Rows at a zero variable or at a monomial value in {0, 1} are set
-        to nan; a single point raises EvaluationError instead.
+        Rows at a zero variable or at a monomial value in {0, 1} get a nan
+        exp(mu_k); a single point raises EvaluationError instead.  Floating
+        point errors are left to the caller's np.errstate.
         """
         k = self._products
         nv = self.size + 1
-        wb = np.empty(x.shape[:-1] + (2 * nv + 1,), dtype=complex)
+        state = np.empty(x.shape[:-1] + (k.views[-1].stop,), dtype=complex)
+        wb, ab, t, F = (state[..., v] for v in k.views)
+        na = t.shape[-1]
         wb[..., :nv - 1] = x
         wb[..., nv - 1] = pin
         wb[..., -1] = 1.0
-        with np.errstate(all="ignore"):
-            np.divide(1.0, wb[..., :nv], out=wb[..., nv:-1])
-            t = k.atom_coeff * np.multiply.reduceat(wb[..., k.mono_gather], k.mono_starts, axis=-1)
-            na = t.shape[-1]
-            ab = np.empty(x.shape[:-1] + (2 * na + 1,), dtype=complex)
-            np.add(k.atom_is_1m, t, out=ab[..., :na])
-            np.divide(1.0, ab[..., :na], out=ab[..., na:-1])
-            ab[..., -1] = 1.0
-            F = np.multiply.reduceat(ab[..., k.prod_gather], k.prod_starts, axis=-1)
-            # A zero variable or base shows up as an infinite reciprocal.
-            ok = np.isfinite(wb.sum(axis=-1) * ab.sum(axis=-1))
+        np.divide(1.0, wb[..., :nv], out=wb[..., nv:-1])
+        np.multiply.reduceat(wb[..., k.mono_gather], k.mono_starts, axis=-1, out=t)
+        np.multiply(k.atom_coeff, t, out=t)
+        np.add(k.atom_is_1m, t, out=ab[..., :na])
+        np.divide(1.0, ab[..., :na], out=ab[..., na:-1])
+        ab[..., -1] = 1.0
+        np.multiply.reduceat(ab[..., k.prod_gather], k.prod_starts, axis=-1, out=F)
+        # A zero variable or base shows up as an infinite reciprocal.
+        ok = np.isfinite(wb.sum(axis=-1) * ab.sum(axis=-1))
         if x.ndim == 1:
             if not ok:
                 if np.any(wb[:nv] == 0.0):
@@ -373,41 +380,58 @@ class EquationSystem:
                 raise EvaluationError("non-essential point: monomial value in {0, 1}")
         elif not ok.all():
             F[~ok] = np.nan
-        return wb, t, ab, F
+        return state
 
-    def residual_vector(self, x: Sequence[complex]) -> np.ndarray:
-        """exp(mu_k) - 1 per unknown with the pin held at 1; x is (n,) or (rows, n)."""
+    def residual_state(self, x: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+        """exp(mu_k) - 1 per unknown with the pin held at 1, x (n,) or
+        (rows, n), and the kernel state it was read from, which jacobian_at()
+        takes.  Unlike residual_vector(), it leaves floating point errors at
+        degenerate rows to the caller's np.errstate."""
         x = np.asarray(x, dtype=complex)
         if self.size == 0:
-            return np.empty(x.shape[:-1] + (0,), dtype=complex)
-        return self._kernel(x)[3] - 1.0
+            empty = np.empty(x.shape[:-1] + (0,), dtype=complex)
+            return empty, empty
+        state = self._kernel(x)
+        return state[..., self._products.views[3]] - 1.0, state
 
-    def jacobian(self, x: Sequence[complex]) -> np.ndarray:
-        """Analytic Jacobian of the residual vector: (n, n), or (rows, n, n)."""
-        x = np.asarray(x, dtype=complex)
+    def jacobian_at(self, state: np.ndarray) -> np.ndarray:
+        """Analytic Jacobian of the residual vector from the kernel state of
+        residual_state(), or of any selection of its rows: (n, n), or
+        (rows, n, n).  Floating point errors are left to the caller's
+        np.errstate."""
         nu = self.size
         if nu == 0:
-            return np.empty(x.shape[:-1] + (0, 0), dtype=complex)
-        wb, t, ab, F = self._kernel(x)
+            return np.empty(state.shape[:-1] + (0, 0), dtype=complex)
         k = self._products
+        wb, ab, t, F = (state[..., v] for v in k.views)
         na = t.shape[-1]
-        with np.errstate(all="ignore"):
-            # g = -m/(1-m) = t/base for (1-m) atoms, exactly 1 for m atoms.
-            g = np.where(k.atom_is_1m, t * ab[..., na:-1], 1.0)
-            entries = np.add.reduceat(g[..., k.jac_atom] * k.jac_coeff, k.jac_starts, axis=-1)
-            J = np.zeros(x.shape[:-1] + (nu * nu,), dtype=complex)
-            J[..., k.jac_entry] = entries
-            J = J.reshape(x.shape[:-1] + (nu, nu))
-            J *= F[..., :, None]
-            J *= wb[..., None, nu + 1:2 * nu + 1]
+        # g = -m/(1-m) = t/base for (1-m) atoms, exactly 1 for m atoms.
+        g = np.where(k.atom_is_1m, t * ab[..., na:-1], 1.0)
+        entries = np.add.reduceat(g[..., k.jac_atom] * k.jac_coeff, k.jac_starts, axis=-1)
+        J = np.zeros(state.shape[:-1] + (nu * nu,), dtype=complex)
+        J[..., k.jac_entry] = entries
+        J = J.reshape(state.shape[:-1] + (nu, nu))
+        J *= F[..., :, None]
+        J *= wb[..., None, nu + 1:2 * nu + 1]
         return J
 
+    @np.errstate(all="ignore")
+    def residual_vector(self, x: Sequence[complex]) -> np.ndarray:
+        """exp(mu_k) - 1 per unknown with the pin held at 1; x is (n,) or (rows, n)."""
+        return self.residual_state(x)[0]
+
+    @np.errstate(all="ignore")
+    def jacobian(self, x: Sequence[complex]) -> np.ndarray:
+        """Analytic Jacobian of the residual vector: (n, n), or (rows, n, n)."""
+        return self.jacobian_at(self.residual_state(x)[1])
+
+    @np.errstate(all="ignore")
     def residual(self, a: Assignment) -> np.ndarray:
         """Residual vector at a full assignment, pin included as given."""
         if self.size == 0:
             return np.empty(0, dtype=complex)
         x = self.vector_from_assignment(a)
-        return self._kernel(x, complex(a[self.pin]))[3] - 1.0
+        return self._kernel(x, complex(a[self.pin]))[self._products.views[3]] - 1.0
 
     def sign_flipped(self, taus: Sequence[int], epsilons: Sequence[int]) -> EquationSystem:
         """The system of the potential that w_v -> tau_v w_v^eps_v makes of
@@ -441,11 +465,12 @@ class EquationSystem:
             terms = table.flipped_terms(self, term_keys, (counts[:nmono] & table.mono_mask).tolist(),
                                         exps, coeff)
         potential = Potential(tuple(terms), self.potential.variables, self.potential.kind)
-        system = replace(self, potential=potential,
-                         _coeffs=self._coeffs * eps[:, None],
-                         _exps=exps, _mono_coeff=coeff,
-                         _value_gather=np.where(neg[table.gather_eps], table.gather_swapped,
-                                                self._value_gather))
+        system = EquationSystem(potential, self.pin, self.unknowns,
+                                _coeffs=self._coeffs * eps[:, None],
+                                _exps=exps, _terms=self._terms, _mono_coeff=coeff,
+                                _value_gather=np.where(neg[table.gather_eps], table.gather_swapped,
+                                                       self._value_gather),
+                                _value_starts=self._value_starts)
         object.__setattr__(potential, "_system", system)
         return system
 
@@ -625,6 +650,8 @@ def _compile_products(system: EquationSystem) -> _Products:
     k, v, a = np.nonzero(terms)
     entry = k * nu + v
     jac_starts = np.flatnonzero(np.diff(entry, prepend=-1))
+    # State row: [w, 1/w, 1] over all variables, [base, 1/base, 1], t, exp(mu_k).
+    bounds = np.cumsum([0, 2 * nu + 3, 2 * len(used) + 1, len(used), nu])
     return _Products(
         mono_gather=mono_gather,
         mono_starts=mono_starts,
@@ -636,6 +663,7 @@ def _compile_products(system: EquationSystem) -> _Products:
         jac_coeff=terms[k, v, a].astype(float),
         jac_starts=jac_starts,
         jac_entry=entry[jac_starts],
+        views=tuple(slice(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())),
     )
 
 

@@ -2,9 +2,14 @@
 
 Restarts draw starting points from the annulus START_RADII, one per
 child of the configured seed, and run as the rows of one lockstep Newton
-iteration: every iteration evaluates the Jacobians of all live rows in
-one call, solves them as a stack, and runs a backtracking line search on
-the residual norm with per-row rules.
+iteration: every iteration forms the Jacobians of all live rows, solves
+them as a stack, and runs a backtracking line search on the residual norm
+with per-row rules.  The line search goes in stages (_STAGES): t = 1, 1/2,
+1/4 and 1/8 for every row in one call, then 1/16 .. 1/128 and
+2^-8 .. 2^-29 for the rows that rejected every earlier length.  Each
+trial point costs one kernel pass (EquationSystem.residual_state), and
+the next Jacobian is formed from the accepted point's kernel state
+(EquationSystem.jacobian_at), with no second pass.
 
 The step is the Tikhonov-regularised Gauss-Newton step
 -(J^H J + lam I)^-1 J^H F with lam = REGULARISATION * ||J||_F^2, not the
@@ -39,7 +44,7 @@ from .diagram import Label
 from .equations import EquationSystem, EvaluationError
 from .potential import Assignment
 
-# Rows per residual or Jacobian call; line-search candidates count one row
+# Rows per kernel or Jacobian call; line-search candidates count one row
 # each.  Bounds the working memory independently of the number of restarts.
 BLOCK_ROWS = 256
 
@@ -63,10 +68,11 @@ ESSENTIAL_TOL = 1e-3
 # from, log-uniformly in the radius.
 START_RADII = (0.1, 10.0)
 
-# Backtracking step lengths tried after a rejected full step, in stages:
-# 1/2 .. 1/8, then 1/16 .. 2^-29 for the rows that rejected all of those.
-# About 90% of accepted steps have t >= 1/8, so the long tail is rare.
-_BACKTRACK = (0.5 ** np.arange(1, 4), 0.5 ** np.arange(4, 30))
+# Line-search step lengths, in stages: t = 1 .. 1/8 for every row, then
+# 1/16 .. 1/128, then 2^-8 .. 2^-29 for the rows that rejected every
+# earlier length.  Over the multistart systems 60% of rows accept t = 1
+# and 30% one of 1/2 .. 1/8, so most line searches end after one call.
+_STAGES = (0.5 ** np.arange(0, 4), 0.5 ** np.arange(4, 8), 0.5 ** np.arange(8, 30))
 
 # Exit status of a Newton row.
 (RUNNING, CONVERGED, LEFT_DOMAIN, SINGULAR, NONFINITE_STEP, STALLED,
@@ -120,9 +126,8 @@ def _blocks(fn, X: np.ndarray) -> np.ndarray:
 def _norms(F: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row (last axis) of a contiguous complex array;
     an overflowing or non-finite row gives inf or nan, which compares below
-    no residual norm."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(np.square(F.view(float)).sum(axis=-1))
+    no residual norm.  Overflow warnings are left to the caller's np.errstate."""
+    return np.sqrt(np.square(F.view(float)).sum(axis=-1))
 
 
 def _steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,37 +153,45 @@ def _steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return steps, singular
 
 
-def _line_search(system: EquationSystem, x: np.ndarray, step: np.ndarray,
-                 fnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _line_search(system: EquationSystem, x: np.ndarray, step: np.ndarray, fnorm: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per row, the first x + t*step, t = 1, 1/2, ..., 2^-29, whose residual
-    norm is below fnorm.  Returns (accepted, x, F, norm) for the new points.
+    norm is below fnorm.  Returns (accepted, x, F, norm, state) for the new
+    points, state their kernel states; a row that rejects every length
+    keeps its t = 1 values.  x holds at least one row.
 
-    t = 1 is evaluated for every row, then each stage of _BACKTRACK for the
-    rows that rejected every earlier length, all lengths of a stage in one
-    call; the first accepted length is the same as in a sequential search.
+    The first stage of _STAGES is evaluated for every row, each later one
+    for the rows that rejected every earlier length, all lengths of a stage
+    in one call; the first accepted length is the same as in a sequential
+    search.
     """
-    cand = x + step
-    F = _blocks(system.residual_vector, cand)
-    cnorm = _norms(F)
-    accepted = cnorm < fnorm
-    for lengths in _BACKTRACK:
-        rejected = np.flatnonzero(~accepted)
-        per_call = max(1, BLOCK_ROWS // len(lengths))
-        for i in range(0, len(rejected), per_call):
-            rows = rejected[i:i + per_call]
-            shorter = x[rows, None, :] + lengths[:, None] * step[rows, None, :]
-            Fs = system.residual_vector(shorter.reshape(-1, x.shape[1])).reshape(
-                shorter.shape[:2] + (F.shape[1],))
-            norms = _norms(Fs)
-            ok = norms < fnorm[rows, None]
-            found = ok.any(axis=1)
-            first = ok.argmax(axis=1)[found]
-            rows = rows[found]
-            cand[rows] = shorter[found, first]
-            F[rows] = Fs[found, first]
-            cnorm[rows] = norms[found, first]
-            accepted[rows] = True
-    return accepted, cand, F, cnorm
+    accepted = np.zeros(len(x), dtype=bool)
+    out = None
+    with np.errstate(all="ignore"):
+        for stage, lengths in enumerate(_STAGES):
+            rejected = np.flatnonzero(~accepted)
+            if not rejected.size:
+                break
+            per_call = max(1, BLOCK_ROWS // len(lengths))
+            for i in range(0, len(rejected), per_call):
+                rows = rejected[i:i + per_call]
+                shorter = (x[rows, None, :] + lengths[:, None] * step[rows, None, :]
+                           ).reshape(-1, x.shape[1])
+                F, state = system.residual_state(shorter)
+                norms = _norms(F)
+                ok = norms.reshape(-1, len(lengths)) < fnorm[rows, None]
+                found = ok.any(axis=1)
+                # Each row's first accepted length, its first when it accepts none.
+                pick = np.arange(0, len(shorter), len(lengths)) + ok.argmax(axis=1)
+                values = (shorter, F, norms, state)
+                if out is None:
+                    out = [np.empty((len(x),) + v.shape[1:], dtype=v.dtype) for v in values]
+                accepted[rows] = found
+                if stage:
+                    rows, pick = rows[found], pick[found]
+                for dest, v in zip(out, values):
+                    dest[rows] = v[pick]
+    return (accepted, *out)
 
 
 def _newton(system: EquationSystem, X0: np.ndarray, cfg: SolveConfig
@@ -190,37 +203,49 @@ def _newton(system: EquationSystem, X0: np.ndarray, cfg: SolveConfig
     search takes the first halving with a smaller residual norm, 20 slow
     steps (ratio > 0.9) above 1e-6 are stagnation, and a residual or
     coordinate beyond 1e12 or a coordinate below 1e-12 is divergence.
+    The live rows carry the kernel state of their iterate, which gives
+    the next Jacobian.
     """
     X = np.array(X0, dtype=complex)
-    F = _blocks(system.residual_vector, X)
-    fnorm = _norms(F)
+    with np.errstate(all="ignore"):
+        parts = [system.residual_state(X[i:i + BLOCK_ROWS]) for i in range(0, len(X), BLOCK_ROWS)]
+        F, state = (np.concatenate(p) for p in zip(*parts))
+        fnorm = _norms(F)
     status = np.full(len(X), RUNNING)
     status[fnorm <= cfg.residual_tol] = CONVERGED
     status[~np.isfinite(fnorm)] = LEFT_DOMAIN
     slow = np.zeros(len(X), dtype=int)
     live = np.flatnonzero(status == RUNNING)
+    state = state[live]
     for _ in range(ITERATIONS):
         if not live.size:
             break
         x, fn = X[live], fnorm[live]
-        step, singular = _steps(_blocks(system.jacobian, x), F[live])
+        with np.errstate(all="ignore"):
+            J = _blocks(system.jacobian_at, state)
+        step, singular = _steps(J, F[live])
         bad_step = ~np.isfinite(step.view(float)).all(axis=-1) & ~singular
         status[live[singular]] = SINGULAR
         status[live[bad_step]] = NONFINITE_STEP
         keep = ~(singular | bad_step)
         if not keep.all():
             live, x, fn, step = live[keep], x[keep], fn[keep], step[keep]
+            if not live.size:
+                break
         # Cap the step length relative to the iterate; wild early jumps
         # throw restarts out of every basin.
-        step_len = _norms(step)
-        max_len = 1.0 + _norms(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step_len = _norms(step)
+            max_len = 1.0 + _norms(x)
         over = step_len > max_len
         step[over] *= (max_len[over] / step_len[over])[:, None]
 
-        accepted, x, Fx, fx = _line_search(system, x, step, fn)
-        status[live[~accepted]] = STALLED
-        live, x, Fx, fx, ratio = (live[accepted], x[accepted], Fx[accepted], fx[accepted],
-                                  fx[accepted] / fn[accepted])
+        accepted, x, Fx, fx, state = _line_search(system, x, step, fn)
+        if not accepted.all():
+            status[live[~accepted]] = STALLED
+            live, x, Fx, fx, state, fn = (live[accepted], x[accepted], Fx[accepted],
+                                          fx[accepted], state[accepted], fn[accepted])
+        ratio = fx / fn
         X[live], F[live], fnorm[live] = x, Fx, fx
         converged = fx <= cfg.residual_tol
         # A Newton basin shows fast decrease; persistent crawling means the
@@ -233,7 +258,8 @@ def _newton(system: EquationSystem, X0: np.ndarray, cfg: SolveConfig
         status[live[converged]] = CONVERGED
         status[live[stagnant]] = STAGNATION
         status[live[diverged]] = DIVERGED
-        live = live[~(converged | stagnant | diverged)]
+        running = ~(converged | stagnant | diverged)
+        live, state = live[running], state[running]
     status[live] = MAX_ITER
     return X, fnorm, status
 

@@ -410,3 +410,15 @@ class TestBatchedKernel:
             system.residual_vector(X[2])
         with pytest.raises(EvaluationError):
             system.jacobian(X[2])
+
+    def test_jacobian_from_state_rows(self, name, kind):
+        # The Newton iteration forms J from the kernel state rows of its
+        # live points, a reordered subset of one residual_state() call.
+        system = _builtin_system(name, kind)
+        _, X = _pinned_points(system, make_rng(59), 6)
+        X[1] = 1.0          # every ratio is 1: a (1 - m) factor vanishes
+        rows = np.array([5, 1, 3, 0])
+        with np.errstate(all="ignore"):
+            state = system.residual_state(X)[1]
+            J = system.jacobian_at(state[rows])
+        assert J.tobytes() == system.jacobian(X[rows]).tobytes()

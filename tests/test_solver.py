@@ -11,7 +11,7 @@ import pytest
 from optlim import (SolveConfig, SolveError, assemble_V, assemble_W, build_system,
                     builtin, refine, solve, w0)
 from optlim import solver, twistknot
-from optlim.equations import mu_integer_multipliers
+from optlim.equations import EquationSystem, mu_integer_multipliers
 from optlim.numerics import PI2, reduce_centered
 from optlim.potential import Potential
 
@@ -225,6 +225,17 @@ class TestRefine:
             refine(system, a)
         assert NEWTON_FAILURE.fullmatch(str(info.value))
 
+    @pytest.mark.parametrize("entry,message", [(0.0, "singular Jacobian at iterate"),
+                                               (np.nan, "non-finite Newton step")])
+    def test_bad_jacobian_raises(self, fig8, fig8_w_solutions, monkeypatch, entry, message):
+        system = build_system(assemble_W(fig8))
+        start = {v: (1.0 + 0.01 * i) * val
+                 for i, (v, val) in enumerate(fig8_w_solutions[0].assignment.items())}
+        monkeypatch.setattr(EquationSystem, "jacobian_at",
+                            lambda self, state: np.full(state.shape[:-1] + (self.size,) * 2, entry))
+        with pytest.raises(SolveError, match=f"^{message}$"):
+            refine(system, start)
+
     def test_degenerate_start_left_the_domain(self, fig8):
         system = build_system(assemble_W(fig8))
         with pytest.raises(SolveError, match="^iterate left the essential domain: "
@@ -241,9 +252,10 @@ class TestLockstepNewton:
     @pytest.mark.parametrize("block_rows", [solver.BLOCK_ROWS, 40])
     @pytest.mark.parametrize("name,kind", [("4_1", "W"), ("5_2", "V"), ("T5", "W")])
     def test_rows_independent_of_block(self, monkeypatch, name, kind, block_rows):
-        # block_rows=40 splits the line search into 13 rows of 3 candidates
-        # (t = 1/2 .. 1/8) and then one row of 26 candidates (t = 1/16 ..
-        # 2^-29) per call, and the Jacobians into blocks of 40 rows.
+        # block_rows=40 splits the line search into 10 rows of 4 candidates
+        # (t = 1 .. 1/8), then 10 rows of 4 (t = 1/16 .. 1/128) and then one
+        # row of 22 candidates (t = 2^-8 .. 2^-29) per call, and the
+        # Jacobians into blocks of 40 rows.
         monkeypatch.setattr(solver, "BLOCK_ROWS", block_rows)
         d = builtin(name)
         system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
@@ -309,12 +321,13 @@ class TestLockstepNewton:
         X0 = _starts(system, 6)
 
         class ZeroJacobianAtRow2:
-            residual_vector = staticmethod(system.residual_vector)
+            residual_state = staticmethod(system.residual_state)
 
             @staticmethod
-            def jacobian(x):
-                J = system.jacobian(x)
-                J[np.all(x == X0[2], axis=-1)] = 0.0
+            def jacobian_at(state):
+                # A state row starts with the unknowns of its point.
+                J = system.jacobian_at(state)
+                J[np.all(state[:, :system.size] == X0[2], axis=-1)] = 0.0
                 return J
 
         X, fnorm, status = solver._newton(ZeroJacobianAtRow2, X0, cfg)
@@ -324,6 +337,10 @@ class TestLockstepNewton:
         others = [0, 1, 3, 4, 5]
         assert np.array_equal(X[others], ref_X[others])
         assert np.array_equal(status[others], ref_status[others])
+        # Retiring the last live row ends the iteration.
+        X, fnorm, status = solver._newton(ZeroJacobianAtRow2, X0[2:3], cfg)
+        assert status.tolist() == [solver.SINGULAR]
+        assert np.array_equal(X, X0[2:3])
 
 
 MULTISTART_SYSTEMS = (("4_1", "W"), ("5_2", "W"), ("5_2", "V"), ("T3", "W"), ("T5", "W"),
@@ -387,28 +404,40 @@ class TestLineSearch:
         assert np.array_equal(depth >= 0, ref[0])
         assert (depth == -1).any() and (depth > 3).any() and (depth == 0).any()
 
-    def test_residual_rows_on_multistart_systems(self):
+    def test_residual_rows_on_multistart_systems(self, monkeypatch):
         # The six systems at 12 restarts, seeds 0-4: the exhaustive search
-        # evaluated 207,998 residual rows (4,024 calls); the staged one
-        # evaluates 76,932 (4,846 calls), with the same 2,364 Jacobians.
-        rows = 0
+        # evaluated 207,998 residual rows (4,024 calls); the search staged
+        # as t = 1 and then 1/2 .. 1/8 evaluated 76,932 (4,846 calls) and
+        # ran the kernel again for each of its 2,364 Jacobians.  Staged as
+        # t = 1 .. 1/8, with every Jacobian formed from the kernel state of
+        # its iterate, it evaluates 72,892 rows in 3,407 kernel passes.
+        rows = passes = 0
+        kernel = EquationSystem._kernel
+
+        def counting_kernel(self, x, *args):
+            nonlocal passes
+            passes += 1
+            return kernel(self, x, *args)
+
+        monkeypatch.setattr(EquationSystem, "_kernel", counting_kernel)
         for name, kind in MULTISTART_SYSTEMS:
             d = builtin(name)
             system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
 
             class Counting:
                 @staticmethod
-                def residual_vector(x):
+                def residual_state(x):
                     nonlocal rows
                     rows += len(x)
-                    return system.residual_vector(x)
+                    return system.residual_state(x)
 
-                jacobian = staticmethod(system.jacobian)
+                jacobian_at = staticmethod(system.jacobian_at)
 
             for seed in range(5):
                 cfg = SolveConfig(restarts=12, seed=seed)
                 solver._newton(Counting, _starts(system, 12, seed), cfg)
         assert rows <= 207_998 // 2
+        assert passes <= 7_210 // 2
 
 
 def test_status_counts_on_multistart_systems():
