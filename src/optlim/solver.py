@@ -4,12 +4,14 @@ Restarts draw starting points from the annulus START_RADII, one per
 child of the configured seed, and run as the rows of one lockstep Newton
 iteration: every iteration forms the Jacobians of all live rows, solves
 them as a stack, and runs a backtracking line search on the residual norm
-with per-row rules.  The line search goes in stages (_STAGES): t = 1, 1/2,
-1/4 and 1/8 for every row in one call, then 1/16 .. 1/128 and
-2^-8 .. 2^-29 for the rows that rejected every earlier length.  Each
-trial point costs one kernel pass (EquationSystem.residual_state), and
-the next Jacobian is formed from the accepted point's kernel state
-(EquationSystem.jacobian_at), with no second pass.
+with per-row rules.  The live rows are held as compact arrays, and a row's
+result is written to the output only when it retires.  The line search
+goes in stages (_STAGES): t = 1, 1/2, 1/4 and 1/8 for every row in one
+call, then 1/16 .. 1/128 and 2^-8 .. 2^-29 for the rows that rejected
+every earlier length.  Each trial point costs one kernel pass
+(EquationSystem.residual_state), and the next Jacobian is formed from the
+accepted point's kernel state (EquationSystem.jacobian_at), with no
+second pass.
 
 The step is the Tikhonov-regularised Gauss-Newton step
 -(J^H J + lam I)^-1 J^H F with lam = REGULARISATION * ||J||_F^2, not the
@@ -153,6 +155,7 @@ def _steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return steps, singular
 
 
+@np.errstate(all="ignore")
 def _line_search(system: EquationSystem, x: np.ndarray, step: np.ndarray, fnorm: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per row, the first x + t*step, t = 1, 1/2, ..., 2^-29, whose residual
@@ -160,37 +163,41 @@ def _line_search(system: EquationSystem, x: np.ndarray, step: np.ndarray, fnorm:
     points, state their kernel states; a row that rejects every length
     keeps its t = 1 values.  x holds at least one row.
 
-    The first stage of _STAGES is evaluated for every row, each later one
-    for the rows that rejected every earlier length, all lengths of a stage
-    in one call; the first accepted length is the same as in a sequential
-    search.
+    The first stage of _STAGES is evaluated for every row, reading x, step
+    and fnorm by slices, each later one for the rows that rejected every
+    earlier length, all lengths of a stage in one call; the first accepted
+    length is the same as in a sequential search.  When one call covers
+    every row, its picks are the outputs; later stages write only the rows
+    they accept.
     """
-    accepted = np.zeros(len(x), dtype=bool)
-    out = None
-    with np.errstate(all="ignore"):
-        for stage, lengths in enumerate(_STAGES):
-            rejected = np.flatnonzero(~accepted)
-            if not rejected.size:
-                break
-            per_call = max(1, BLOCK_ROWS // len(lengths))
-            for i in range(0, len(rejected), per_call):
-                rows = rejected[i:i + per_call]
-                shorter = (x[rows, None, :] + lengths[:, None] * step[rows, None, :]
-                           ).reshape(-1, x.shape[1])
-                F, state = system.residual_state(shorter)
-                norms = _norms(F)
-                ok = norms.reshape(-1, len(lengths)) < fnorm[rows, None]
-                found = ok.any(axis=1)
-                # Each row's first accepted length, its first when it accepts none.
-                pick = np.arange(0, len(shorter), len(lengths)) + ok.argmax(axis=1)
-                values = (shorter, F, norms, state)
-                if out is None:
-                    out = [np.empty((len(x),) + v.shape[1:], dtype=v.dtype) for v in values]
-                accepted[rows] = found
-                if stage:
-                    rows, pick = rows[found], pick[found]
-                for dest, v in zip(out, values):
-                    dest[rows] = v[pick]
+    rows = None             # the rows to search; every row in the first stage
+    for lengths in _STAGES:
+        per_call = max(1, BLOCK_ROWS // len(lengths))
+        for i in range(0, len(x) if rows is None else len(rows), per_call):
+            at = slice(i, i + per_call) if rows is None else rows[i:i + per_call]
+            shorter = (x[at, None, :] + lengths[:, None] * step[at, None, :]
+                       ).reshape(-1, x.shape[1])
+            F, state = system.residual_state(shorter)
+            norms = _norms(F)
+            ok = norms.reshape(-1, len(lengths)) < fnorm[at, None]
+            found = ok.any(axis=1)
+            # Each row's first accepted length, its first when it accepts none.
+            pick = np.arange(0, len(shorter), len(lengths)) + ok.argmax(axis=1)
+            values = (shorter, F, norms, state)
+            if rows is None and per_call >= len(x):     # one call covers every row
+                accepted, out = found, [v[pick] for v in values]
+                continue
+            if rows is None and not i:
+                accepted = np.empty(len(x), dtype=bool)
+                out = [np.empty((len(x),) + v.shape[1:], dtype=v.dtype) for v in values]
+            accepted[at] = found
+            if rows is not None:
+                at, pick = at[found], pick[found]
+            for dest, v in zip(out, values):
+                dest[at] = v[pick]
+        if accepted.all():
+            break
+        rows = np.flatnonzero(~accepted)
     return (accepted, *out)
 
 
@@ -203,8 +210,10 @@ def _newton(system: EquationSystem, X0: np.ndarray, cfg: SolveConfig
     search takes the first halving with a smaller residual norm, 20 slow
     steps (ratio > 0.9) above 1e-6 are stagnation, and a residual or
     coordinate beyond 1e12 or a coordinate below 1e-12 is divergence.
-    The live rows carry the kernel state of their iterate, which gives
-    the next Jacobian.
+    The live rows' iterates, residuals, norms, kernel states (which give
+    the next Jacobian) and slow-step counts are kept as compact arrays; a
+    row's iterate, norm and status are written back when it retires, and
+    the arrays are compressed only on an iteration where some row retires.
     """
     X = np.array(X0, dtype=complex)
     with np.errstate(all="ignore"):
@@ -214,53 +223,58 @@ def _newton(system: EquationSystem, X0: np.ndarray, cfg: SolveConfig
     status = np.full(len(X), RUNNING)
     status[fnorm <= cfg.residual_tol] = CONVERGED
     status[~np.isfinite(fnorm)] = LEFT_DOMAIN
-    slow = np.zeros(len(X), dtype=int)
     live = np.flatnonzero(status == RUNNING)
-    state = state[live]
+    x, F, fn, state = X[live], F[live], fnorm[live], state[live]
+    slow = np.zeros(len(live), dtype=int)
+
+    def retire(rows: np.ndarray, code) -> None:
+        X[live[rows]], fnorm[live[rows]], status[live[rows]] = x[rows], fn[rows], code
+
     for _ in range(ITERATIONS):
         if not live.size:
             break
-        x, fn = X[live], fnorm[live]
         with np.errstate(all="ignore"):
             J = _blocks(system.jacobian_at, state)
-        step, singular = _steps(J, F[live])
-        bad_step = ~np.isfinite(step.view(float)).all(axis=-1) & ~singular
-        status[live[singular]] = SINGULAR
-        status[live[bad_step]] = NONFINITE_STEP
-        keep = ~(singular | bad_step)
-        if not keep.all():
-            live, x, fn, step = live[keep], x[keep], fn[keep], step[keep]
+        step, singular = _steps(J, F)
+        # A singular row's step is nan.
+        failed = ~np.isfinite(step).all(axis=-1)
+        if failed.any():
+            retire(failed, np.where(singular[failed], SINGULAR, NONFINITE_STEP))
+            keep = ~failed
+            live, x, fn, step, slow = live[keep], x[keep], fn[keep], step[keep], slow[keep]
             if not live.size:
                 break
         # Cap the step length relative to the iterate; wild early jumps
         # throw restarts out of every basin.
         with np.errstate(over="ignore", invalid="ignore"):
-            step_len = _norms(step)
-            max_len = 1.0 + _norms(x)
+            step_len, max_len = _norms(step), 1.0 + _norms(x)
         over = step_len > max_len
-        step[over] *= (max_len[over] / step_len[over])[:, None]
+        if over.any():
+            step[over] *= (max_len[over] / step_len[over])[:, None]
 
-        accepted, x, Fx, fx, state = _line_search(system, x, step, fn)
+        accepted, x_new, F, fx, state = _line_search(system, x, step, fn)
         if not accepted.all():
-            status[live[~accepted]] = STALLED
-            live, x, Fx, fx, state, fn = (live[accepted], x[accepted], Fx[accepted],
-                                          fx[accepted], state[accepted], fn[accepted])
-        ratio = fx / fn
-        X[live], F[live], fnorm[live] = x, Fx, fx
-        converged = fx <= cfg.residual_tol
+            retire(~accepted, STALLED)
+            live, fn, slow = live[accepted], fn[accepted], slow[accepted]
+            x_new, F, fx, state = x_new[accepted], F[accepted], fx[accepted], state[accepted]
         # A Newton basin shows fast decrease; persistent crawling means the
         # restart is wandering and is cheaper to abandon than to ride out.
-        slow[live] = np.where(ratio > 0.9, slow[live] + 1, 0)
-        stagnant = ~converged & (slow[live] >= 20) & (fx > 1e-6)
+        slow = np.where(fx / fn > 0.9, slow + 1, 0)
+        x, fn = x_new, fx
+        # Converged before stagnant before diverged; residual_tol < 1e-6, so
+        # a stagnant row is never a converged one.
+        converged = fn <= cfg.residual_tol
+        stagnant = (slow >= 20) & (fn > 1e-6)
         ax = np.abs(x)
-        diverged = (~converged & ~stagnant
-                    & ((fx > 1e12) | (ax.max(axis=-1) > 1e12) | (ax.min(axis=-1) < 1e-12)))
-        status[live[converged]] = CONVERGED
-        status[live[stagnant]] = STAGNATION
-        status[live[diverged]] = DIVERGED
-        running = ~(converged | stagnant | diverged)
-        live, state = live[running], state[running]
-    status[live] = MAX_ITER
+        diverged = (fn > 1e12) | ((ax > 1e12) | (ax < 1e-12)).any(axis=-1)
+        done = converged | stagnant | diverged
+        if done.any():
+            code = np.where(converged, CONVERGED, np.where(stagnant, STAGNATION, DIVERGED))
+            retire(done, code[done])
+            keep = ~done
+            live, x, F, fn, state, slow = (live[keep], x[keep], F[keep], fn[keep], state[keep],
+                                           slow[keep])
+    retire(slice(None), MAX_ITER)
     return X, fnorm, status
 
 

@@ -243,6 +243,10 @@ class TestRefine:
             refine(system, {v: 1.0 for v in system.potential.variables})
 
 
+MULTISTART_SYSTEMS = (("4_1", "W"), ("5_2", "W"), ("5_2", "V"), ("T3", "W"), ("T5", "W"),
+                      ("T5", "V"))
+
+
 def _starts(system, count, seed=0):
     return np.array([solver._sample(np.random.default_rng(s), system.size)
                      for s in np.random.SeedSequence(seed).spawn(count)])
@@ -319,17 +323,7 @@ class TestLockstepNewton:
         system = build_system(assemble_W(fig8))
         cfg = SolveConfig(seed=0)
         X0 = _starts(system, 6)
-
-        class ZeroJacobianAtRow2:
-            residual_state = staticmethod(system.residual_state)
-
-            @staticmethod
-            def jacobian_at(state):
-                # A state row starts with the unknowns of its point.
-                J = system.jacobian_at(state)
-                J[np.all(state[:, :system.size] == X0[2], axis=-1)] = 0.0
-                return J
-
+        ZeroJacobianAtRow2 = _edit_jacobian_at(system, X0[2], np.zeros_like)
         X, fnorm, status = solver._newton(ZeroJacobianAtRow2, X0, cfg)
         ref_X, ref_fnorm, ref_status = solver._newton(system, X0, cfg)
         assert status[2] == solver.SINGULAR
@@ -343,8 +337,122 @@ class TestLockstepNewton:
         assert np.array_equal(X, X0[2:3])
 
 
-MULTISTART_SYSTEMS = (("4_1", "W"), ("5_2", "W"), ("5_2", "V"), ("T3", "W"), ("T5", "W"),
-                      ("T5", "V"))
+def _edit_jacobian_at(system, x, edit):
+    """system with edit applied to the Jacobian at the iterate x (a state
+    row starts with the unknowns of its point)."""
+
+    class Edited:
+        residual_state = staticmethod(system.residual_state)
+
+        @staticmethod
+        def jacobian_at(state):
+            J = system.jacobian_at(state)
+            at = np.all(state[:, :system.size] == x, axis=-1)
+            J[at] = edit(J[at])
+            return J
+
+    return Edited
+
+
+LENGTHS = np.concatenate(solver._STAGES)
+
+
+def _sequential_newton(system, x0, cfg):
+    """_newton on the single row x0, one trial length per residual_state
+    call: (x, fnorm, status) by the same rules, written out row-wise."""
+    x = x0[None]
+    with np.errstate(all="ignore"):
+        F, state = system.residual_state(x)
+        fnorm = solver._norms(F)[0]
+    if fnorm <= cfg.residual_tol:
+        return x[0], fnorm, solver.CONVERGED
+    if not np.isfinite(fnorm):
+        return x[0], fnorm, solver.LEFT_DOMAIN
+    slow = 0
+    for _ in range(solver.ITERATIONS):
+        with np.errstate(all="ignore"):
+            step, singular = solver._steps(system.jacobian_at(state), F)
+        if singular[0]:
+            return x[0], fnorm, solver.SINGULAR
+        if not np.isfinite(step).all():
+            return x[0], fnorm, solver.NONFINITE_STEP
+        with np.errstate(over="ignore", invalid="ignore"):
+            step_len, max_len = solver._norms(step)[0], 1.0 + solver._norms(x)[0]
+        if step_len > max_len:
+            step *= max_len / step_len
+        for j in range(len(LENGTHS)):
+            cand = x + LENGTHS[[j]][:, None] * step
+            with np.errstate(all="ignore"):
+                F_cand, state_cand = system.residual_state(cand)
+                norm = solver._norms(F_cand)[0]
+            if norm < fnorm:
+                break
+        else:
+            return x[0], fnorm, solver.STALLED
+        ratio = norm / fnorm
+        x, F, state, fnorm = cand, F_cand, state_cand, norm
+        if fnorm <= cfg.residual_tol:
+            return x[0], fnorm, solver.CONVERGED
+        slow = slow + 1 if ratio > 0.9 else 0
+        if slow >= 20 and fnorm > 1e-6:
+            return x[0], fnorm, solver.STAGNATION
+        ax = np.abs(x[0])
+        if fnorm > 1e12 or ax.max() > 1e12 or ax.min() < 1e-12:
+            return x[0], fnorm, solver.DIVERGED
+    return x[0], fnorm, solver.MAX_ITER
+
+
+def _assert_matches_sequential(system, X0, cfg):
+    """_newton on X0 equals the sequential oracle bitwise, row by row;
+    returns its status codes."""
+    X, fnorm, status = solver._newton(system, X0, cfg)
+    for i, x0 in enumerate(X0):
+        x, fn, code = _sequential_newton(system, x0, cfg)
+        assert X[i].tobytes() == x.tobytes()
+        assert fnorm[i].tobytes() == fn.tobytes()
+        assert status[i] == code
+    return status
+
+
+class TestSequentialOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name,kind", MULTISTART_SYSTEMS)
+    def test_lockstep_equals_sequential(self, name, kind, seed):
+        d = builtin(name)
+        system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
+        cfg = SolveConfig(restarts=12, seed=seed)
+        _assert_matches_sequential(system, _starts(system, 12, seed), cfg)
+
+    def test_max_iter_and_left_domain(self, monkeypatch, knot52):
+        monkeypatch.setattr(solver, "ITERATIONS", 4)
+        system = build_system(assemble_V(knot52))
+        X0 = _starts(system, 12)
+        X0[5] = 1.0
+        status = _assert_matches_sequential(system, X0, SolveConfig(seed=0))
+        assert status[5] == solver.LEFT_DOMAIN
+        assert (status == solver.MAX_ITER).sum() >= 6
+
+    @pytest.mark.parametrize("edit,code", [
+        (np.zeros_like, solver.SINGULAR),
+        (lambda J: np.full_like(J, np.nan), solver.NONFINITE_STEP),
+        # The step becomes -1e-6 times the Gauss-Newton step, which
+        # ascends at every length.
+        (lambda J: -1e6 * J, solver.STALLED)])
+    def test_retired_row_matches_sequential(self, edit, code):
+        system = build_system(assemble_W(builtin("T3")))
+        cfg = SolveConfig(seed=0)
+        X0 = _starts(system, 12)
+        edited = _edit_jacobian_at(system, X0[2], edit)
+        status = _assert_matches_sequential(edited, X0, cfg)
+        assert status[2] == code
+        X, fnorm, _ = solver._newton(edited, X0, cfg)
+        with np.errstate(all="ignore"):
+            start = solver._norms(system.residual_state(X0[2:3])[0])[0]
+        assert X[2].tobytes() == X0[2].tobytes() and fnorm[2] == start
+        others = np.arange(12) != 2
+        ref = solver._newton(system, X0, cfg)
+        for a, b in zip((X, fnorm, status), ref):
+            assert a[others].tobytes() == b[others].tobytes()
 
 
 def _exhaustive_line_search(system, x, step, fnorm):
