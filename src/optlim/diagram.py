@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -534,7 +534,10 @@ def _twist_crossings(n: int) -> list[Crossing]:
     return crs
 
 
+@cache
 def twist_diagram(n: int) -> LinkDiagram:
+    """The twist-knot diagram of index n, built once per process like
+    builtin: the same n returns the same object."""
     w = [f"w{i}" for i in range(n + 2)]
     regions = tuple(["c", "d", "e"] + w)
     sides = tuple(["a", "b"]
@@ -550,8 +553,14 @@ _FIG8_REGION_MAP = {"w0": 4, "c": 2, "w2": 1, "d": 3, "e": 5, "w1": 6}
 _FIG8_SIDE_MAP = {"a": 1, "b": 2, "x0": 3, "y0": 4, "x1": 5, "y1": 6, "x2": 7, "y2": 8}
 
 
+@cache
 def builtin(name: str) -> LinkDiagram:
-    """Built-in diagrams: '4_1', '5_2' and the twist family 'T1'..'T5'."""
+    """Built-in diagrams: '4_1', '5_2' and the twist family 'T1'..'T5'.
+
+    A built-in diagram is a constant, built once per process: the same
+    name returns the same object ('5_2' is 'T2'), and with it the
+    potentials, systems and product kernels compiled on it.
+    """
     if name == "4_1":
         d = relabel(twist_diagram(1), _FIG8_REGION_MAP, _FIG8_SIDE_MAP)
         return LinkDiagram(d.crossings, tuple(range(1, 7)), tuple(range(1, 9)), 1)

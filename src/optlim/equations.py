@@ -39,8 +39,9 @@ The corrected potential W0 = W - sum_k mu_k log w_k is formed in one pass
 gathered once from [w, 1/w, 1], and W (one array Li2 over the dilogarithm
 arguments plus the log products), the principal-branch mu_k (summed from
 logs of the atom bases), their snapping to 2 pi i Z and the correction
-are all read from those values.  potential.evaluate and the essential
-margin read the same gather.
+are all read from those values.  A caller that needs li2 at other points
+too hands them to the same li2 call, as the Bloch-Wigner volume does.
+potential.evaluate and the essential margin read the same gather.
 
 Each system is compiled once.  build_system keeps the system on the
 potential object and hands back that one on every later call; a
@@ -301,11 +302,11 @@ class EquationSystem:
             raise EvaluationError(f"degenerate monomial value in a log-derivative: {exc}") from None
         return logs[..., :len(t.atom_mono)], logs[..., len(t.atom_mono):]
 
-    def _potential_value(self, arg: np.ndarray, atom_logs: np.ndarray) -> np.ndarray:
-        """W from its Li2 arguments and the log atoms."""
+    def _potential_value(self, li2_arg: np.ndarray, atom_logs: np.ndarray) -> np.ndarray:
+        """W from li2 at its Li2 arguments and the log atoms."""
         t = self._terms
         lp = atom_logs[..., t.logprod_atom]
-        return (row_sums(li2(arg) * t.dilog_sign)
+        return (row_sums(li2_arg * t.dilog_sign)
                 + row_sums(lp[..., 0] * lp[..., 1] * t.logprod_sign)
                 + t.const * PI2_OVER_6)
 
@@ -313,7 +314,7 @@ class EquationSystem:
         """W at points w (..., nvars), principal branches throughout."""
         mv = self.monomial_values(w)
         arg = self._essential_arguments(mv)
-        return self._potential_value(arg, self._logs(w, mv)[0])
+        return self._potential_value(li2(arg), self._logs(w, mv)[0])
 
     def mu(self, a: Assignment) -> np.ndarray:
         """Principal-branch mu_k at the assignment, in potential.variables order.
@@ -329,23 +330,28 @@ class EquationSystem:
         w = self.point_from_assignment(a)
         return self._logs(w, self.monomial_values(w))[0] @ self._coeffs.T
 
-    def corrected_value(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def corrected_value(self, w: np.ndarray, extra: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """W0 = W - sum_k mu_k log w_k at points w (..., nvars), in one pass.
 
         The monomial values are gathered once and logged in one plog call;
         W, the mu_k, their snapping to 2 pi i Z and the correction are all
-        formed from them.  Returns the raw values (...) and the mu integers
-        (..., nvars) in potential.variables order.  Raises EvaluationError
-        when some mu_k is more than MU_TOL from 2 pi i Z, that is at a
-        non-solution.
+        formed from them.  Returns the raw values (...), the mu integers
+        (..., nvars) in potential.variables order, and li2 at the extra
+        points (..., m), taken in the li2 call of W's dilogarithms (empty
+        without extra points).  Raises EvaluationError when some mu_k is
+        more than MU_TOL from 2 pi i Z, that is at a non-solution, before
+        li2 sees the extra points.
         """
         w = np.asarray(w, dtype=complex)
         mv = self.monomial_values(w)
         arg = self._essential_arguments(mv)
         atom_logs, log_w = self._logs(w, mv)
         k = _snap(atom_logs @ self._coeffs.T, MU_TOL, self.potential.variables)
-        raw = self._potential_value(arg, atom_logs) - row_sums(2j * math.pi * k * log_w)
-        return raw, k
+        values = li2(arg if extra is None else np.concatenate((arg, extra), axis=-1))
+        n = arg.shape[-1]
+        raw = self._potential_value(values[..., :n], atom_logs) - row_sums(2j * math.pi * k * log_w)
+        return raw, k, values[..., n:]
 
     def _kernel(self, x: np.ndarray, pin: complex = 1.0) -> np.ndarray:
         """The kernel state at unknowns x (..., n) and the given pin value:

@@ -132,12 +132,24 @@ def bloch_wigner(z):
     Real-valued; the hyperbolic volume of the ideal tetrahedron with shape z.
     Undefined at z in {0, 1}.
     """
+    v = _bw_argument(z)
+    return _shaped(_bloch_wigner(v, _li2(v)), z)
+
+
+def _bw_argument(z) -> np.ndarray:
+    """z as _as_complex returns it; ValueError where D is undefined."""
     v = _as_complex(z)
     if np.count_nonzero((v == 0) | (v == 1)):
         raise ValueError("Bloch-Wigner function undefined at 0 and 1")
+    return v
+
+
+def _bloch_wigner(v: np.ndarray, li2_v: np.ndarray) -> np.ndarray:
+    """D at v, as _bw_argument returns it, from li2 at v: the one formula
+    for D, behind bloch_wigner and the Bloch-Wigner volumes that share
+    W's li2 call."""
     one_minus = (1.0 - v) + 0.0
-    return _shaped(_li2(v).imag
-                   + np.log(np.abs(v)) * np.arctan2(one_minus.imag, one_minus.real), z)
+    return li2_v.imag + np.log(np.abs(v)) * np.arctan2(one_minus.imag, one_minus.real)
 
 
 def shape_prime(u) -> complex:

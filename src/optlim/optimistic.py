@@ -18,8 +18,11 @@ the potential's compiled system over one gather of monomial values
 
 An independent volume cross-check sums the Bloch-Wigner function over the
 five tetrahedra of each crossing octahedron, with the two
-negatively-oriented tetrahedra folded through D(1/u) = -D(u); all shapes
-of all crossings go through one bloch_wigner call.
+negatively-oriented tetrahedra folded through D(1/u) = -D(u).  In
+w0_batch the shapes of all crossings at all points share W's li2 call
+(corrected_value's extra points), and D is formed from those li2 values
+by the same numerics formula bloch_wigner uses, so bw_vol equals
+bw_volume bit for bit.  W0's errors come before the shapes' errors.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .diagram import LinkDiagram
 from .equations import EvaluationError, build_system, row_sums
-from .numerics import PI2, bloch_wigner, reduce_centered
+from .numerics import PI2, _bloch_wigner, _bw_argument, bloch_wigner, reduce_centered
 from .potential import Assignment, Potential
 from .solver import Solution
 
@@ -74,10 +77,19 @@ def w0_batch(potential: Potential, solutions: Sequence[Solution | Assignment],
         return []
     system = build_system(potential)
     w = np.array([system.point_from_assignment(a) for a in points])
-    raw, mu_integers = system.corrected_value(w)
-    bw = [None] * len(points)
+    shapes = None
     if diagram is not None and potential.kind == "W":
-        bw = _bw_volumes(diagram, points).tolist()
+        try:
+            shapes = _shapes(diagram, points)
+        except EvaluationError:
+            system.corrected_value(w)          # W0's own errors come first
+            raise
+    extra = None if shapes is None else shapes.reshape(-1, len(points)).T
+    raw, mu_integers, li2_shapes = system.corrected_value(w, extra)
+    bw = [None] * len(points)
+    if shapes is not None:
+        d = _bloch_wigner(shapes, li2_shapes.T.reshape(shapes.shape))
+        bw = _bw_sum(diagram, d).tolist()
     results = []
     for r, k, b in zip(raw.tolist(), mu_integers.tolist(), bw):
         cs = reduce_centered(-r.real, PI2)
@@ -87,27 +99,32 @@ def w0_batch(potential: Potential, solutions: Sequence[Solution | Assignment],
 
 
 # Signs of the five tetrahedron volumes of a crossing octahedron, in the
-# order of the shapes formed in _bw_volumes.
+# order of the shapes formed in _shapes.
 _BW_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, 1.0])[:, None, None]
 
 
-def _bw_volumes(diagram: LinkDiagram, points: Sequence[Assignment]) -> np.ndarray:
-    """The Bloch-Wigner sum at every point, all 5 * crossings shapes of all
-    points in one bloch_wigner call."""
-    corners, signs = diagram._region_corners
+def _shapes(diagram: LinkDiagram, points: Sequence[Assignment]) -> np.ndarray:
+    """The five tetrahedron shapes of every crossing octahedron at every
+    point, (5, crossings, points), as numerics._bw_argument returns them."""
+    corners, _ = diagram._region_corners
     w = np.array([[a[r] for r in diagram.regions] for a in points], dtype=complex)
     if np.count_nonzero(w) != w.size:
         raise EvaluationError("zero region value")
     wj, wk, wl, wm = w.T[corners]                  # (crossings, points) each
     shapes = np.array((wm / wj, wk / wj, wl / wk, wl / wm, wj * wl / (wk * wm)))
     try:
-        volumes = bloch_wigner(shapes) * _BW_SIGNS
+        return _bw_argument(shapes)
     except ValueError as exc:
         bad = ~np.isfinite(shapes) | (shapes == 0.0) | (shapes == 1.0)
         cr = diagram.crossings[np.argwhere(bad)[0][1]]
         raise EvaluationError(f"degenerate shape at crossing {cr.regions}: {exc}") from exc
-    # The five shapes are summed in order, then the crossings by row_sums.
-    return row_sums((volumes.sum(axis=0) * signs[:, None]).T)
+
+
+def _bw_sum(diagram: LinkDiagram, d: np.ndarray) -> np.ndarray:
+    """The Bloch-Wigner volume at every point from the D values d of its
+    shapes: the five shapes summed in order, then the crossings by row_sums."""
+    _, signs = diagram._region_corners
+    return row_sums(((d * _BW_SIGNS).sum(axis=0) * signs[:, None]).T)
 
 
 def bw_volume(diagram: LinkDiagram, solution: Solution | Assignment) -> float:
@@ -119,7 +136,8 @@ def bw_volume(diagram: LinkDiagram, solution: Solution | Assignment) -> float:
 
     multiplied by the crossing sign.
     """
-    return float(_bw_volumes(diagram, [_assignment(solution)])[0])
+    shapes = _shapes(diagram, [_assignment(solution)])
+    return float(_bw_sum(diagram, bloch_wigner(shapes))[0])
 
 
 def mod_eq(a: complex, b: complex, modulus: float, tol: float) -> bool:

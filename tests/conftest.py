@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from optlim import SolveConfig, assemble_V, assemble_W, build_system, builtin, plog, solve
+from optlim import SolveConfig, assemble_V, assemble_W, build_system, builtin, diagram, plog, solve
 from optlim.equations import log_derivatives
 
 FIG8_PD = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -53,9 +53,13 @@ def build_counter(monkeypatch):
 
     Every compile goes through equations._compile_system; a system that
     build_system returns from its cache, or that sign_flip derives, is not
-    counted.
+    counted.  The built-in diagrams are built once per process and keep
+    their potentials and systems, so their caches are cleared first: a
+    test counts every compile its own code causes.
     """
     from optlim import equations
+
+    clear_diagram_caches()
 
     calls = []
     original = equations._compile_system
@@ -66,6 +70,13 @@ def build_counter(monkeypatch):
 
     monkeypatch.setattr(equations, "_compile_system", counting)
     return calls
+
+
+def clear_diagram_caches():
+    """Forget the built-in diagrams, so the next builtin or twist_diagram
+    call builds a new object with no potentials."""
+    diagram.builtin.cache_clear()
+    diagram.twist_diagram.cache_clear()
 
 
 def make_rng(salt: int = 0) -> np.random.Generator:

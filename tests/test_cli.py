@@ -8,6 +8,8 @@ from optlim import assemble_W, build_system, builtin, cli, solver
 from optlim.cli import main
 from optlim.diagram import to_json_dict
 
+from conftest import clear_diagram_caches
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -90,6 +92,17 @@ class TestSolve:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("name, code", [("T5", cli.EXIT_EMPTY), ("T3", cli.EXIT_OK)])
+    def test_builtin_compiled_once_per_process(self, capsys, build_counter, name, code):
+        args = ("--stable", "solve", "--builtin", name, "--potential", "w",
+                "--restarts", "12", "--seed", "0")
+        first = run_cli(capsys, *args)
+        assert build_counter == ["W"]
+        second = run_cli(capsys, *args)
+        assert build_counter == ["W"]         # the second run compiled nothing
+        assert first[0] == code
+        assert second == first
+
     def test_zero_restarts_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--builtin", "4_1", "--restarts", "0")
         assert code == 1
@@ -160,6 +173,7 @@ class TestVerify:
 
     def test_sign_flip_builds_base_system_once(self, capsys, build_counter):
         for trials in ("3", "20"):
+            clear_diagram_caches()
             build_counter.clear()
             code, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "4_1",
                                    "--restarts", "64", "--seed", "0",

@@ -173,6 +173,11 @@ class TestBuiltin:
             with pytest.raises(DiagramError):
                 builtin(bad)
 
+    def test_built_once_per_process(self):
+        assert builtin("T2") is builtin("T2")
+        assert builtin("5_2") is builtin("T2") is twist_diagram(2)
+        assert builtin("4_1") is builtin("4_1")
+
 
 class TestCrossing:
     def test_sign_validation(self):
