@@ -7,12 +7,12 @@ the Chern-Simons invariant mod pi^2.
 """
 
 from .diagram import (Crossing, DiagramError, LinkDiagram, ValidationReport,
-                      build_diagram, builtin, from_json, is_isomorphic,
-                      parse_pd, render_pd, twist_diagram, validate)
+                      build_diagram, builtin, from_json, parse_pd, twist_diagram,
+                      validate)
 from .numerics import bloch_wigner, li2, plog
 from .potential import (ALT_NEG_LOG, DEFAULT, Monomial, Potential, Term,
                         assemble_V, assemble_W, evaluate)
-from .equations import EquationSystem, LogDerivative, build_system, log_derivative
+from .equations import EquationSystem, build_system
 from .solver import SolveConfig, Solution, SolveError, refine, solve
 from .optimistic import OptimisticResult, bw_volume, mod_eq, w0
 from .correspondence import (BridgeReport, CorrespondenceError,
@@ -25,14 +25,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALT_NEG_LOG", "BridgeReport", "Crossing", "CorrespondenceError",
-    "DEFAULT", "DiagramError", "EquationSystem", "LinkDiagram",
-    "LogDerivative", "Monomial", "OptimisticResult", "Potential",
-    "SolveConfig", "SolveError", "Solution", "Term", "ValidationReport",
-    "assemble_V", "assemble_W", "bloch_wigner", "build_diagram",
-    "build_system", "builtin", "bw_volume", "check_w_nondegenerate",
-    "check_z_nondegenerate", "evaluate", "from_json", "is_isomorphic",
-    "check_octahedron_identities", "li2", "log_derivative", "mod_eq", "parse_pd",
-    "plog", "refine", "render_pd", "sign_flip", "sign_flip_point", "solve",
+    "DEFAULT", "DiagramError", "EquationSystem", "LinkDiagram", "Monomial",
+    "OptimisticResult", "Potential", "SolveConfig", "SolveError",
+    "Solution", "Term", "ValidationReport", "assemble_V", "assemble_W",
+    "bloch_wigner", "build_diagram", "build_system", "builtin", "bw_volume",
+    "check_w_nondegenerate", "check_z_nondegenerate", "evaluate",
+    "from_json", "check_octahedron_identities", "li2", "mod_eq", "parse_pd",
+    "plog", "refine", "sign_flip", "sign_flip_point", "solve",
     "twist_diagram", "twistknot", "validate", "verify_bridge", "w0",
     "w_to_z", "z_to_w",
 ]

@@ -38,6 +38,12 @@ from .potential import ALT_NEG_LOG, Assignment, Potential, assemble_V, assemble_
 from .solver import Solution
 
 
+# The bridge's one tolerance: the non-tree ratio constraints and 4-corner
+# ratios are checked to it relatively, the converted point's residual and the
+# W0 = V0 mod 4 pi^2 congruence absolutely.
+BRIDGE_TOL = 1e-9
+
+
 class CorrespondenceError(ValueError):
     """Degenerate crossing data or inconsistent ratio constraints."""
 
@@ -132,11 +138,11 @@ def region_ratios_from_z(crossing: Crossing, a: Assignment):
 # Ratio-graph propagation
 
 
-def _propagate(labels, edges, what: str, tol: float) -> dict[Label, complex]:
+def _propagate(labels, edges, what: str) -> dict[Label, complex]:
     """Assign values from ratio constraints value[v] = r * value[u].
 
     Breadth-first from the lowest label with base value 1; every non-tree
-    edge is verified within the relative tolerance.
+    edge is verified to BRIDGE_TOL, relative.
     """
     adj: dict[Label, list[tuple[Label, complex]]] = {lab: [] for lab in labels}
     for u, v, r in edges:
@@ -158,14 +164,14 @@ def _propagate(labels, edges, what: str, tol: float) -> dict[Label, complex]:
                 if v not in values:
                     values[v] = want
                     queue.append(v)
-                elif abs(values[v] - want) > tol * max(1.0, abs(want)):
+                elif abs(values[v] - want) > BRIDGE_TOL * max(1.0, abs(want)):
                     raise CorrespondenceError(
                         f"inconsistent {what} constraint at {v!r}: "
                         f"{values[v]} vs {want} (input is not a true solution)")
     return values
 
 
-def w_to_z(diagram: LinkDiagram, w: Solution | Assignment, tol: float = 1e-9) -> Solution:
+def w_to_z(diagram: LinkDiagram, w: Solution | Assignment) -> Solution:
     """Convert a region solution to the side solution of the same octahedra."""
     a = w.assignment if isinstance(w, Solution) else w
     if diagram.kinked_crossings():
@@ -180,16 +186,16 @@ def w_to_z(diagram: LinkDiagram, w: Solution | Assignment, tol: float = 1e-9) ->
         if abs(cyc - 1.0) > 1e-10:
             raise CorrespondenceError(f"cyclic ratio product {cyc} != 1 at crossing {cr.sides}")
         edges.extend([(sa, sb, r_ba), (sb, sc, r_cb), (sc, sd, r_dc), (sd, sa, r_ad)])
-    values = _propagate(diagram.sides, edges, "side", tol)
+    values = _propagate(diagram.sides, edges, "side")
     res = build_system(assemble_V(diagram)).residual(values)
     residual_norm = float(np.max(np.abs(res))) if len(res) else 0.0
-    if residual_norm > tol:
+    if residual_norm > BRIDGE_TOL:
         raise CorrespondenceError(
             f"converted side values violate the side system ({residual_norm:.2e})")
     return Solution(values, residual_norm)
 
 
-def z_to_w(diagram: LinkDiagram, z: Solution | Assignment, tol: float = 1e-9) -> Solution:
+def z_to_w(diagram: LinkDiagram, z: Solution | Assignment) -> Solution:
     """Convert a side solution to the region solution of the same octahedra."""
     a = z.assignment if isinstance(z, Solution) else z
     if not check_z_nondegenerate(diagram, a):
@@ -201,15 +207,15 @@ def z_to_w(diagram: LinkDiagram, z: Solution | Assignment, tol: float = 1e-9) ->
         for (num, den), val in pairs:
             edges.append((den, num, val))
         quads.append((cr, quad))
-    values = _propagate(diagram.regions, edges, "region", tol)
+    values = _propagate(diagram.regions, edges, "region")
     for cr, quad in quads:
         wj, wk, wl, wm = _values(values, cr.regions)
         want = wj * wl / (wk * wm) if cr.sign > 0 else wk * wm / (wj * wl)
-        if abs(want - quad) > tol * max(1.0, abs(quad)):
+        if abs(want - quad) > BRIDGE_TOL * max(1.0, abs(quad)):
             raise CorrespondenceError("inconsistent 4-corner ratio (input is not a true solution)")
     res = build_system(assemble_W(diagram)).residual(values)
     residual_norm = float(np.max(np.abs(res))) if len(res) else 0.0
-    if residual_norm > tol:
+    if residual_norm > BRIDGE_TOL:
         raise CorrespondenceError(
             f"converted region values violate the region system ({residual_norm:.2e})")
     return Solution(values, residual_norm)
@@ -227,9 +233,8 @@ class BridgeReport:
     congruent_mod_4pi2: bool
 
 
-def verify_bridge(diagram: LinkDiagram, w: Solution | Assignment,
-                          tol: float = 1e-9) -> BridgeReport:
-    """Convert w to z and check W0(w) == V0(z) mod 4 pi^2.
+def verify_bridge(diagram: LinkDiagram, w: Solution | Assignment) -> BridgeReport:
+    """Convert w to z and check W0(w) == V0(z) mod 4 pi^2, to BRIDGE_TOL.
 
     The region potential is evaluated in the ALT_NEG_LOG variant, the one
     under which the congruence of the two optimistic limits holds exactly.
@@ -237,10 +242,10 @@ def verify_bridge(diagram: LinkDiagram, w: Solution | Assignment,
     construction and not checked.
     """
     a = w.assignment if isinstance(w, Solution) else w
-    z = w_to_z(diagram, a, tol=tol)
+    z = w_to_z(diagram, a)
     res_w = w0(assemble_W(diagram, variant=ALT_NEG_LOG), a, diagram=diagram)
     res_v = w0(assemble_V(diagram), z.assignment)
-    ok = mod_eq(res_w.raw, res_v.raw, 4.0 * PI2, tol)
+    ok = mod_eq(res_w.raw, res_v.raw, 4.0 * PI2, BRIDGE_TOL)
     return BridgeReport(z=z, w0_region=res_w, v0_side=res_v, congruent_mod_4pi2=ok)
 
 

@@ -148,20 +148,6 @@ def parse_pd(text: str) -> list[tuple[int, int, int, int]]:
     return [tuple(relabel[lab] for lab in tup) for tup in tuples]
 
 
-def render_pd(diagram: LinkDiagram) -> str:
-    """Emit a PD code reproducing the diagram (up to relabeling) when rebuilt."""
-    order = _strand_traversal(diagram.crossings)
-    new_label = {side: i + 1 for i, side in enumerate(order)}
-    tuples = []
-    for cr in diagram.crossings:
-        a, b, c, d = (new_label[s] for s in cr.sides)
-        if cr.sign > 0:
-            tuples.append((c, b, a, d))
-        else:
-            tuples.append((d, c, b, a))
-    return " ".join("X({},{},{},{})".format(*t) for t in tuples)
-
-
 # ---------------------------------------------------------------------------
 # Diagram construction from PD codes
 
@@ -372,13 +358,6 @@ def _strand_components(crossings: Sequence[Crossing]) -> list[list[Label]]:
     return comps
 
 
-def _strand_traversal(crossings: Sequence[Crossing]) -> list[Label]:
-    order = []
-    for cyc in _strand_components(crossings):
-        order.extend(cyc)
-    return order
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -412,7 +391,7 @@ def validate(diagram: LinkDiagram) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Relabeling and isomorphism
+# Relabeling
 
 
 def relabel(diagram: LinkDiagram, region_map: dict, side_map: dict) -> LinkDiagram:
@@ -426,44 +405,6 @@ def relabel(diagram: LinkDiagram, region_map: dict, side_map: dict) -> LinkDiagr
                        tuple(region_map[r] for r in diagram.regions),
                        tuple(side_map[s] for s in diagram.sides),
                        diagram.components)
-
-
-def is_isomorphic(d1: LinkDiagram, d2: LinkDiagram) -> bool:
-    """Relabeling-invariant equality of the corner incidence structures."""
-    if (len(d1.crossings) != len(d2.crossings) or d1.n != d2.n or d1.g != d2.g
-            or sorted(c.sign for c in d1.crossings) != sorted(c.sign for c in d2.crossings)):
-        return False
-
-    cr1 = list(d1.crossings)
-    cr2 = list(d2.crossings)
-
-    def extend(mapping, pairs):
-        out = dict(mapping)
-        for u, v in pairs:
-            if out.setdefault(u, v) != v:
-                return None
-        if len(set(out.values())) != len(out):
-            return None
-        return out
-
-    def backtrack(i, used, rmap, smap):
-        if i == len(cr1):
-            return True
-        c1 = cr1[i]
-        for j2, c2 in enumerate(cr2):
-            if j2 in used or c2.sign != c1.sign:
-                continue
-            new_r = extend(rmap, zip(c1.regions, c2.regions))
-            if new_r is None:
-                continue
-            new_s = extend(smap, zip(c1.sides, c2.sides))
-            if new_s is None:
-                continue
-            if backtrack(i + 1, used | {j2}, new_r, new_s):
-                return True
-        return False
-
-    return backtrack(0, frozenset(), {}, {})
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,9 @@ of the assignment:
 
 over the distinct atoms a = (kind, m_a).  The integer matrix C is the one
 compiled form of the log-derivatives: mu, W0, the product kernel, its
-Jacobian, sign flips and the log_derivatives views all read it.  The
-system exp(mu_k) = 1 is solved in this product form, with the last
-variable pinned to 1 (overall scaling) and its equation dropped (the
-exact relation sum_k mu_k = 0).
+Jacobian and sign flips all read it.  The system exp(mu_k) = 1 is solved
+in this product form, with the last variable pinned to 1 (overall
+scaling) and its equation dropped (the exact relation sum_k mu_k = 0).
 The residual and its Jacobian
 
     d exp(mu_k) / d w_v = exp(mu_k) * sum_a C[k, a] g_a deg_v(m_a) / w_v,
@@ -58,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,21 +68,6 @@ from .potential import Assignment, EvaluationError, Monomial, Potential, Term
 # Largest distance of a solution's mu_k from 2 pi i Z; each mu_k is snapped
 # to the nearest multiple before the W0 correction.
 MU_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class LogAtom:
-    """One contribution coeff * log(1-m) or coeff * log(m) to some mu_k."""
-
-    coeff: int
-    kind: Literal["log1m", "log"]
-    m: Monomial
-
-
-@dataclass(frozen=True)
-class LogDerivative:
-    variable: Label
-    atoms: tuple[LogAtom, ...]
 
 
 @dataclass(frozen=True)
@@ -151,34 +135,6 @@ def _term_table(potential: Potential) -> tuple[list[Monomial], np.ndarray, _Term
                    atom_mono=atoms // 2, atom_is_1m=atoms % 2 == 1,
                    term_mono=np.array(term_mono, dtype=np.intp).reshape(-1, 2))
     return list(monomials), exps, terms, CT[atoms].T
-
-
-def _atoms(monomials: list[Monomial], terms: _Terms) -> list[tuple[str, Monomial]]:
-    """(kind, m) of every log atom, in column order of C."""
-    return [("log1m" if is_1m else "log", monomials[i])
-            for i, is_1m in zip(terms.atom_mono.tolist(), terms.atom_is_1m.tolist())]
-
-
-def log_derivatives(potential: Potential) -> dict[Label, LogDerivative]:
-    """Every variable's log-derivative: the nonzero entries of its row of C."""
-    monomials, _, terms, C = _term_table(potential)
-    atoms = _atoms(monomials, terms)
-    return {var: LogDerivative(var, tuple(LogAtom(c, *atom) for c, atom in zip(row, atoms) if c))
-            for var, row in zip(potential.variables, C.tolist())}
-
-
-def log_derivative(potential: Potential, var: Label) -> LogDerivative:
-    if var not in potential.variables:
-        raise KeyError(f"unknown variable {var!r}")
-    return log_derivatives(potential)[var]
-
-
-def euler_coefficient_sums(potential: Potential) -> dict[tuple[str, Monomial], int]:
-    """Net coefficient of each log atom in sum_k mu_k, the nonzero column
-    sums of C; all zero for any degree-0 potential (the exact Euler
-    relation)."""
-    monomials, _, terms, C = _term_table(potential)
-    return {atom: c for atom, c in zip(_atoms(monomials, terms), C.sum(axis=0).tolist()) if c}
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ potential does this with array arithmetic; see equations.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Literal, Mapping
 
@@ -122,12 +121,6 @@ class Potential:
     # equations.build_system, or by EquationSystem.sign_flipped for a
     # sign-flipped potential.  Not part of the potential's value.
     _system: EquationSystem | None = field(default=None, init=False, repr=False, compare=False)
-
-    def dilog_monomials(self) -> list[Monomial]:
-        return [t.m1 for t in self.terms if t.kind == "dilog"]
-
-    def term_counter(self) -> Counter:
-        return Counter(self.terms)
 
 
 def _ratio(num: Label, den: Label) -> Monomial:

@@ -17,9 +17,13 @@ and region data
     c = -1/(t-3),  d = 3t/(2(t-3)),  e = 1,  w0 = (t+1)/(t-3),
     w_k = (x_k/y_k)'' (x_{k-1}/x_k)',                 k = 1..n+1.
 
-The resulting assignments solve both equation systems of the twist
-diagram, and the corrected potential values reproduce the reference table
-of volumes and Chern-Simons invariants embedded below.
+The region values are read off the side recurrence; the tests hold their
+closed forms as rational functions of t, and the region potential
+assembled from its printed block structure, as independent checks of
+parametrize and assemble_W.  The resulting assignments solve both
+equation systems of the twist diagram, and the corrected potential values
+reproduce the reference table of volumes and Chern-Simons invariants
+embedded below.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .diagram import Label, twist_diagram
 from .numerics import shape_double_prime, shape_prime
-from .potential import DEFAULT, Potential, WNVariant, assemble_W, region_terms_W
+from .potential import assemble_W
 
 MAX_INDEX = 5
 
@@ -42,19 +46,6 @@ DEFINING_POLYNOMIALS: dict[int, list[int]] = {
     3: [256, -448, 336, -120, 17],
     4: [-2048, 4608, -4608, 2464, -696, 82],
     5: [4096, -11264, 14080, -9984, 4192, -980, 99],
-}
-
-# Closed forms w_k = (numerator in t, ascending) / ((t-3) * t^(2k)), k = 0..6.
-REGION_CLOSED_FORMS: dict[int, list[int]] = {
-    0: [1, 1],
-    1: [-16, 0, -1],
-    2: [256, -256, 112, -16, -3, 1],
-    3: [-4096, 8192, -7424, 3584, -864, 32, 27, -4],
-    4: [65536, -196608, 274432, -225280, 115456, -35584, 5152, 320, -231, 25],
-    5: [-1048576, 4194304, -7929856, 9175040, -7094272, 3760128, -1337088,
-        287232, -21232, -6048, 1751, -144],
-    6: [16777216, -83886080, 200278016, -298844160, 307822592, -228524032,
-        123846656, -48324608, 12842496, -1930752, -2544, 66288, -12587, 841],
 }
 
 # Reference rows per index: (t, volume, cs) with four printed decimals.
@@ -123,20 +114,6 @@ def poly_roots(coeffs) -> list[complex]:
     return sorted(polished, key=lambda z: (round(z.real, 12), z.imag))
 
 
-def eval_poly(coeffs, t: complex) -> complex:
-    """Horner evaluation in extended precision.
-
-    The tabulated closed-form numerators cancel by up to eight orders of
-    magnitude, so plain double Horner would lose the 1e-10 agreement the
-    recurrence cross-check asserts.
-    """
-    tt = np.clongdouble(t)
-    acc = np.clongdouble(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * tt + c
-    return complex(acc)
-
-
 @dataclass(frozen=True)
 class TwistParametrization:
     n: int
@@ -197,73 +174,6 @@ def parametrize(n: int, t: complex) -> TwistParametrization:
         sides[f"x{k}"] = x[k]
         sides[f"y{k}"] = y[k]
     return TwistParametrization(n=n, t=t, sides=sides, regions=regions)
-
-
-def recurrence_closure(n: int, t: complex) -> tuple[complex, complex]:
-    """Extend the recurrence one extra step; returns (x_{n+1}, y_{n+1}).
-
-    At roots of the defining polynomial these equal the pinned values
-    (3, 1), which is what makes the parametrization a solution.
-    """
-    p = parametrize(n, t)
-    dx = -p.x(n - 1) + p.x(n) + p.y(n)
-    if dx == 0 or p.y(n - 1) == 0:
-        raise TwistError("closure denominator vanished")
-    return (p.x(n) * p.y(n) / dx,
-            p.x(n) + p.y(n) - p.x(n) * p.y(n) / p.y(n - 1))
-
-
-def region_closed_form(k: int, t: complex) -> complex:
-    """Reference closed form of the region value w_k in terms of t."""
-    if k not in REGION_CLOSED_FORMS:
-        raise TwistError(f"closed form for w_{k} not tabulated")
-    t = complex(t)
-    num = eval_poly(REGION_CLOSED_FORMS[k], t)
-    return num / ((t - 3) * t ** (2 * k))
-
-
-# ---------------------------------------------------------------------------
-# The printed region potential, assembled directly from its block structure
-
-
-def twist_potential(n: int, variant: WNVariant = DEFAULT) -> Potential:
-    """The closed-form region potential of the twist diagram.
-
-    Two explicit clasp blocks plus the alternating chain blocks
-
-        A_k: lower region e, upper region c, over w_k, w_{k+1}
-        B_k: the same with c and e exchanged,
-
-    both negative crossings.  Each block (sign, (j, k, l, m)) gives the
-    terms of potential.region_terms_W.  Equals the crossing-by-crossing
-    assembly of the built-in diagram as a term multiset; the pipeline reads
-    that assembly, and this second construction serves as its check.
-    """
-    _check_index(n)
-    w = [f"w{i}" for i in range(n + 2)]
-
-    def A(K):
-        return -1, ("e", w[K + 1], "c", w[K])
-
-    def B(K):
-        return -1, ("c", w[K + 1], "e", w[K])
-
-    if n % 2 == 1:
-        blocks = [(+1, (w[0], "d", w[n + 1], "c")), (+1, (w[n + 1], "e", w[0], "d"))]
-        for k in range(0, (n - 1) // 2 + 1):
-            blocks += [A(2 * k), B(2 * k + 1)]
-    else:
-        blocks = [(-1, ("d", w[n + 1], "c", w[0])), (-1, ("e", w[n + 1], "d", w[0])), B(0)]
-        for k in range(1, n // 2 + 1):
-            blocks += [A(2 * k - 1), B(2 * k)]
-    terms = tuple(t for sign, regions in blocks for t in region_terms_W(sign, regions, variant))
-    variables = tuple(["c", "d", "e"] + w)
-    return Potential(terms, variables, "W")
-
-
-def reference_rows(n: int) -> list[tuple[complex, float, float]]:
-    _check_index(n)
-    return list(REFERENCE_ROWS[n])
 
 
 def match_reference_row(n: int, t: complex, tol: float = REFERENCE_TOL):

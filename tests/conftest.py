@@ -4,8 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from optlim import SolveConfig, assemble_V, assemble_W, build_system, builtin, diagram, plog, solve
-from optlim.equations import log_derivatives
+from optlim import (Monomial, SolveConfig, assemble_V, assemble_W, build_system, builtin, diagram,
+                    plog, solve)
 
 FIG8_PD = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
 
@@ -83,15 +83,58 @@ def make_rng(salt: int = 0) -> np.random.Generator:
     return np.random.default_rng(987654321 + salt)
 
 
+def coefficients_term_by_term(potential) -> dict:
+    """Every variable's net coefficient of each atom (kind, m), accumulated
+    over potential.terms in plain Python ints from the two rules
+    w d/dw s Li2(m) = -s deg(m) log(1 - m) and
+    w d/dw s log(m1) log(m2) = s deg(m1) log(m2) + s deg(m2) log(m1).
+
+    The reference for the compiled coefficient matrix C, which the package
+    builds from its term table; the oracles below read this one instead.
+    """
+    acc = {v: {} for v in potential.variables}
+
+    def add(var, atom, c):
+        acc[var][atom] = acc[var].get(atom, 0) + c
+
+    for t in potential.terms:
+        if t.kind == "dilog":
+            for var, e in t.m1.exps:
+                add(var, ("log1m", t.m1), -t.sign * e)
+        elif t.kind == "logprod":
+            for var, e in t.m1.exps:
+                add(var, ("log", t.m2), t.sign * e)
+            for var, e in t.m2.exps:
+                add(var, ("log", t.m1), t.sign * e)
+    return {var: {atom: c for atom, c in atoms.items() if c} for var, atoms in acc.items()}
+
+
+def compiled_coefficients(system) -> dict:
+    """The system's coefficient matrix C in the form of
+    coefficients_term_by_term: each column named by its atom (kind, m), the
+    monomial m rebuilt from the system's exponents and coefficients, and
+    columns that name the same atom summed."""
+    variables = system.potential.variables
+    monomials = [Monomial.from_pairs(zip(variables, row), int(coeff))
+                 for row, coeff in zip(system._exps.tolist(), system._mono_coeff.tolist())]
+    acc = {v: {} for v in variables}
+    for column, i, is_1m in zip(system._coeffs.T.tolist(), system._terms.atom_mono.tolist(),
+                                system._terms.atom_is_1m.tolist()):
+        atom = ("log1m" if is_1m else "log", monomials[i])
+        for v, c in zip(variables, column):
+            acc[v][atom] = acc[v].get(atom, 0) + c
+    return {var: {atom: c for atom, c in atoms.items() if c} for var, atoms in acc.items()}
+
+
 def mu_oracle(potential, a) -> dict:
     """Principal-branch mu_k summed atom by atom: the reference for
-    EquationSystem.mu, computed from the symbolic log-derivatives."""
+    EquationSystem.mu, from the term-by-term coefficients."""
     out = {}
-    for v, derivative in log_derivatives(potential).items():
+    for v, atoms in coefficients_term_by_term(potential).items():
         total = 0j
-        for atom in derivative.atoms:
-            m = atom.m.value(a)
-            total += atom.coeff * plog(1.0 - m if atom.kind == "log1m" else m)
+        for (kind, m), c in atoms.items():
+            value = m.value(a)
+            total += c * plog(1.0 - value if kind == "log1m" else value)
         out[v] = total
     return out
 
@@ -102,7 +145,7 @@ def w0_oracle(potential, a, dps=30):
 
     Monomial values are formed in mpmath from the given doubles, then fed
     to mpmath.polylog(2, m) and principal logs.  The mu_k are summed from
-    the symbolic log-derivatives and rounded to integers.  Returns the raw
+    the term-by-term coefficients and rounded to integers.  Returns the raw
     value and the mu integers in potential.variables order.
     """
     with mpmath.workdps(dps):
@@ -123,15 +166,20 @@ def w0_oracle(potential, a, dps=30):
             else:
                 total += t.sign * mpmath.log(value(t.m1)) * mpmath.log(value(t.m2))
         integers = []
-        for v, derivative in log_derivatives(potential).items():
+        for v, atoms in coefficients_term_by_term(potential).items():
             mu = mpmath.mpc(0)
-            for atom in derivative.atoms:
-                m = value(atom.m)
-                mu += atom.coeff * mpmath.log(1 - m if atom.kind == "log1m" else m)
+            for (kind, m), c in atoms.items():
+                mv = value(m)
+                mu += c * mpmath.log(1 - mv if kind == "log1m" else mv)
             k = int(mpmath.nint(mu.imag / (2 * mpmath.pi)))
             integers.append(k)
             total -= 2j * mpmath.pi * k * mpmath.log(values[v])
         return complex(total), tuple(integers)
+
+
+def dilog_monomials(potential):
+    """The argument of every Li2 term, in term order."""
+    return [t.m1 for t in potential.terms if t.kind == "dilog"]
 
 
 def _term_monomials(potential):
@@ -156,7 +204,7 @@ def random_essential_assignment(potential, rng, tol=1e-3, max_tries=500,
             th = rng.uniform(-np.pi, np.pi)
             values[v] = complex(r * np.exp(1j * th))
         ok = True
-        for m in potential.dilog_monomials():
+        for m in dilog_monomials(potential):
             val = m.value(values)
             if min(abs(val), abs(val - 1.0)) < tol or abs(val) > 1.0 / tol:
                 ok = False

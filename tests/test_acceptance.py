@@ -14,11 +14,11 @@ from optlim import (ALT_NEG_LOG, assemble_V, assemble_W, build_system, builtin,
                     check_w_nondegenerate, check_octahedron_identities, mod_eq,
                     sign_flip, sign_flip_point, verify_bridge, w0, w_to_z, z_to_w)
 from optlim import twistknot
-from optlim.correspondence import CorrespondenceError
-from optlim.equations import euler_coefficient_sums
+from optlim.correspondence import BRIDGE_TOL, CorrespondenceError
 from optlim.numerics import PI2, bloch_wigner, li2, plog
 
 from conftest import make_rng, random_essential_assignment
+from oracles import region_closed_form, twist_potential
 from test_equations import mu_fd
 
 FOUR_PI2 = 4 * PI2
@@ -32,7 +32,7 @@ def report(num, text):
 def twist_cases():
     for n in range(1, 6):
         diagram = builtin(f"T{n}")
-        potential = twistknot.twist_potential(n)
+        potential = twist_potential(n)
         for t in twistknot.poly_roots(twistknot.defining_poly(n)):
             yield n, t, diagram, potential, twistknot.parametrize(n, t)
 
@@ -91,7 +91,7 @@ def test_criterion_4_parametrization_residuals():
         x = [a[v] / a[system.pin] for v in system.unknowns]
         assert np.max(np.abs(system.residual_vector(x))) < 1e-9
         for k in range(0, n + 2):
-            expected = twistknot.region_closed_form(k, t)
+            expected = region_closed_form(k, t)
             assert abs(par.w(k) - expected) < 1e-10 * max(1.0, abs(expected))
         pairs += 1
     assert pairs == 20
@@ -100,23 +100,24 @@ def test_criterion_4_parametrization_residuals():
 
 def test_criterion_5_bridge(fig8, fig8_w_solutions, knot52, knot52_w_solutions):
     """Converted side solutions solve, round-trip, and agree mod 4 pi^2."""
+    assert BRIDGE_TOL == 1e-9           # the conversions and verify_bridge check to it
     checked = 0
     for n, t, diagram, potential, par in twist_cases():
         a = {r: par.assignment[r] for r in diagram.regions}
         assert check_w_nondegenerate(diagram, a)
-        z = w_to_z(diagram, a, tol=1e-9)          # asserts V-residuals <= 1e-9
-        back = z_to_w(diagram, z, tol=1e-9)
+        z = w_to_z(diagram, a)          # asserts V-residuals <= 1e-9
+        back = z_to_w(diagram, z)
         ratios = [back.assignment[r] / a[r] for r in diagram.regions]
         for v in ratios[1:]:
             assert abs(v - ratios[0]) <= 1e-9 * max(1.0, abs(ratios[0]))
-        rep = verify_bridge(diagram, a, tol=1e-9)
+        rep = verify_bridge(diagram, a)
         assert rep.congruent_mod_4pi2
         checked += 1
     for diagram, sols in ((fig8, fig8_w_solutions), (knot52, knot52_w_solutions)):
         for s in sols:
             if not check_w_nondegenerate(diagram, s.assignment):
                 continue
-            rep = verify_bridge(diagram, s, tol=1e-9)
+            rep = verify_bridge(diagram, s)
             assert rep.congruent_mod_4pi2
             checked += 1
     assert checked >= 22
@@ -146,8 +147,8 @@ def test_criterion_7_euler_identity():
                   assemble_W(builtin("5_2")), assemble_V(builtin("5_2"))]
     rng = make_rng(101)
     for p in potentials:
-        assert euler_coefficient_sums(p) == {}
         system = build_system(p)
+        assert not system._coeffs.sum(axis=0).any()
         for _ in range(1000):
             a = random_essential_assignment(p, rng)
             total = sum(system.mu(a))
@@ -169,7 +170,7 @@ def test_criterion_8_invariance_suite(fig8, fig8_w_solutions):
             scaled = {v: lam * val for v, val in a.items()}
             assert mod_eq(w0(potential, scaled).raw, base.raw, FOUR_PI2, 1e-9)
         # negative-crossing log-product variant mod 4 pi^2
-        alt = twistknot.twist_potential(n, variant=ALT_NEG_LOG)
+        alt = twist_potential(n, variant=ALT_NEG_LOG)
         assert mod_eq(w0(alt, a).raw, base.raw, FOUR_PI2, 1e-9)
         # sign flips mod 2 pi^2
         for _ in range(20):

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from optlim.correspondence import region_ratios_from_z, side_ratios_from_w
 from optlim.numerics import PI2
 from optlim.potential import Monomial, Potential, Term
 
-from conftest import make_rng, mu_oracle, random_essential_assignment
+from conftest import (coefficients_term_by_term, compiled_coefficients, make_rng, mu_oracle,
+                      random_essential_assignment)
+from oracles import twist_potential
 
 FOUR_PI2 = 4 * PI2
 TWO_PI2 = 2 * PI2
@@ -287,11 +290,11 @@ class TestSignFlip:
     def test_identity_transform(self, fig8):
         p = assemble_W(fig8)
         ones = {v: 1 for v in p.variables}
-        assert sign_flip(p, ones, ones).term_counter() == p.term_counter()
+        assert Counter(sign_flip(p, ones, ones).terms) == Counter(p.terms)
 
     def test_flipped_point_solves_flipped_system(self):
         par = twist_assignment(1)
-        p = twistknot.twist_potential(1)
+        p = twist_potential(1)
         rng = make_rng(61)
         base = w0(p, par.assignment)
         for _ in range(10):
@@ -304,7 +307,7 @@ class TestSignFlip:
 
     def test_mu_transforms_by_epsilon(self):
         par = twist_assignment(2)
-        p = twistknot.twist_potential(2)
+        p = twist_potential(2)
         rng = make_rng(67)
         taus = {v: int(rng.choice((-1, 1))) for v in p.variables}
         eps = {v: int(rng.choice((-1, 1))) for v in p.variables}
@@ -332,6 +335,16 @@ class TestSignFlip:
         assert build_counter == [p.kind]          # the base system only
         for flipped in flips:
             assert_equals_a_fresh_compile(flipped, rng)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_flipped_coefficients_match_terms(self, n):
+        # A flip derives C from the base system's instead of compiling it;
+        # the reference is accumulated from the flipped terms alone.
+        p = assemble_W(builtin(f"T{n}"), variant=ALT_NEG_LOG)
+        rng = make_rng(89 + n)
+        for _ in range(20):
+            flipped = sign_flip(p, random_signs(p, rng), random_signs(p, rng))
+            assert compiled_coefficients(build_system(flipped)) == coefficients_term_by_term(flipped)
 
     @pytest.mark.parametrize("kind", ["W-alt", "V"])
     @pytest.mark.parametrize("name", ["4_1", "T3"])

@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from optlim import (DiagramError, build_diagram, builtin, is_isomorphic,
-                    parse_pd, render_pd, twist_diagram, validate)
+from optlim import DiagramError, build_diagram, builtin, parse_pd, twist_diagram, validate
 from optlim.diagram import (Crossing, from_crossings, from_json_dict,
                             side_region_borders, to_json_dict)
 
 from conftest import FIG8_PD
+from oracles import is_isomorphic, render_pd
 
 KINK_PD = "X(1,2,2,1)"
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"

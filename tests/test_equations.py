@@ -9,12 +9,13 @@ import pytest
 from optlim import (ALT_NEG_LOG, assemble_V, assemble_W, build_system, builtin,
                     evaluate, sign_flip, sign_flip_point)
 from optlim import twistknot
-from optlim.equations import (EvaluationError, euler_coefficient_sums,
-                              log_derivative, mu_integer_multipliers)
+from optlim.equations import EvaluationError, mu_integer_multipliers
 from optlim.numerics import shape_double_prime, shape_prime
 from optlim.potential import Potential
 
-from conftest import make_rng, mu_oracle, random_essential_assignment
+from conftest import (coefficients_term_by_term, compiled_coefficients, make_rng, mu_oracle,
+                      random_essential_assignment)
+from oracles import twist_potential
 
 TWO_PI_I = 2j * math.pi
 
@@ -74,38 +75,11 @@ class TestLogDerivative:
                 denom = max(1.0, abs(analytic))
                 assert abs(analytic - numeric) / denom < 1e-6
 
-    def test_unknown_variable(self, fig8):
-        with pytest.raises(KeyError):
-            log_derivative(assemble_W(fig8), "nope")
-
     def test_integer_coefficients(self, fig8):
-        p = assemble_W(fig8)
-        for v in p.variables:
-            for atom in log_derivative(p, v).atoms:
-                assert isinstance(atom.coeff, int)
-                assert atom.coeff != 0
-
-
-def coefficients_term_by_term(potential) -> dict:
-    """Every variable's net coefficient of each atom (kind, m), accumulated
-    over potential.terms in plain Python ints from the two rules
-    w d/dw s Li2(m) = -s deg(m) log(1 - m) and
-    w d/dw s log(m1) log(m2) = s deg(m1) log(m2) + s deg(m2) log(m1)."""
-    acc = {v: {} for v in potential.variables}
-
-    def add(var, atom, c):
-        acc[var][atom] = acc[var].get(atom, 0) + c
-
-    for t in potential.terms:
-        if t.kind == "dilog":
-            for var, e in t.m1.exps:
-                add(var, ("log1m", t.m1), -t.sign * e)
-        elif t.kind == "logprod":
-            for var, e in t.m1.exps:
-                add(var, ("log", t.m2), t.sign * e)
-            for var, e in t.m2.exps:
-                add(var, ("log", t.m1), t.sign * e)
-    return {var: {atom: c for atom, c in atoms.items() if c} for var, atoms in acc.items()}
+        system = build_system(assemble_W(fig8))
+        C = system._coeffs
+        assert C.dtype.kind == "i"
+        assert C.shape == (len(system.potential.variables), len(system._terms.atom_mono))
 
 
 @pytest.mark.parametrize("name", ["4_1", "5_2", "T1", "T2", "T3", "T4", "T5"])
@@ -114,12 +88,7 @@ def test_log_derivatives_match_terms(name, kind):
     d = builtin(name)
     p = {"W": lambda: assemble_W(d), "W-alt": lambda: assemble_W(d, variant=ALT_NEG_LOG),
          "V": lambda: assemble_V(d)}[kind]()
-    expected = coefficients_term_by_term(p)
-    for v in p.variables:
-        atoms = log_derivative(p, v).atoms
-        assert all(type(a.coeff) is int for a in atoms)
-        assert {(a.kind, a.m): a.coeff for a in atoms} == expected[v]
-        assert len(atoms) == len(expected[v])
+    assert compiled_coefficients(build_system(p)) == coefficients_term_by_term(p)
 
 
 class TestEmptyEquation:
@@ -128,9 +97,6 @@ class TestEmptyEquation:
         p = Potential((Term.dilog(1, Monomial.ratio("x", "z")),), ("x", "y", "z"), "W")
         with pytest.raises(ValueError, match="variable 'y' has an empty equation"):
             build_system(p)
-        # the symbolic views still take it
-        assert log_derivative(p, "y").atoms == ()
-        assert euler_coefficient_sums(p) == {}
 
     def test_cancelling_terms_leave_an_empty_equation(self):
         from optlim import Monomial, Term
@@ -157,7 +123,7 @@ class TestEulerRelation:
     def test_symbolic_cancellation(self, name, kind):
         d = builtin(name)
         p = assemble_W(d) if kind == "W" else assemble_V(d)
-        assert euler_coefficient_sums(p) == {}
+        assert not build_system(p)._coeffs.sum(axis=0).any()
 
     def test_numeric_sum_vanishes(self, fig8):
         p = assemble_W(fig8)
@@ -310,17 +276,17 @@ def _twist_mu_cases(n, kind):
     for t in twistknot.poly_roots(twistknot.defining_poly(n)):
         a = twistknot.parametrize(n, t).assignment
         if kind == "W":
-            yield twistknot.twist_potential(n), a
+            yield twist_potential(n), a
         elif kind == "W-alt":
-            yield twistknot.twist_potential(n, variant=ALT_NEG_LOG), a
+            yield twist_potential(n, variant=ALT_NEG_LOG), a
         elif kind == "V":
             yield assemble_V(builtin(f"T{n}")), a
         elif kind == "scaled":
             for _ in range(4):
                 lam = complex(*rng.uniform(-3, 3, 2))
-                yield twistknot.twist_potential(n), {v: lam * val for v, val in a.items()}
+                yield twist_potential(n), {v: lam * val for v, val in a.items()}
         else:
-            p = twistknot.twist_potential(n)
+            p = twist_potential(n)
             for _ in range(4):
                 taus = {v: int(rng.choice((-1, 1))) for v in p.variables}
                 eps = {v: int(rng.choice((-1, 1))) for v in p.variables}

@@ -14,6 +14,7 @@ from optlim.numerics import PI2, bloch_wigner
 from optlim.optimistic import w0_batch
 
 from conftest import make_rng, random_essential_assignment, w0_oracle
+from oracles import twist_potential
 
 FOUR_PI2 = 4 * PI2
 
@@ -28,14 +29,14 @@ def twist_solution(n, t_hint):
 class TestW0Values:
     def test_figure_eight_root(self):
         par = twist_solution(1, complex(2, 1.1547))
-        res = w0(twistknot.twist_potential(1), par.assignment)
+        res = w0(twist_potential(1), par.assignment)
         assert res.raw.real == pytest.approx(0.0, abs=5e-4)
         assert res.raw.imag == pytest.approx(2.0299, abs=5e-4)
         assert res.cs_mod_pi2 == pytest.approx(0.0, abs=5e-4)
 
     def test_unreduced_value_beyond_pi_squared(self):
         par = twist_solution(4, complex(1.1713, 1.0202))
-        res = w0(twistknot.twist_potential(4), par.assignment)
+        res = w0(twist_potential(4), par.assignment)
         # raw real part exceeds pi^2: the unreduced principal-branch value
         assert -res.raw.real == pytest.approx(10.9583, abs=5e-4)
         assert res.raw.imag == pytest.approx(3.3317, abs=5e-4)
@@ -44,7 +45,7 @@ class TestW0Values:
 
     def test_rescaled_solution_shifts_by_4pi2(self):
         par = twist_solution(2, complex(1.4587, 1.0682))
-        p = twistknot.twist_potential(2)
+        p = twist_potential(2)
         base = w0(p, par.assignment)
         rng = make_rng(41)
         for _ in range(10):
@@ -59,7 +60,7 @@ class TestW0Values:
 
     def test_mu_integers_recorded(self):
         par = twist_solution(1, complex(2, 1.1547))
-        res = w0(twistknot.twist_potential(1), par.assignment)
+        res = w0(twist_potential(1), par.assignment)
         assert len(res.mu_integers) == 6
         assert all(isinstance(k, int) for k in res.mu_integers)
 
