@@ -18,10 +18,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterable, Sequence, Union
 
-import numpy as np
 
 Label = Union[int, str]
 
@@ -76,16 +75,6 @@ class LinkDiagram:
     # Potentials assembled from this diagram, keyed by W variant or "V";
     # filled by potential.assemble_W / assemble_V.  Not part of the value.
     _potentials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @cached_property
-    def _region_corners(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index into regions of the j, k, l and m corner of every crossing,
-        (4, ncrossings), and the crossing signs, for array passes over all
-        crossings."""
-        index = {r: i for i, r in enumerate(self.regions)}
-        corners = np.array([[index[r] for r in cr.regions] for cr in self.crossings],
-                           dtype=np.intp).reshape(-1, 4).T.copy()
-        return corners, np.array([cr.sign for cr in self.crossings], dtype=float)
 
     @property
     def n(self) -> int:

@@ -38,9 +38,9 @@ The corrected potential W0 = W - sum_k mu_k log w_k is formed in one pass
 gathered once from [w, 1/w, 1], and W (one array Li2 over the dilogarithm
 arguments plus the log products), the principal-branch mu_k (summed from
 logs of the atom bases), their snapping to 2 pi i Z and the correction
-are all read from those values.  A caller that needs li2 at other points
-too hands them to the same li2 call, as the Bloch-Wigner volume does.
-potential.evaluate and the essential margin read the same gather.
+are all read from those values, and so is the Bloch-Wigner sum over the
+Li2 terms (bloch_wigner_volume).  potential.evaluate and the essential
+margin read the same gather.
 
 Each system is compiled once.  build_system keeps the system on the
 potential object and hands back that one on every later call; a
@@ -62,7 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from .diagram import Label
-from .numerics import PI2_OVER_6, TWO_PI, li2, plog
+from .numerics import PI2_OVER_6, TWO_PI, _bloch_wigner, li2, plog
 from .potential import Assignment, EvaluationError, Monomial, Potential, Term
 
 # Largest distance of a solution's mu_k from 2 pi i Z; each mu_k is snapped
@@ -286,28 +286,40 @@ class EquationSystem:
         w = self.point_from_assignment(a)
         return self._logs(w, self.monomial_values(w))[0] @ self._coeffs.T
 
-    def corrected_value(self, w: np.ndarray, extra: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def corrected_value(self, w: np.ndarray, volume: bool = False
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """W0 = W - sum_k mu_k log w_k at points w (..., nvars), in one pass.
 
         The monomial values are gathered once and logged in one plog call;
         W, the mu_k, their snapping to 2 pi i Z and the correction are all
         formed from them.  Returns the raw values (...), the mu integers
-        (..., nvars) in potential.variables order, and li2 at the extra
-        points (..., m), taken in the li2 call of W's dilogarithms (empty
-        without extra points).  Raises EvaluationError when some mu_k is
-        more than MU_TOL from 2 pi i Z, that is at a non-solution, before
-        li2 sees the extra points.
+        (..., nvars) in potential.variables order and, when volume is set,
+        the Bloch-Wigner sum (bloch_wigner_volume) from the Li2 arguments
+        and li2 values of W itself, else None.  Raises EvaluationError when
+        some mu_k is more than MU_TOL from 2 pi i Z, that is at a
+        non-solution.
         """
         w = np.asarray(w, dtype=complex)
         mv = self.monomial_values(w)
         arg = self._essential_arguments(mv)
         atom_logs, log_w = self._logs(w, mv)
         k = _snap(atom_logs @ self._coeffs.T, MU_TOL, self.potential.variables)
-        values = li2(arg if extra is None else np.concatenate((arg, extra), axis=-1))
-        n = arg.shape[-1]
-        raw = self._potential_value(values[..., :n], atom_logs) - row_sums(2j * math.pi * k * log_w)
-        return raw, k, values[..., n:]
+        values = li2(arg)
+        raw = self._potential_value(values, atom_logs) - row_sums(2j * math.pi * k * log_w)
+        return raw, k, self._bloch_wigner_sum(arg, values) if volume else None
+
+    def _bloch_wigner_sum(self, arg: np.ndarray, li2_arg: np.ndarray) -> np.ndarray:
+        """sum_t s_t D(m_t) over the Li2 terms from their arguments and li2 values."""
+        return row_sums(_bloch_wigner(arg, li2_arg) * self._terms.dilog_sign)
+
+    def bloch_wigner_volume(self, w: np.ndarray) -> np.ndarray:
+        """sum_t s_t D(m_t) over the Li2 terms s_t Li2(m_t) at points w
+        (..., nvars).  For a region potential the five Li2 arguments of a
+        crossing are the shapes of its octahedron's five tetrahedra, with
+        the tetrahedron signs, so this is the Bloch-Wigner volume.  Raises
+        EvaluationError at a zero variable or an argument in {0, 1}."""
+        arg = self._essential_arguments(self.monomial_values(w))
+        return self._bloch_wigner_sum(arg, li2(arg))
 
     def _kernel(self, x: np.ndarray, pin: complex = 1.0) -> np.ndarray:
         """The kernel state at unknowns x (..., n) and the given pin value:

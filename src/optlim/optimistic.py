@@ -16,13 +16,14 @@ the potential's compiled system over one gather of monomial values
 (EquationSystem.corrected_value), for one solution or for a batch
 (w0_batch); a batch row equals the single-solution result.
 
-An independent volume cross-check sums the Bloch-Wigner function over the
-five tetrahedra of each crossing octahedron, with the two
-negatively-oriented tetrahedra folded through D(1/u) = -D(u).  In
-w0_batch the shapes of all crossings at all points share W's li2 call
-(corrected_value's extra points), and D is formed from those li2 values
-by the same numerics formula bloch_wigner uses, so bw_vol equals
-bw_volume bit for bit.  W0's errors come before the shapes' errors.
+The volume cross-check sums the Bloch-Wigner function D over the five
+tetrahedra of each crossing octahedron, with the two negatively-oriented
+tetrahedra folded through D(1/u) = -D(u).  For a region potential those
+five shapes, with their signs, are the crossing's five Li2 arguments, so
+bw_vol = sum_t s_t D(m_t) over W's own Li2 terms, read from the Li2
+arguments and li2 values that W0 already holds, by the one numerics
+formula for D.  bw_volume takes the same sum through the region
+potential's system, so bw_vol equals bw_volume bit for bit.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from .diagram import LinkDiagram
-from .equations import EvaluationError, build_system, row_sums
-from .numerics import PI2, _bloch_wigner, _bw_argument, bloch_wigner, reduce_centered
-from .potential import Assignment, Potential
+from .equations import build_system
+from .numerics import PI2, reduce_centered
+from .potential import Assignment, Potential, assemble_W
 from .solver import Solution
 
 
@@ -59,7 +60,8 @@ def w0(potential: Potential, solution: Solution | Assignment,
 
     Accepts either a Solution or a bare assignment.  When the diagram is
     supplied and the potential is a region potential, the Bloch-Wigner
-    volume is computed as a cross-check.  W and the mu_k come from one
+    volume is computed as a cross-check, over the potential's own Li2
+    terms (the diagram only asks for it).  W and the mu_k come from one
     pass of the potential's own system (build_system), compiled on its
     first use.
     """
@@ -77,54 +79,14 @@ def w0_batch(potential: Potential, solutions: Sequence[Solution | Assignment],
         return []
     system = build_system(potential)
     w = np.array([system.point_from_assignment(a) for a in points])
-    shapes = None
-    if diagram is not None and potential.kind == "W":
-        try:
-            shapes = _shapes(diagram, points)
-        except EvaluationError:
-            system.corrected_value(w)          # W0's own errors come first
-            raise
-    extra = None if shapes is None else shapes.reshape(-1, len(points)).T
-    raw, mu_integers, li2_shapes = system.corrected_value(w, extra)
-    bw = [None] * len(points)
-    if shapes is not None:
-        d = _bloch_wigner(shapes, li2_shapes.T.reshape(shapes.shape))
-        bw = _bw_sum(diagram, d).tolist()
+    raw, mu_integers, bw = system.corrected_value(w, diagram is not None and potential.kind == "W")
+    bw = [None] * len(points) if bw is None else bw.tolist()
     results = []
     for r, k, b in zip(raw.tolist(), mu_integers.tolist(), bw):
         cs = reduce_centered(-r.real, PI2)
         results.append(OptimisticResult(w0=complex(-cs, r.imag), vol=r.imag, cs_mod_pi2=cs,
                                         raw=r, bw_vol=b, mu_integers=tuple(k)))
     return results
-
-
-# Signs of the five tetrahedron volumes of a crossing octahedron, in the
-# order of the shapes formed in _shapes.
-_BW_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, 1.0])[:, None, None]
-
-
-def _shapes(diagram: LinkDiagram, points: Sequence[Assignment]) -> np.ndarray:
-    """The five tetrahedron shapes of every crossing octahedron at every
-    point, (5, crossings, points), as numerics._bw_argument returns them."""
-    corners, _ = diagram._region_corners
-    w = np.array([[a[r] for r in diagram.regions] for a in points], dtype=complex)
-    if np.count_nonzero(w) != w.size:
-        raise EvaluationError("zero region value")
-    wj, wk, wl, wm = w.T[corners]                  # (crossings, points) each
-    shapes = np.array((wm / wj, wk / wj, wl / wk, wl / wm, wj * wl / (wk * wm)))
-    try:
-        return _bw_argument(shapes)
-    except ValueError as exc:
-        bad = ~np.isfinite(shapes) | (shapes == 0.0) | (shapes == 1.0)
-        cr = diagram.crossings[np.argwhere(bad)[0][1]]
-        raise EvaluationError(f"degenerate shape at crossing {cr.regions}: {exc}") from exc
-
-
-def _bw_sum(diagram: LinkDiagram, d: np.ndarray) -> np.ndarray:
-    """The Bloch-Wigner volume at every point from the D values d of its
-    shapes: the five shapes summed in order, then the crossings by row_sums."""
-    _, signs = diagram._region_corners
-    return row_sums(((d * _BW_SIGNS).sum(axis=0) * signs[:, None]).T)
 
 
 def bw_volume(diagram: LinkDiagram, solution: Solution | Assignment) -> float:
@@ -134,10 +96,12 @@ def bw_volume(diagram: LinkDiagram, solution: Solution | Assignment) -> float:
 
         D(wm/wj) + D(wk/wj) - D(wl/wk) - D(wl/wm) + D(wj*wl/(wk*wm))
 
-    multiplied by the crossing sign.
+    multiplied by the crossing sign: the Li2 terms of the region potential
+    with D in place of Li2, read through its system
+    (EquationSystem.bloch_wigner_volume), as w0's bw_vol is.
     """
-    shapes = _shapes(diagram, [_assignment(solution)])
-    return float(_bw_sum(diagram, bloch_wigner(shapes))[0])
+    system = build_system(assemble_W(diagram))
+    return float(system.bloch_wigner_volume(system.point_from_assignment(_assignment(solution))))
 
 
 def mod_eq(a: complex, b: complex, modulus: float, tol: float) -> bool:

@@ -5,7 +5,10 @@ child of the configured seed, and run as the rows of one lockstep Newton
 iteration: every iteration forms the Jacobians of all live rows, solves
 them as a stack, and runs a backtracking line search on the residual norm
 with per-row rules.  The live rows are held as compact arrays, and a row's
-result is written to the output only when it retires.  The line search
+result is written to the output only when it retires.  One path serves
+solve()'s hundreds of rows and refine()'s one.  The Jacobians and the
+capped line search run under np.errstate; the steps and the status rules
+run outside it, where a numpy warning still surfaces.  The line search
 goes in stages (_STAGES): t = 1, 1/2, 1/4 and 1/8 for every row in one
 call, then 1/16 .. 1/128 and 2^-8 .. 2^-29 for the rows that rejected
 every earlier length.  Each trial point costs one kernel pass
@@ -27,7 +30,8 @@ Each row leaves with a status code
 (converged, left the essential domain, singular Jacobian, non-finite step,
 line-search stall, stagnation, divergence or iteration limit); refine()
 is the same iteration on a single row and turns a failure code into
-SolveError.  Converged rows are deduplicated and only essential solutions
+SolveError, and a start with a missing or non-finite variable into
+EvaluationError.  Converged rows are deduplicated and only essential solutions
 (essential_margin, the distance of every dilogarithm argument from 0, 1
 and infinity, at least ESSENTIAL_TOL) are kept.  Every row's
 arithmetic is independent of the other rows in the block, so the same
@@ -118,18 +122,22 @@ class Solution:
         return np.array([self.assignment[v] for v in order], dtype=complex)
 
 
-def _blocks(fn, X: np.ndarray) -> np.ndarray:
-    """fn over the rows of X, BLOCK_ROWS rows per call."""
+def _blocks(fn, X: np.ndarray):
+    """fn over the rows of X, BLOCK_ROWS rows per call; fn returns an array
+    or a tuple of arrays."""
     if len(X) <= BLOCK_ROWS:
         return fn(X)
-    return np.concatenate([fn(X[i:i + BLOCK_ROWS]) for i in range(0, len(X), BLOCK_ROWS)])
+    parts = [fn(X[i:i + BLOCK_ROWS]) for i in range(0, len(X), BLOCK_ROWS)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _norms(F: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row (last axis) of a contiguous complex array;
     an overflowing or non-finite row gives inf or nan, which compares below
     no residual norm.  Overflow warnings are left to the caller's np.errstate."""
-    return np.sqrt(np.square(F.view(float)).sum(axis=-1))
+    return np.sqrt(np.add.reduce(np.square(F.view(float)), axis=-1))
 
 
 def _steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +145,9 @@ def _steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, lam = REGULARISATION * ||J||_F^2, and which rows are singular."""
     JH = J.conj().swapaxes(-1, -2)
     A = JH @ J
-    diag = np.einsum("...ii->...i", A)
-    diag += REGULARISATION * diag.real.sum(axis=-1, keepdims=True)
+    n = A.shape[-1]
+    diag = A.reshape(-1, n * n)[:, ::n + 1]        # a view: A is a fresh C-ordered stack
+    diag += REGULARISATION * np.add.reduce(diag.real, axis=-1, keepdims=True)
     b = -(JH @ F[..., None])
     singular = np.zeros(len(F), dtype=bool)
     try:
@@ -155,13 +164,13 @@ def _steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return steps, singular
 
 
-@np.errstate(all="ignore")
 def _line_search(system: EquationSystem, x: np.ndarray, step: np.ndarray, fnorm: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per row, the first x + t*step, t = 1, 1/2, ..., 2^-29, whose residual
     norm is below fnorm.  Returns (accepted, x, F, norm, state) for the new
     points, state their kernel states; a row that rejects every length
-    keeps its t = 1 values.  x holds at least one row.
+    keeps its t = 1 values.  x holds at least one row.  Floating point
+    errors at the trial points are left to the caller's np.errstate.
 
     The first stage of _STAGES is evaluated for every row, reading x, step
     and fnorm by slices, each later one for the rows that rejected every
@@ -180,7 +189,7 @@ def _line_search(system: EquationSystem, x: np.ndarray, step: np.ndarray, fnorm:
             F, state = system.residual_state(shorter)
             norms = _norms(F)
             ok = norms.reshape(-1, len(lengths)) < fnorm[at, None]
-            found = ok.any(axis=1)
+            found = np.logical_or.reduce(ok, axis=1)
             # Each row's first accepted length, its first when it accepts none.
             pick = np.arange(0, len(shorter), len(lengths)) + ok.argmax(axis=1)
             values = (shorter, F, norms, state)
@@ -195,7 +204,7 @@ def _line_search(system: EquationSystem, x: np.ndarray, step: np.ndarray, fnorm:
                 at, pick = at[found], pick[found]
             for dest, v in zip(out, values):
                 dest[at] = v[pick]
-        if accepted.all():
+        if np.logical_and.reduce(accepted):
             break
         rows = np.flatnonzero(~accepted)
     return (accepted, *out)
@@ -212,20 +221,23 @@ def _newton(system: EquationSystem, X0: np.ndarray, cfg: SolveConfig
     coordinate beyond 1e12 or a coordinate below 1e-12 is divergence.
     The live rows' iterates, residuals, norms, kernel states (which give
     the next Jacobian) and slow-step counts are kept as compact arrays; a
-    row's iterate, norm and status are written back when it retires, and
-    the arrays are compressed only on an iteration where some row retires.
+    row's iterate, norm and status are written back when it retires.  The
+    rules are screened by a few reductions over the live rows; rows are
+    classified, and the arrays compressed, only when some row can retire.
     """
     X = np.array(X0, dtype=complex)
     with np.errstate(all="ignore"):
-        parts = [system.residual_state(X[i:i + BLOCK_ROWS]) for i in range(0, len(X), BLOCK_ROWS)]
-        F, state = (np.concatenate(p) for p in zip(*parts))
+        F, state = _blocks(system.residual_state, X)
         fnorm = _norms(F)
     status = np.full(len(X), RUNNING)
-    status[fnorm <= cfg.residual_tol] = CONVERGED
-    status[~np.isfinite(fnorm)] = LEFT_DOMAIN
-    live = np.flatnonzero(status == RUNNING)
-    x, F, fn, state = X[live], F[live], fnorm[live], state[live]
-    slow = np.zeros(len(live), dtype=int)
+    # x and fn may be X and fnorm themselves: the loop never writes into them.
+    live, x, fn, slow = np.arange(len(X)), X, fnorm, np.zeros(len(X), dtype=int)
+    tol = cfg.residual_tol
+    if not (np.minimum.reduce(fnorm) > tol and np.maximum.reduce(fnorm) < math.inf):
+        status[fnorm <= tol] = CONVERGED
+        status[~np.isfinite(fnorm)] = LEFT_DOMAIN
+        live = np.flatnonzero(status == RUNNING)
+        x, F, fn, state, slow = X[live], F[live], fnorm[live], state[live], slow[live]
 
     def retire(rows: np.ndarray, code) -> None:
         X[live[rows]], fnorm[live[rows]], status[live[rows]] = x[rows], fn[rows], code
@@ -237,43 +249,48 @@ def _newton(system: EquationSystem, X0: np.ndarray, cfg: SolveConfig
             J = _blocks(system.jacobian_at, state)
         step, singular = _steps(J, F)
         # A singular row's step is nan.
-        failed = ~np.isfinite(step).all(axis=-1)
-        if failed.any():
+        finite = np.isfinite(step)
+        if not np.logical_and.reduce(finite, axis=None):
+            failed = ~np.logical_and.reduce(finite, axis=-1)
             retire(failed, np.where(singular[failed], SINGULAR, NONFINITE_STEP))
             keep = ~failed
             live, x, fn, step, slow = live[keep], x[keep], fn[keep], step[keep], slow[keep]
             if not live.size:
                 break
-        # Cap the step length relative to the iterate; wild early jumps
-        # throw restarts out of every basin.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
+            # Cap the step length relative to the iterate; wild early jumps
+            # throw restarts out of every basin.
             step_len, max_len = _norms(step), 1.0 + _norms(x)
-        over = step_len > max_len
-        if over.any():
-            step[over] *= (max_len[over] / step_len[over])[:, None]
-
-        accepted, x_new, F, fx, state = _line_search(system, x, step, fn)
-        if not accepted.all():
+            over = step_len > max_len
+            if np.logical_or.reduce(over):
+                step[over] *= (max_len[over] / step_len[over])[:, None]
+            accepted, x_new, F, fx, state = _line_search(system, x, step, fn)
+        if not np.logical_and.reduce(accepted):
             retire(~accepted, STALLED)
             live, fn, slow = live[accepted], fn[accepted], slow[accepted]
             x_new, F, fx, state = x_new[accepted], F[accepted], fx[accepted], state[accepted]
+            if not live.size:
+                break
         # A Newton basin shows fast decrease; persistent crawling means the
         # restart is wandering and is cheaper to abandon than to ride out.
         slow = np.where(fx / fn > 0.9, slow + 1, 0)
         x, fn = x_new, fx
-        # Converged before stagnant before diverged; residual_tol < 1e-6, so
-        # a stagnant row is never a converged one.
-        converged = fn <= cfg.residual_tol
-        stagnant = (slow >= 20) & (fn > 1e-6)
         ax = np.abs(x)
-        diverged = (fn > 1e12) | ((ax > 1e12) | (ax < 1e-12)).any(axis=-1)
-        done = converged | stagnant | diverged
-        if done.any():
-            code = np.where(converged, CONVERGED, np.where(stagnant, STAGNATION, DIVERGED))
-            retire(done, code[done])
-            keep = ~done
-            live, x, F, fn, state, slow = (live[keep], x[keep], F[keep], fn[keep], state[keep],
-                                           slow[keep])
+        if not (np.minimum.reduce(fn) > tol and np.maximum.reduce(slow) < 20
+                and np.maximum.reduce(fn) <= 1e12 and np.maximum.reduce(ax, axis=None) <= 1e12
+                and np.minimum.reduce(ax, axis=None) >= 1e-12):
+            # Converged before stagnant before diverged; residual_tol < 1e-6,
+            # so a stagnant row is never a converged one.
+            converged = fn <= tol
+            stagnant = (slow >= 20) & (fn > 1e-6)
+            diverged = (fn > 1e12) | np.logical_or.reduce((ax > 1e12) | (ax < 1e-12), axis=-1)
+            done = converged | stagnant | diverged
+            if np.logical_or.reduce(done):
+                code = np.where(converged, CONVERGED, np.where(stagnant, STAGNATION, DIVERGED))
+                retire(done, code[done])
+                keep = ~done
+                live, x, F, fn, state, slow = (live[keep], x[keep], F[keep], fn[keep], state[keep],
+                                               slow[keep])
     retire(slice(None), MAX_ITER)
     return X, fnorm, status
 
@@ -312,22 +329,28 @@ def is_essential(system: EquationSystem, a: Assignment | np.ndarray, tol: float)
 def refine(system: EquationSystem, a: Assignment, cfg: SolveConfig | None = None) -> Solution:
     """Polish an approximate solution to residual_tol by damped Newton.
 
-    Raises SolveError on divergence, singular Jacobians, or when the limit
-    is not essential.
+    Raises EvaluationError when a variable is missing or not finite, and
+    SolveError on divergence, singular Jacobians, or when the limit is not
+    essential.
     """
     cfg = cfg or SolveConfig()
-    pin_value = complex(a[system.pin])
+    w = system.point_from_assignment(a)
+    finite = np.isfinite(w)
+    if not np.logical_and.reduce(finite):
+        v = system.potential.variables[int(finite.argmin())]
+        raise EvaluationError(f"variable {v!r} is not finite: {a[v]!r}")
+    *values, pin_value = w.tolist()
     if pin_value == 0:
         raise SolveError("pinned variable is zero")
-    # Rescale so the pinned variable sits at 1 (the scaling quotient).
-    scaled = {v: complex(val) / pin_value for v, val in a.items()}
-    X, fnorm, status = _newton(system, system.vector_from_assignment(scaled)[None, :], cfg)
+    # Rescale so the pinned variable sits at 1 (the scaling quotient), in
+    # Python's complex division.
+    x0 = np.array([[v / pin_value for v in values]], dtype=complex)
+    X, fnorm, status = _newton(system, x0, cfg)
     if status[0] != CONVERGED:
         raise _failure(system, X[0], float(fnorm[0]), status[0])
-    assignment = system.assignment_from_vector(X[0])
-    if not is_essential(system, assignment, ESSENTIAL_TOL):
+    if not is_essential(system, np.append(X[0], 1.0), ESSENTIAL_TOL):
         raise SolveError("converged to a non-essential point")
-    return Solution(assignment, float(fnorm[0]))
+    return Solution(system.assignment_from_vector(X[0]), float(fnorm[0]))
 
 
 def _sample(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -93,6 +93,16 @@ def defining_poly(n: int) -> list[int]:
     return list(DEFINING_POLYNOMIALS[n])
 
 
+def _polyval(c: np.ndarray, x: np.complex128) -> np.complex128:
+    """The polynomial with ascending coefficients c at x, by Horner's rule
+    over numpy complex scalars in the order of np.polynomial.polynomial.polyval,
+    so the values are polyval's bit for bit."""
+    p = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        p = ci + p * x
+    return p
+
+
 def poly_roots(coeffs) -> list[complex]:
     """All roots of a coefficient list (ascending powers), Newton-polished."""
     coeffs = [complex(c) for c in coeffs]
@@ -101,15 +111,15 @@ def poly_roots(coeffs) -> list[complex]:
     if len(coeffs) < 2:
         raise TwistError("polynomial degree must be at least 1")
     roots = np.roots(list(reversed(coeffs)))
-    poly = np.polynomial.Polynomial(coeffs)
-    dpoly = poly.deriv()
+    c = np.array(coeffs)
+    dc = c[1:] * np.arange(1, len(c))
     polished = []
     for r in roots:
         for _ in range(3):
-            d = dpoly(r)
+            d = _polyval(dc, r)
             if d == 0:
                 break
-            r = r - poly(r) / d
+            r = r - _polyval(c, r) / d
         polished.append(complex(r))
     return sorted(polished, key=lambda z: (round(z.real, 12), z.imag))
 

@@ -11,7 +11,7 @@ import pytest
 from optlim import (SolveConfig, SolveError, assemble_V, assemble_W, build_system,
                     builtin, refine, solve, w0)
 from optlim import solver, twistknot
-from optlim.equations import EquationSystem, mu_integer_multipliers
+from optlim.equations import EquationSystem, EvaluationError, mu_integer_multipliers
 from optlim.numerics import PI2, reduce_centered
 from optlim.potential import Potential
 
@@ -236,6 +236,23 @@ class TestRefine:
         with pytest.raises(SolveError, match=f"^{message}$"):
             refine(system, start)
 
+    def test_missing_variable_raises(self, fig8, fig8_w_solutions):
+        system = build_system(assemble_W(fig8))
+        start = dict(fig8_w_solutions[0].assignment)
+        del start[system.unknowns[2]]
+        with pytest.raises(EvaluationError,
+                           match=f"^variable {system.unknowns[2]!r} not assigned$"):
+            refine(system, start)
+
+    @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(1.0, np.inf)])
+    def test_non_finite_start_raises(self, fig8, fig8_w_solutions, value):
+        system = build_system(assemble_W(fig8))
+        for v in (system.unknowns[1], system.pin):
+            start = dict(fig8_w_solutions[0].assignment)
+            start[v] = value
+            with pytest.raises(EvaluationError, match=f"^variable {v!r} is not finite: "):
+                refine(system, start)
+
     def test_degenerate_start_left_the_domain(self, fig8):
         system = build_system(assemble_W(fig8))
         with pytest.raises(SolveError, match="^iterate left the essential domain: "
@@ -422,6 +439,25 @@ class TestSequentialOracle:
         system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
         cfg = SolveConfig(restarts=12, seed=seed)
         _assert_matches_sequential(system, _starts(system, 12, seed), cfg)
+
+    @pytest.mark.parametrize("noise", [1e-8, 1e-3])
+    @pytest.mark.parametrize("n", range(1, twistknot.MAX_INDEX + 1))
+    def test_single_row_polish_starts(self, n, noise):
+        # refine's path: one row, live at the start, from a closed-form
+        # point with relative noise, which converges in a few iterations
+        # and retires; W regions and V sides.
+        rng = make_rng(73 + n)
+        d = twistknot.twist_diagram(n)
+        systems = (build_system(assemble_W(d)), build_system(assemble_V(d)))
+        for t in twistknot.poly_roots(twistknot.defining_poly(n)):
+            par = twistknot.parametrize(n, t)
+            for system, base in zip(systems, (par.regions, par.sides)):
+                z = rng.standard_normal((len(base), 2)) @ [1.0, 1.0j] / math.sqrt(2.0)
+                start = {v: val * (1.0 + noise * dz) for (v, val), dz in zip(base.items(), z)}
+                pin = start[system.pin]
+                X0 = np.array([[start[v] / pin for v in system.unknowns]])
+                status = _assert_matches_sequential(system, X0, SolveConfig())
+                assert status.tolist() == [solver.CONVERGED]
 
     def test_max_iter_and_left_domain(self, monkeypatch, knot52):
         monkeypatch.setattr(solver, "ITERATIONS", 4)

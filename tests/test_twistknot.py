@@ -56,6 +56,25 @@ class TestPolyRoots:
         with pytest.raises(TwistError):
             poly_roots([3.0])
 
+    def test_polish_equals_polynomial_objects(self):
+        # The Newton polish by np.polynomial.Polynomial objects is the
+        # reference; the Horner loop gives its roots bit for bit, the
+        # imaginary zeros of the real roots included.
+        for coeffs in [defining_poly(n) for n in range(1, 6)] + [[1, 2, 1], [-1, 0, 0, 1]]:
+            c = [complex(v) for v in coeffs]
+            poly = np.polynomial.Polynomial(c)
+            dpoly = poly.deriv()
+            expected = []
+            for r in np.roots(c[::-1]):
+                for _ in range(3):
+                    d = dpoly(r)
+                    if d == 0:
+                        break
+                    r = r - poly(r) / d
+                expected.append(complex(r))
+            expected.sort(key=lambda z: (round(z.real, 12), z.imag))
+            assert np.array(poly_roots(coeffs)).tobytes() == np.array(expected).tobytes()
+
 
 class TestParametrize:
     def test_pinned_boundary_values(self):
