@@ -2,7 +2,9 @@
 
 Parse a planar-diagram code, inspect the combinatorics, assemble the
 region potential, solve the induced equation system, and read off the
-hyperbolic volume and the Chern-Simons invariant of each solution.
+hyperbolic volume and the Chern-Simons invariant of each solution.  Each
+W0 of the region potential also carries the Bloch-Wigner volume of its
+crossing octahedra, read from the same Li2 values, as a cross-check.
 """
 
 from optlim import (SolveConfig, assemble_W, build_diagram, build_system,
@@ -32,7 +34,7 @@ solutions = solve(system, SolveConfig(restarts=512, seed=0))
 print(f"multistart Newton found {len(solutions)} essential solutions:\n")
 seen = set()
 for sol in solutions:
-    res = w0(potential, sol, diagram=diagram)
+    res = w0(potential, sol)
     key = (round(res.vol, 6), round(res.cs_mod_pi2, 6))
     if key in seen:
         continue

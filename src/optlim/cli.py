@@ -19,7 +19,7 @@ import numpy as np
 
 from . import correspondence, diagram, optimistic, solver, twistknot
 from .equations import EvaluationError, build_system
-from .potential import ALT_NEG_LOG, assemble_V, assemble_W
+from .potential import assemble_V, assemble_W
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -49,24 +49,31 @@ def _emit(report: dict, stable: bool) -> None:
     sys.stdout.write("\n")
 
 
-def _load_diagram(args) -> diagram.LinkDiagram:
+def _load_diagram(args) -> tuple[diagram.LinkDiagram, diagram.ValidationReport]:
+    """The chosen diagram and its validation report; DiagramError names the
+    failed check of an invalid diagram."""
     chosen = [x for x in (args.pd, args.builtin, args.json_file) if x]
     if len(chosen) != 1:
         raise CliError("specify exactly one of --pd, --builtin, --json")
     if args.pd:
-        return diagram.build_diagram(diagram.parse_pd(args.pd))
-    if args.builtin:
-        return diagram.builtin(args.builtin)
-    with open(args.json_file, "r", encoding="utf-8") as fh:
-        return diagram.from_json(fh.read())
+        d = diagram.build_diagram(diagram.parse_pd(args.pd))
+    elif args.builtin:
+        d = diagram.builtin(args.builtin)
+    else:
+        with open(args.json_file, "r", encoding="utf-8") as fh:
+            d = diagram.from_json(fh.read())
+    rep = diagram.validate(d)
+    if not rep.ok:
+        failed = [check for check in ("euler_ok", "side_borders_ok") if not getattr(rep, check)]
+        raise diagram.DiagramError(f"invalid diagram: {', '.join(failed)} failed")
+    return d, rep
 
 
 def _solve_config(args) -> solver.SolveConfig:
     return solver.SolveConfig(restarts=args.restarts, residual_tol=args.tol, seed=args.seed)
 
 
-def _diagram_stats(d: diagram.LinkDiagram) -> dict:
-    rep = diagram.validate(d)
+def _diagram_stats(rep: diagram.ValidationReport) -> dict:
     return {
         "crossings": rep.crossings,
         "regions": rep.regions,
@@ -79,13 +86,12 @@ def _diagram_stats(d: diagram.LinkDiagram) -> dict:
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    d = _load_diagram(args)
+    d, rep = _load_diagram(args)
     potential = assemble_W(d) if args.potential == "w" else assemble_V(d)
     system = build_system(potential)
     cfg = _solve_config(args)
     solutions = solver.solve(system, cfg)
-    results = optimistic.w0_batch(potential, solutions,
-                                  diagram=d if potential.kind == "W" else None)
+    results = optimistic.w0_batch(potential, solutions)
     best_vol = max((r.vol for r in results), default=0.0)
     margins = (solver.essential_margin(system, np.array([system.point_from_assignment(s.assignment)
                                                          for s in solutions])).tolist()
@@ -107,7 +113,7 @@ def cmd_solve(args) -> int:
     report = {
         "command": "solve",
         "potential": args.potential,
-        "diagram": _diagram_stats(d),
+        "diagram": _diagram_stats(rep),
         "config": {"restarts": cfg.restarts, "seed": cfg.seed,
                    "residual_tol": cfg.residual_tol},
         "solutions": records,
@@ -154,13 +160,12 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
-    d = _load_diagram(args)
+    d, rep = _load_diagram(args)
     cfg = _solve_config(args)
-    solutions = solver.solve(build_system(assemble_W(d)), cfg)
+    potential = assemble_W(d)
+    solutions = solver.solve(build_system(potential), cfg)
     records = []
-    if args.sign_flip:
-        rng_signs = np.random.default_rng(cfg.seed + 1)
-        pot_alt = assemble_W(d, variant=ALT_NEG_LOG)
+    rng_signs = np.random.default_rng(cfg.seed + 1)
     for sol in solutions:
         rec: dict = {"residual": sol.residual_norm}
         if not correspondence.check_w_nondegenerate(d, sol.assignment):
@@ -182,10 +187,10 @@ def cmd_verify(args) -> int:
         if args.sign_flip:
             flips = []
             for _ in range(args.trials):
-                taus = {v: int(rng_signs.choice((-1, 1))) for v in pot_alt.variables}
-                eps = {v: int(rng_signs.choice((-1, 1))) for v in pot_alt.variables}
-                flipped = correspondence.sign_flip(pot_alt, taus, eps)
-                point = correspondence.sign_flip_point(pot_alt, taus, eps, sol.assignment)
+                taus = {v: int(rng_signs.choice((-1, 1))) for v in potential.variables}
+                eps = {v: int(rng_signs.choice((-1, 1))) for v in potential.variables}
+                flipped = correspondence.sign_flip(potential, taus, eps)
+                point = correspondence.sign_flip_point(potential, taus, eps, sol.assignment)
                 res_flip = optimistic.w0(flipped, point)
                 flips.append(optimistic.mod_eq(res_flip.raw, bridge.w0_region.raw,
                                                2.0 * optimistic.PI2, 1e-9))
@@ -194,7 +199,7 @@ def cmd_verify(args) -> int:
         records.append(rec)
     report = {
         "command": "verify",
-        "diagram": _diagram_stats(d),
+        "diagram": _diagram_stats(rep),
         "solutions": records,
         "congruences_checked": sum(1 for r in records if r["status"] == "ok"),
         "congruences_pass": sum(1 for r in records

@@ -34,7 +34,7 @@ from .diagram import Crossing, Label, LinkDiagram
 from .equations import build_system
 from .numerics import PI2, PI2_OVER_6, bloch_wigner, li2, plog, shape_double_prime, shape_prime
 from .optimistic import OptimisticResult, mod_eq, w0
-from .potential import ALT_NEG_LOG, Assignment, Potential, assemble_V, assemble_W
+from .potential import Assignment, Potential, assemble_V, assemble_W
 from .solver import Solution
 
 
@@ -236,14 +236,14 @@ class BridgeReport:
 def verify_bridge(diagram: LinkDiagram, w: Solution | Assignment) -> BridgeReport:
     """Convert w to z and check W0(w) == V0(z) mod 4 pi^2, to BRIDGE_TOL.
 
-    The region potential is evaluated in the ALT_NEG_LOG variant, the one
-    under which the congruence of the two optimistic limits holds exactly.
-    Representation-level equality of the two sides is accepted by
-    construction and not checked.
+    W0 is that of assemble_W(diagram), the region potential and system
+    that solve, the twist table and the sign flips of `optlim verify`
+    evaluate.  Representation-level equality of the two sides is accepted
+    by construction and not checked.
     """
     a = w.assignment if isinstance(w, Solution) else w
     z = w_to_z(diagram, a)
-    res_w = w0(assemble_W(diagram, variant=ALT_NEG_LOG), a, diagram=diagram)
+    res_w = w0(assemble_W(diagram), a)
     res_v = w0(assemble_V(diagram), z.assignment)
     ok = mod_eq(res_w.raw, res_v.raw, 4.0 * PI2, BRIDGE_TOL)
     return BridgeReport(z=z, w0_region=res_w, v0_side=res_v, congruent_mod_4pi2=ok)

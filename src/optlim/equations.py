@@ -216,10 +216,11 @@ class EquationSystem:
         and the essential margin.  Raises EvaluationError at a zero variable.
         """
         w = np.asarray(w, dtype=complex)
-        # 1/w in Python's complex arithmetic, as Monomial.value forms it;
-        # numpy's complex division rounds differently.  With the factors in
-        # the same order the values are Monomial.value's bit for bit, so a
-        # value that is real up to rounding keeps its side of the log cut.
+        # 1/w in Python's complex arithmetic, as coeff * prod(w ** e) over
+        # the monomial's factors forms it; numpy's complex division rounds
+        # differently.  With the factors in the same order the values are
+        # that product's bit for bit, so a value that is real up to
+        # rounding keeps its side of the log cut.
         try:
             reciprocals = [v ** -1 for v in w.ravel().tolist()]
         except ZeroDivisionError:
@@ -286,18 +287,18 @@ class EquationSystem:
         w = self.point_from_assignment(a)
         return self._logs(w, self.monomial_values(w))[0] @ self._coeffs.T
 
-    def corrected_value(self, w: np.ndarray, volume: bool = False
+    def corrected_value(self, w: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """W0 = W - sum_k mu_k log w_k at points w (..., nvars), in one pass.
 
         The monomial values are gathered once and logged in one plog call;
         W, the mu_k, their snapping to 2 pi i Z and the correction are all
         formed from them.  Returns the raw values (...), the mu integers
-        (..., nvars) in potential.variables order and, when volume is set,
-        the Bloch-Wigner sum (bloch_wigner_volume) from the Li2 arguments
-        and li2 values of W itself, else None.  Raises EvaluationError when
-        some mu_k is more than MU_TOL from 2 pi i Z, that is at a
-        non-solution.
+        (..., nvars) in potential.variables order and, for a region
+        potential, the Bloch-Wigner sum (bloch_wigner_volume) from the Li2
+        arguments and li2 values of W itself, else None.  Raises
+        EvaluationError when some mu_k is more than MU_TOL from 2 pi i Z,
+        that is at a non-solution.
         """
         w = np.asarray(w, dtype=complex)
         mv = self.monomial_values(w)
@@ -306,7 +307,8 @@ class EquationSystem:
         k = _snap(atom_logs @ self._coeffs.T, MU_TOL, self.potential.variables)
         values = li2(arg)
         raw = self._potential_value(values, atom_logs) - row_sums(2j * math.pi * k * log_w)
-        return raw, k, self._bloch_wigner_sum(arg, values) if volume else None
+        bw = self._bloch_wigner_sum(arg, values) if self.potential.kind == "W" else None
+        return raw, k, bw
 
     def _bloch_wigner_sum(self, arg: np.ndarray, li2_arg: np.ndarray) -> np.ndarray:
         """sum_t s_t D(m_t) over the Li2 terms from their arguments and li2 values."""

@@ -20,10 +20,14 @@ The volume cross-check sums the Bloch-Wigner function D over the five
 tetrahedra of each crossing octahedron, with the two negatively-oriented
 tetrahedra folded through D(1/u) = -D(u).  For a region potential those
 five shapes, with their signs, are the crossing's five Li2 arguments, so
-bw_vol = sum_t s_t D(m_t) over W's own Li2 terms, read from the Li2
-arguments and li2 values that W0 already holds, by the one numerics
-formula for D.  bw_volume takes the same sum through the region
-potential's system, so bw_vol equals bw_volume bit for bit.
+every W0 of a region potential carries bw_vol = sum_t s_t D(m_t) over
+W's own Li2 terms, read from the Li2 arguments and li2 values that W0
+already holds, by the one numerics formula for D.  bw_volume takes the
+same sum through the region potential's system, so bw_vol equals
+bw_volume bit for bit.  At its flipped point a sign-flipped region
+potential has the base potential's Li2 arguments, so its bw_vol is the
+base value: to the bit when only signs tau flip, to rounding when some
+exponent eps is -1.
 """
 
 from __future__ import annotations
@@ -54,22 +58,24 @@ def _assignment(solution: Solution | Assignment) -> Assignment:
     return solution.assignment if isinstance(solution, Solution) else solution
 
 
-def w0(potential: Potential, solution: Solution | Assignment,
+def w0(potential: Potential, solution: Solution | Assignment, *,
        diagram: LinkDiagram | None = None) -> OptimisticResult:
     """Corrected potential value at a solution.
 
-    Accepts either a Solution or a bare assignment.  When the diagram is
-    supplied and the potential is a region potential, the Bloch-Wigner
-    volume is computed as a cross-check, over the potential's own Li2
-    terms (the diagram only asks for it).  W and the mu_k come from one
-    pass of the potential's own system (build_system), compiled on its
-    first use.
+    Accepts either a Solution or a bare assignment.  W and the mu_k come
+    from one pass of the potential's own system (build_system), compiled on
+    its first use; for a region potential the same pass gives the
+    Bloch-Wigner volume.  A diagram, if given, must be the one the
+    potential's variables are the regions of (ValueError otherwise); it
+    changes nothing else.
     """
-    return w0_batch(potential, [solution], diagram)[0]
+    if diagram is not None and diagram.regions != potential.variables:
+        raise ValueError("the diagram's regions are not the potential's variables")
+    return w0_batch(potential, [solution])[0]
 
 
-def w0_batch(potential: Potential, solutions: Sequence[Solution | Assignment],
-             diagram: LinkDiagram | None = None) -> list[OptimisticResult]:
+def w0_batch(potential: Potential, solutions: Sequence[Solution | Assignment]
+             ) -> list[OptimisticResult]:
     """w0 at every solution, with one array pass over all of them.
 
     Each result equals the one w0 gives for that solution alone.
@@ -79,7 +85,7 @@ def w0_batch(potential: Potential, solutions: Sequence[Solution | Assignment],
         return []
     system = build_system(potential)
     w = np.array([system.point_from_assignment(a) for a in points])
-    raw, mu_integers, bw = system.corrected_value(w, diagram is not None and potential.kind == "W")
+    raw, mu_integers, bw = system.corrected_value(w)
     bw = [None] * len(points) if bw is None else bw.tolist()
     results = []
     for r, k, b in zip(raw.tolist(), mu_integers.tolist(), bw):

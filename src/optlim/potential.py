@@ -6,12 +6,16 @@ The region potential W assigns to each positive crossing
     - pi^2/6 + log(wm/wj) log(wk/wj)
 
 and the negated dilogarithm/constant pattern to each negative crossing,
-with the log product either -log(wm/wj)log(wk/wj) (default) or the
-equivalent -log(wj/wm)log(wj/wk) (the ALT_NEG_LOG variant under which the
-region/side bridge congruence holds exactly).  The side potential V assigns
-Li2(zb/za) - Li2(zb/zc) + Li2(zd/zc) - Li2(zd/za) to every crossing, read
-in the frame where the over-strand runs upper-right to lower-left (at
-negative crossings this rotates the stored side labels by one corner).
+with the log product -log(wm/wj)log(wk/wj).  This DEFAULT form is the W
+that solve, w0 and the region/side bridge evaluate.  The ALT_NEG_LOG
+variant writes the negative log product as -log(wj/wm)log(wj/wk); the two
+differ only where wm/wj or wk/wj is a negative real, and ALT_NEG_LOG is
+kept as a reference form for tests and benchmarks.
+
+The side potential V assigns Li2(zb/za) - Li2(zb/zc) + Li2(zd/zc) -
+Li2(zd/za) to every crossing, read in the frame where the over-strand runs
+upper-right to lower-left (at negative crossings this rotates the stored
+side labels by one corner).
 
 Evaluation uses the principal branches throughout: monomial values are
 formed first, then fed to log / Li2.  The compiled equation system of the
@@ -58,30 +62,6 @@ class Monomial:
     @staticmethod
     def ratio(num: Label, den: Label) -> "Monomial":
         return Monomial.from_pairs([(num, 1), (den, -1)])
-
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
-    def exponent(self, var: Label) -> int:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
-
-    def variables(self) -> tuple[Label, ...]:
-        return tuple(v for v, _ in self.exps)
-
-    def value(self, a: Assignment) -> complex:
-        out = complex(self.coeff)
-        for var, e in self.exps:
-            try:
-                w = complex(a[var])
-            except KeyError:
-                raise EvaluationError(f"variable {var!r} not assigned") from None
-            if w == 0:
-                raise EvaluationError(f"variable {var!r} is zero")
-            out *= w ** e
-        return out
 
 
 @dataclass(frozen=True)
@@ -214,20 +194,3 @@ def evaluate(potential: Potential, a: Assignment) -> complex:
 
     system = build_system(potential)
     return complex(system.potential_value(system.point_from_assignment(a)))
-
-
-def to_json_dict(potential: Potential) -> dict:
-    def mono(m: Monomial) -> dict:
-        return {"coeff": m.coeff, "exponents": {str(v): e for v, e in m.exps}}
-
-    terms = []
-    for t in potential.terms:
-        rec: dict = {"kind": t.kind, "sign": t.sign}
-        if t.m1 is not None:
-            rec["m1"] = mono(t.m1)
-        if t.m2 is not None:
-            rec["m2"] = mono(t.m2)
-        terms.append(rec)
-    return {"kind": potential.kind,
-            "variables": [str(v) for v in potential.variables],
-            "terms": terms}

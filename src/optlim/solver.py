@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -117,9 +116,6 @@ class Solution:
     assignment: dict[Label, complex]
     residual_norm: float
     component_hint: int = -1
-
-    def vector(self, order: Sequence[Label]) -> np.ndarray:
-        return np.array([self.assignment[v] for v in order], dtype=complex)
 
 
 def _blocks(fn, X: np.ndarray):

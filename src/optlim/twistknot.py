@@ -209,8 +209,7 @@ def reproduce_reference_table(n: int) -> list[dict]:
     _check_index(n)
     roots = poly_roots(defining_poly(n))
     points = [parametrize(n, t).assignment for t in roots]
-    d = twist_diagram(n)
-    results = w0_batch(assemble_W(d), points, diagram=d)
+    results = w0_batch(assemble_W(twist_diagram(n)), points)
     rows = []
     for t, result in zip(roots, results):
         expected = match_reference_row(n, t)

@@ -1,7 +1,9 @@
 """Reference constructions that only the tests use.
 
 Each is a second, independent way to reach something the package
-computes: the twist region potential from its printed block structure
+computes: a monomial's value as a product of Python complex powers
+(against EquationSystem.monomial_values), the twist region potential from
+its printed block structure
 (against assemble_W of the twist diagram), the region values w_k as
 closed forms in t and the recurrence extended by one step (against
 twistknot.parametrize), and a PD code rendered from a diagram with a
@@ -15,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from optlim.diagram import Crossing, Label, LinkDiagram, _strand_components
-from optlim.potential import DEFAULT, Potential, WNVariant, region_terms_W
+from optlim.potential import (DEFAULT, Assignment, EvaluationError, Monomial, Potential,
+                              WNVariant, region_terms_W)
 from optlim.twistknot import REFERENCE_ROWS, TwistError, _check_index, parametrize
 
 # Closed forms w_k = (numerator in t, ascending) / ((t-3) * t^(2k)), k = 0..6.
@@ -67,6 +70,26 @@ def region_closed_form(k: int, t: complex) -> complex:
     t = complex(t)
     num = eval_poly(REGION_CLOSED_FORMS[k], t)
     return num / ((t - 3) * t ** (2 * k))
+
+
+# ---------------------------------------------------------------------------
+# Monomial values
+
+
+def monomial_value(m: Monomial, a: Assignment) -> complex:
+    """coeff * prod(w ** e) in Python complex arithmetic, factor by factor
+    in the monomial's order: the reference the compiled gather
+    (EquationSystem.monomial_values) matches bit for bit."""
+    out = complex(m.coeff)
+    for var, e in m.exps:
+        try:
+            w = complex(a[var])
+        except KeyError:
+            raise EvaluationError(f"variable {var!r} not assigned") from None
+        if w == 0:
+            raise EvaluationError(f"variable {var!r} is zero")
+        out *= w ** e
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Command-line driver: subcommands, exit codes, JSON stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,21 @@ class TestSolve:
                                "--restarts", "128", "--seed", "0")
         assert code == 0
         assert json.loads(out)["diagram"]["regions"] == 6
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_invalid_json_diagram_exits_1(self, capsys, tmp_path, command):
+        # regions j and k swapped at one crossing: every region and side
+        # still occurs, but the side/region borders no longer match
+        doc = to_json_dict(builtin("4_1"))
+        regions = doc["crossings"][0]["regions"]
+        regions[0], regions[1] = regions[1], regions[0]
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "--stable", command, "--json", str(path),
+                                 "--restarts", "16", "--seed", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid diagram") and "side_borders_ok" in err
 
     def test_records_carry_essential_margin(self, capsys):
         code, out, _ = run_cli(capsys, "--stable", "solve", "--builtin", "4_1",
@@ -180,11 +199,11 @@ class TestVerify:
                                    "--sign-flip", "--trials", trials)
             assert code == 0
             assert sum(r["status"] == "ok" for r in json.loads(out)["solutions"])
-            # the solve system, then the bridge's side and ALT_NEG_LOG systems,
-            # whatever the number of solutions and trials: the sign-flip base
-            # is the bridge's ALT_NEG_LOG system and every flipped system is
-            # derived from it
-            assert build_counter == ["W", "V", "W"]
+            # the solve system, then the bridge's side system, whatever the
+            # number of solutions and trials: the bridge and the sign-flip
+            # base read the solve's W, and every flipped system is derived
+            # from it
+            assert build_counter == ["W", "V"]
 
     def test_sign_flip_base_is_the_bridge_w0(self, capsys, monkeypatch):
         calls = []
@@ -211,29 +230,31 @@ class TestVerify:
         argv = ("--stable", "verify", "--builtin", "4_1", "--restarts", "64",
                 "--seed", "0", "--sign-flip", "--trials", "5")
         first = run_cli(capsys, *argv)
-        assert build_counter == ["W", "V", "W"]
+        assert build_counter == ["W", "V"]
         second = run_cli(capsys, *argv)
-        assert build_counter == ["W", "V", "W"]     # every system came from a cache
+        assert build_counter == ["W", "V"]     # every system came from a cache
         assert first[0] == 0
         assert second == first
 
-    def test_no_sign_flip_assembles_no_alternative_potential(self, capsys, monkeypatch,
-                                                             build_counter):
-        variants = []
+    @pytest.mark.parametrize("flags", [(), ("--sign-flip", "--trials", "3")],
+                             ids=["plain", "sign-flip"])
+    def test_assembles_no_alternative_potential(self, capsys, monkeypatch, build_counter,
+                                                flags):
+        calls = []
         original = cli.assemble_W
 
-        def recording(d, *args, **kwargs):
-            variants.append(kwargs.get("variant"))
-            return original(d, *args, **kwargs)
+        def recording(*args, **kwargs):
+            calls.append((args[1:], kwargs))
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(cli, "assemble_W", recording)
         code, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "4_1",
-                               "--restarts", "64", "--seed", "0")
+                               "--restarts", "64", "--seed", "0", *flags)
         assert code == 0
-        assert variants == [None]
+        assert calls == [((), {})]
         assert sum(r["status"] == "ok" for r in json.loads(out)["solutions"])
-        # the solve system, then the bridge's two systems once per diagram
-        assert build_counter == ["W", "V", "W"]
+        # the solve system, then the bridge's side system: W and V, no other W
+        assert build_counter == ["W", "V"]
 
     def test_all_degenerate_reports_skips(self, capsys):
         pd = "X(1,7,2,6) X(5,3,6,2) X(4,8,5,7) X(3,8,4,1)"
@@ -247,6 +268,27 @@ class TestVerify:
 
 def test_parser_built_once():
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--pd", "X(1,7,2,6) X(5,3,6,2) X(4,8,5,7) X(3,8,4,1)"),
+    ("solve", "--builtin", "T5", "--potential", "v", "--restarts", "64"),
+    ("verify", "--builtin", "4_1", "--sign-flip", "--trials", "5", "--restarts", "32"),
+], ids=["solve-pd", "solve-T5-v", "verify-sign-flip"])
+def test_stable_output_independent_of_hash_seed(argv):
+    # --stable output must not depend on set or dict iteration order of
+    # string labels, which PYTHONHASHSEED changes from process to process
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "optlim.cli", "--stable", *argv],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.stderr == ""
+        outputs.append((proc.returncode, proc.stdout))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].startswith("{")
 
 
 class TestFloats:

@@ -212,7 +212,6 @@ class TestBridge:
         assert z.residual_norm == float(np.max(np.abs(system_v.residual(z.assignment))))
 
     def test_solver_solutions_bridge(self, fig8, fig8_w_solutions):
-        pw = assemble_W(fig8, variant=ALT_NEG_LOG)
         checked = 0
         for s in fig8_w_solutions:
             if not check_w_nondegenerate(fig8, s.assignment):

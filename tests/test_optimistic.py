@@ -119,15 +119,14 @@ class TestOnePassW0:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_batch_rows_equal_single_calls(self, n, kind):
         p = twist_potential_of_kind(n, kind)
-        d = None if kind == "V" else builtin(f"T{n}")
         points = closed_form_points(n, kind)
-        batch = w0_batch(p, points, diagram=d)
-        single = [w0(p, a, diagram=d) for a in points]
+        batch = w0_batch(p, points)
+        single = [w0(p, a) for a in points]
         assert [r.mu_integers for r in batch] == [r.mu_integers for r in single]
         assert result_bits(batch) == result_bits(single)
 
     def test_empty_batch(self, fig8):
-        assert w0_batch(assemble_W(fig8), [], diagram=fig8) == []
+        assert w0_batch(assemble_W(fig8), []) == []
 
 
 def bw_volume_reference(diagram, a):
@@ -176,8 +175,43 @@ class TestBlochWignerVolume:
     def test_matches_imaginary_part(self, fig8, fig8_w_solutions):
         p = assemble_W(fig8)
         for s in fig8_w_solutions:
-            res = w0(p, s, diagram=fig8)
+            res = w0(p, s)
             assert res.bw_vol == pytest.approx(res.raw.imag, abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_sign_flipped_w_keeps_the_base_value(self, n):
+        # w -> tau * w^eps maps every Li2 argument at the flipped point to
+        # the base argument at the base point.  A tau alone only negates
+        # factors, so the volume is the same float; an eps of -1 forms the
+        # argument from rounded reciprocals, so it agrees to rounding.
+        p = assemble_W(builtin(f"T{n}"))
+        points = closed_form_points(n, "W")
+        base = w0_batch(p, points)
+        rng = make_rng(110 + n)
+        for i in range(40):
+            taus = {v: int(rng.choice((-1, 1))) for v in p.variables}
+            eps = {v: 1 if i % 2 else int(rng.choice((-1, 1))) for v in p.variables}
+            a = points[i % len(points)]
+            res = w0(sign_flip(p, taus, eps), sign_flip_point(p, taus, eps, a))
+            want = base[i % len(points)].bw_vol
+            if i % 2:
+                assert res.bw_vol == want
+            else:
+                assert abs(res.bw_vol - want) < 1e-13
+
+    def test_none_on_the_side_potential(self):
+        p = assemble_V(builtin("T2"))
+        assert all(r.bw_vol is None for r in w0_batch(p, closed_form_points(2, "V")))
+
+    def test_mismatched_diagram_rejected(self):
+        p = assemble_W(builtin("T1"))
+        a = closed_form_points(1, "W")[0]
+        assert w0(p, a, diagram=builtin("T1")) == w0(p, a)
+        for d in (builtin("T2"), builtin("4_1")):
+            with pytest.raises(ValueError, match="regions are not the potential's variables"):
+                w0(p, a, diagram=d)
+        with pytest.raises(ValueError, match="regions are not the potential's variables"):
+            w0(assemble_V(builtin("T1")), closed_form_points(1, "V")[0], diagram=builtin("T1"))
 
 
 def li2_counter(monkeypatch):
@@ -195,9 +229,9 @@ def li2_counter(monkeypatch):
 
 
 class TestSharedLi2Pass:
-    """w0_batch with a diagram reads the Bloch-Wigner volume from W's own
-    Li2 arguments and li2 values: one li2 call over the dilogarithm terms,
-    and the values bw_volume gives."""
+    """w0_batch on a region potential reads the Bloch-Wigner volume from
+    W's own Li2 arguments and li2 values: one li2 call over the dilogarithm
+    terms, and the values bw_volume gives."""
 
     @pytest.mark.parametrize("kind", ["W", "W-alt"])
     @pytest.mark.parametrize("n", range(1, 6))
@@ -205,12 +239,7 @@ class TestSharedLi2Pass:
         p = twist_potential_of_kind(n, kind)
         d = builtin(f"T{n}")
         points = closed_form_points(n, kind)
-        shared = w0_batch(p, points, diagram=d)
-        alone = w0_batch(p, points)
-        assert [r.mu_integers for r in shared] == [r.mu_integers for r in alone]
-        assert (np.array([(r.raw.real, r.raw.imag, r.vol, r.cs_mod_pi2) for r in shared]).tobytes()
-                == np.array([(r.raw.real, r.raw.imag, r.vol, r.cs_mod_pi2) for r in alone]).tobytes())
-        assert all(r.bw_vol is None for r in alone)
+        shared = w0_batch(p, points)
         bw = np.array([r.bw_vol for r in shared])
         assert bw.tobytes() == np.array([bw_volume(d, a) for a in points]).tobytes()
         assert np.all(np.abs(bw - [bw_volume_reference(d, a) for a in points]) < 1e-13)
@@ -222,8 +251,8 @@ class TestSharedLi2Pass:
         points = closed_form_points(n, "W")
         build_system(p)
         calls = li2_counter(monkeypatch)
-        w0_batch(p, points, diagram=d)
-        w0(p, points[0], diagram=d)
+        w0_batch(p, points)
+        w0(p, points[0])
         ndilog = 5 * len(d.crossings)        # the dilogarithm terms, no second set of shapes
         assert calls == [(len(points), ndilog), (1, ndilog)]
 
@@ -233,14 +262,14 @@ class TestSharedLi2Pass:
         a = random_essential_assignment(p, make_rng(44))
         j, k, _, _ = fig8.crossings[0].regions
         a[k] = a[j]                        # the shape wk/wj is 1, and so is a W argument
-        for f in (lambda: w0(p, a, diagram=fig8), lambda: bw_volume(fig8, a)):
+        for f in (lambda: w0(p, a), lambda: bw_volume(fig8, a)):
             with pytest.raises(EvaluationError, match="non-essential assignment"):
                 f()
         a = random_essential_assignment(p, make_rng(45))
         with pytest.raises(EvaluationError, match="not a solution"):
-            w0(p, a, diagram=fig8)
+            w0(p, a)
         a[fig8.regions[0]] = 0.0
-        for f in (lambda: w0(p, a, diagram=fig8), lambda: bw_volume(fig8, a)):
+        for f in (lambda: w0(p, a), lambda: bw_volume(fig8, a)):
             with pytest.raises(EvaluationError, match="zero variable value"):
                 f()
 

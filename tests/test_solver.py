@@ -16,8 +16,14 @@ from optlim.numerics import PI2, reduce_centered
 from optlim.potential import Potential
 
 from conftest import dilog_monomials, make_rng, mu_oracle, random_essential_assignment
+from oracles import monomial_value
 
 TWO_PI = 2 * math.pi
+
+
+def vector(solution, order):
+    """The solution's values in the given variable order."""
+    return np.array([solution.assignment[v] for v in order], dtype=complex)
 
 # Every message refine() raises for a failed Newton row.
 NEWTON_FAILURE = re.compile(
@@ -57,7 +63,7 @@ class TestEssentialMargin:
     def test_margin_is_distance_from_0_1_infinity(self, fig8):
         system = build_system(assemble_W(fig8))
         a = random_essential_assignment(system.potential, make_rng(47))
-        values = [m.value(a) for m in dilog_monomials(system.potential)]
+        values = [monomial_value(m, a) for m in dilog_monomials(system.potential)]
         expected = min(min(abs(v), abs(1 - v), 1 / abs(v)) for v in values)
         # numpy's complex abs rounds differently from Python's in the last bit
         assert solver.essential_margin(system, a) == pytest.approx(expected, rel=1e-15)
@@ -91,7 +97,7 @@ class TestEssentialMargin:
 class TestSolve:
     def test_figure_eight_volume_pair(self, fig8, fig8_w_solutions):
         p = assemble_W(fig8)
-        vols = {round(w0(p, s, diagram=fig8).vol, 4) for s in fig8_w_solutions}
+        vols = {round(w0(p, s).vol, 4) for s in fig8_w_solutions}
         assert 2.0299 in vols
         assert -2.0299 in vols
 
@@ -143,7 +149,7 @@ class TestSolve:
                 assert abs(mu[v] - 2j * math.pi * k) < 1e-9
 
     def test_dedupe_distinct(self, fig8_w_solutions):
-        vecs = [s.vector(sorted(s.assignment, key=str)) for s in fig8_w_solutions]
+        vecs = [vector(s, sorted(s.assignment, key=str)) for s in fig8_w_solutions]
         for i in range(len(vecs)):
             for j in range(i + 1, len(vecs)):
                 assert np.max(np.abs(vecs[i] - vecs[j])) > 1e-8
@@ -170,12 +176,11 @@ class TestRefine:
         for t in twistknot.poly_roots(twistknot.defining_poly(n)):
             par = twistknot.parametrize(n, t)
             ref_vol, ref_cs = twistknot.match_reference_row(n, t)
-            for system, pot, diagram, base in ((sw, pw, d, par.regions),
-                                               (sv, pv, None, par.sides)):
+            for system, pot, base in ((sw, pw, par.regions), (sv, pv, par.sides)):
                 noise = rng.standard_normal((len(base), 2)) @ [1.0, 1.0j] / math.sqrt(2.0)
                 start = {v: val * (1.0 + 1e-3 * z) for (v, val), z in zip(base.items(), noise)}
-                res = w0(pot, refine(system, start), diagram=diagram)
-                exact = w0(pot, base, diagram=diagram)
+                res = w0(pot, refine(system, start))
+                exact = w0(pot, base)
                 assert abs(res.vol - exact.vol) < 1e-9
                 assert abs(reduce_centered(res.cs_mod_pi2 - exact.cs_mod_pi2, PI2)) < 1e-9
                 # the reference table has 4 decimals
@@ -186,8 +191,8 @@ class TestRefine:
         system = build_system(assemble_W(fig8))
         base = fig8_w_solutions[0]
         sol = refine(system, base.assignment)
-        vec0 = base.vector(system.unknowns)
-        vec1 = sol.vector(system.unknowns)
+        vec0 = vector(base, system.unknowns)
+        vec1 = vector(sol, system.unknowns)
         assert np.max(np.abs(vec0 - vec1)) < 1e-10
 
     def test_scaling_closure(self, fig8, fig8_w_solutions):
@@ -201,8 +206,8 @@ class TestRefine:
                 continue
             scaled = {v: lam * val for v, val in base.assignment.items()}
             sol = refine(system, scaled)
-            vec0 = base.vector(system.unknowns)
-            vec1 = sol.vector(system.unknowns)
+            vec0 = vector(base, system.unknowns)
+            vec1 = vector(sol, system.unknowns)
             assert np.max(np.abs(vec0 - vec1)) < 1e-8
 
     def test_far_point_diverges(self, fig8, monkeypatch):
