@@ -107,8 +107,7 @@ def cmd_solve(args) -> int:
             "cs_mod_pi2": res.cs_mod_pi2,
             "bw_vol": res.bw_vol,
             "mu_integers": list(res.mu_integers),
-            "component_hint": sol.component_hint,
-            "geometric_heuristic": bool(results and abs(res.vol - best_vol) < 1e-9),
+            "geometric_heuristic": res.vol > 1e-9 and abs(res.vol - best_vol) < 1e-9,
         })
     report = {
         "command": "solve",

@@ -412,11 +412,16 @@ def to_json_dict(diagram: LinkDiagram) -> dict:
 
 
 def from_json_dict(data: dict) -> LinkDiagram:
+    crossings = []
     try:
-        crossings = [
-            Crossing(int(c["sign"]), tuple(c["regions"]), tuple(c["sides"]))
-            for c in data["crossings"]
-        ]
+        for i, c in enumerate(data["crossings"]):
+            sign, regions, sides = c["sign"], tuple(c["regions"]), tuple(c["sides"])
+            if (type(sign) is not int or sign not in (-1, 1)
+                    or len(regions) != 4 or len(sides) != 4
+                    or any(type(lab) not in (int, str) for lab in regions + sides)):
+                raise DiagramError(f"crossing {i} needs an integer sign of 1 or -1 and four "
+                                   f"integer or string regions and sides, got {c!r}")
+            crossings.append(Crossing(sign, regions, sides))
     except (KeyError, TypeError) as exc:
         raise DiagramError(f"malformed crossing list: {exc}") from exc
     d = from_crossings(crossings)

@@ -31,11 +31,12 @@ Each row leaves with a status code
 line-search stall, stagnation, divergence or iteration limit); refine()
 is the same iteration on a single row and turns a failure code into
 SolveError, and a start with a missing or non-finite variable into
-EvaluationError.  Converged rows are deduplicated and only essential solutions
-(essential_margin, the distance of every dilogarithm argument from 0, 1
-and infinity, at least ESSENTIAL_TOL) are kept.  Every row's
-arithmetic is independent of the other rows in the block, so the same
-seed gives the same solutions.
+EvaluationError.  solve() keeps every converged row with an essential
+point (essential_margin, the distance of every dilogarithm argument from
+0, 1 and infinity, at least ESSENTIAL_TOL), with no dedup: the solution
+sets are positive-dimensional, so restarts land on distinct points.
+Every row's arithmetic is independent of the other rows in the block, so
+the same seed gives the same solutions.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from .equations import EquationSystem, EvaluationError
 from .potential import Assignment
 
 # Rows per kernel or Jacobian call; line-search candidates count one row
-# each.  Bounds the working memory independently of the number of restarts.
+# each.  Bounds the line-search trial rows and Jacobian blocks formed per
+# call, about half the peak memory at 512 restarts, but not the kernel
+# states and Jacobians of the live rows, which grow with the restarts.
 BLOCK_ROWS = 256
 
 # Tikhonov weight lam of the Gauss-Newton step, relative to
@@ -59,9 +62,6 @@ REGULARISATION = 1e-10
 
 # Newton iterations per row before it leaves with MAX_ITER.
 ITERATIONS = 200
-
-# Converged points closer than this in every coordinate are one solution.
-DEDUPE_TOL = 1e-8
 
 # Cut-off of essential_margin.  The regularised step also converges
 # onto points near the non-essential boundary, where the region/side
@@ -107,15 +107,16 @@ class SolveConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if not 0 < self.residual_tol < DEDUPE_TOL:
-            raise ValueError(f"residual_tol must lie in (0, {DEDUPE_TOL:g})")
+        # W0 snaps each mu_k at MU_TOL = 1e-6, and the pin's mu, minus the
+        # sum of the others, adds up their errors.
+        if not 0 < self.residual_tol < 1e-8:
+            raise ValueError("residual_tol must lie in (0, 1e-08)")
 
 
 @dataclass(frozen=True)
 class Solution:
     assignment: dict[Label, complex]
     residual_norm: float
-    component_hint: int = -1
 
 
 def _blocks(fn, X: np.ndarray):
@@ -356,7 +357,8 @@ def _sample(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def solve(system: EquationSystem, cfg: SolveConfig | None = None) -> list[Solution]:
-    """Multistart search; deduplicated essential solutions sorted by residual.
+    """Multistart search; every converged essential restart, sorted by
+    residual, then by coordinates rounded to 6 decimals.
 
     The solution list carries no completeness guarantee: the solution set
     may be under-sampled at the configured number of restarts.  An empty
@@ -372,13 +374,5 @@ def solve(system: EquationSystem, cfg: SolveConfig | None = None) -> list[Soluti
     rows = np.flatnonzero(status == CONVERGED)
     points = np.concatenate((X[rows], np.ones((len(rows), 1))), axis=1)
     rows = rows[is_essential(system, points, ESSENTIAL_TOL)]
-    hits = sorted(((X[i], float(fnorm[i])) for i in rows),
-                  key=lambda h: (h[1],) + tuple(np.round(h[0].view(float), 6)))
-    # Keep a row unless it lies within DEDUPE_TOL of a kept one: the kept
-    # rows come in residual order, each with the smallest residual near it.
-    kept: list[tuple[np.ndarray, float]] = []
-    for x, fn in hits:
-        if not any(np.max(np.abs(y - x)) < DEDUPE_TOL for y, _ in kept):
-            kept.append((x, fn))
-    return [Solution(system.assignment_from_vector(x), fn, component_hint=i)
-            for i, (x, fn) in enumerate(kept)]
+    order = sorted(rows, key=lambda i: (fnorm[i],) + tuple(np.round(X[i].view(float), 6)))
+    return [Solution(system.assignment_from_vector(X[i]), float(fnorm[i])) for i in order]

@@ -127,13 +127,55 @@ class TestSolve:
         assert code == 1
         assert "at least 1" in err
 
-    @pytest.mark.parametrize("tol", ["1e-6", "0"])
+    @pytest.mark.parametrize("tol", ["1e-8", "1e-6", "0"])
     def test_out_of_range_tol_exits_1(self, capsys, tol):
-        # residual_tol must lie in (0, solver.DEDUPE_TOL)
         code, out, err = run_cli(capsys, "solve", "--builtin", "4_1", "--tol", tol)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "residual_tol" in err
+        assert err == "error: residual_tol must lie in (0, 1e-08)\n"
+
+    def test_record_keys(self, capsys):
+        code, out, _ = run_cli(capsys, "--stable", "solve", "--builtin", "4_1",
+                               "--restarts", "12", "--seed", "0")
+        assert code == 0
+        for rec in json.loads(out)["solutions"]:
+            assert set(rec) == {"assignment", "residual", "essential_margin", "w0_raw", "vol",
+                                "cs_mod_pi2", "bw_vol", "mu_integers", "geometric_heuristic"}
+
+    def test_negative_volume_not_flagged(self, capsys):
+        # Seed 1 at 12 restarts finds only the conjugate class, vol -2.0299.
+        code, out, _ = run_cli(capsys, "--stable", "solve", "--builtin", "4_1",
+                               "--restarts", "12", "--seed", "1")
+        assert code == 0
+        records = json.loads(out)["solutions"]
+        assert records and all(round(s["vol"], 4) == -2.0299 for s in records)
+        assert not any(s["geometric_heuristic"] for s in records)
+
+    def test_zero_volume_not_flagged(self, capsys):
+        # The trefoil is not hyperbolic: every point has |vol| < 3e-15.
+        code, out, _ = run_cli(capsys, "--stable", "solve", "--pd",
+                               "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "--restarts", "64")
+        assert code == 0
+        records = json.loads(out)["solutions"]
+        assert records and all(abs(s["vol"]) < 3e-15 for s in records)
+        assert not any(s["geometric_heuristic"] for s in records)
+
+    @pytest.mark.parametrize("edit", [
+        {"regions": [[1], [2], [3], [4]]},
+        {"sides": [1, 2, 3, True]},
+        {"sign": 1.5},
+        {"sign": True},
+        {"sign": "1"},
+    ])
+    def test_malformed_json_crossing_exits_1(self, capsys, tmp_path, edit):
+        doc = to_json_dict(builtin("4_1"))
+        doc["crossings"][2].update(edit)
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "solve", "--json", str(path), "--restarts", "12")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: crossing 2 ")
 
 
 class TestTwist:

@@ -139,6 +139,24 @@ class TestJson:
         with pytest.raises(DiagramError, match="declared"):
             from_json_dict(doc)
 
+    @pytest.mark.parametrize("edit", [
+        {"regions": [[1], [2], [3], [4]]},
+        {"regions": [1.0, 2, 3, 4]},
+        {"sides": [1, 2, None, 4]},
+        {"sides": [1, 2, 3, False]},
+        {"sign": 1.5},
+        {"sign": True},
+        {"sign": 2},
+        {"sign": "-1"},
+        {"regions": [1, 2, 3]},
+        {"sides": [1, 2, 3, 4, 5]},
+    ])
+    def test_malformed_crossing_named(self, fig8, edit):
+        doc = to_json_dict(fig8)
+        doc["crossings"][1].update(edit)
+        with pytest.raises(DiagramError, match="^crossing 1 needs an integer sign"):
+            from_json_dict(doc)
+
     def test_side_count_validated(self):
         bad = {"crossings": [
             {"sign": 1, "regions": [1, 2, 3, 4], "sides": [1, 2, 3, 4]},

@@ -1,4 +1,5 @@
-"""Multistart Newton: determinism, convergence, dedup, essential filtering."""
+"""Multistart Newton: determinism, convergence, essential filtering, and the
+solve contract (every converged essential restart, in residual order)."""
 
 import dataclasses
 import math
@@ -42,13 +43,12 @@ class TestConfig:
         assert cfg.residual_tol == 1e-12
         assert cfg.seed == 0
         assert solver.ITERATIONS == 200
-        assert solver.DEDUPE_TOL == 1e-8
         assert solver.ESSENTIAL_TOL == 1e-3
         assert solver.START_RADII == (0.1, 10.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolveConfig(residual_tol=solver.DEDUPE_TOL)
+            SolveConfig(residual_tol=1e-8)
         with pytest.raises(ValueError):
             SolveConfig(residual_tol=1e-6)
         with pytest.raises(ValueError):
@@ -609,7 +609,29 @@ def test_status_counts_on_multistart_systems():
     assert counts[solver.MAX_ITER] <= 3
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name,kind", MULTISTART_SYSTEMS)
+def test_solve_returns_every_converged_essential_row(name, kind, seed):
+    # No restart is dropped as a duplicate: solve is the CONVERGED rows
+    # of _newton that pass is_essential, in (residual, rounded
+    # coordinates) order.
+    d = builtin(name)
+    system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
+    cfg = SolveConfig(restarts=64, seed=seed)
+    X, fnorm, status = solver._newton(system, _starts(system, 64, seed), cfg)
+    rows = [i for i in range(64) if status[i] == solver.CONVERGED
+            and solver.is_essential(system, np.append(X[i], 1.0), solver.ESSENTIAL_TOL)]
+    rows.sort(key=lambda i: (fnorm[i], *np.round(X[i].view(float), 6)))
+    solutions = solve(system, cfg)
+    assert len(solutions) == len(rows)
+    for s, i in zip(solutions, rows):
+        assert s.assignment == system.assignment_from_vector(X[i])
+        assert s.residual_norm == fnorm[i]
+
+
 def test_memory_independent_of_restarts():
+    # Bounds the peak at the default 512 restarts; the live rows' kernel
+    # states and Jacobians still grow with the number of restarts.
     system = build_system(assemble_W(builtin("T5")))
     tracemalloc.start()
     try:
