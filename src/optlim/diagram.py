@@ -11,6 +11,11 @@ PD tuples are read starting at the incoming under-strand.  The convention
 for converting tuples to corner data is fixed once and for all by the
 requirement that the standard figure-eight PD code reproduce the region
 potential of the built-in ``4_1`` diagram; see tests.
+
+A PD code may describe a link of any number of components.  Each strand
+component is traced once and runs in the direction that enters its
+under-crossings at slot 0; a component that never passes under runs the
+way its side labels increase.  See ``_orient``.
 """
 
 from __future__ import annotations
@@ -173,81 +178,52 @@ def _check_connected(pd, occ):
 
 
 def _orient(pd, occ, mate):
-    """Return direction['in'|'out'] per dart and the component count.
+    """Return the crossing signs and the component count.
 
-    Slot 0 is the incoming under-strand and slot 2 the outgoing one; these
-    anchors are propagated along arcs and across over-passages.  Components
-    that never pass under are oriented by increasing side labels.
+    Each strand component is traced once, through crossings from slot 0 to
+    2 and from 1 to 3 or back, recording the slot at which the trace enters
+    each crossing.  A component runs in the direction that enters its
+    under-crossings at slot 0, the incoming under-strand; one entering
+    under-crossings at both slot 0 and slot 2 is inconsistent, which is
+    checked for every component first.  A component that never passes
+    under runs the way its side labels increase: the direction with more
+    steps from a label to its successor label.  A crossing is positive
+    when its over-strand enters at slot 3.
     """
-    direction: dict[tuple[int, int], str] = {}
-
-    def set_dir(dart, val):
-        old = direction.get(dart)
-        if old is not None and old != val:
-            raise DiagramError("inconsistent orientation trace")
-        direction[dart] = val
-
-    def propagate():
-        changed = True
-        while changed:
-            changed = False
-            for dart, val in list(direction.items()):
-                m = mate[dart]
-                opp = "out" if val == "in" else "in"
-                if direction.get(m) != opp:
-                    set_dir(m, opp)
-                    changed = True
-                ci, slot = dart
-                if slot in (1, 3):
-                    other = (ci, 4 - slot)
-                    if direction.get(other) != opp:
-                        set_dir(other, opp)
-                        changed = True
-
-    for ci in range(len(pd)):
-        set_dir((ci, 0), "in")
-        set_dir((ci, 2), "out")
-    propagate()
-
-    # Strand components: arcs chained through crossings (slot 0 <-> 2, 1 <-> 3).
-    comp_of: dict[int, int] = {}
-    comps: list[list[int]] = []
+    traced: set[int] = set()
+    comps = []
     for lab in sorted(occ):
-        if lab in comp_of:
+        if lab in traced:
             continue
-        cycle = []
-        cur = lab
-        arrive = occ[lab][0]
-        while cur not in comp_of:
-            comp_of[cur] = len(comps)
-            cycle.append(cur)
-            ci, slot = arrive
+        labels, entries = [], []
+        cur, (ci, slot) = lab, occ[lab][0]
+        while cur not in traced:
+            traced.add(cur)
+            labels.append(cur)
+            entries.append((ci, slot))
             leave = (ci, (slot + 2) % 4)
             cur = pd[ci][leave[1]]
-            arrive = mate[leave]
-        comps.append(cycle)
-
-    # Orient components that never pass under: labels increase along the strand.
-    for cycle in comps:
-        dart = occ[cycle[0]][0]
-        if dart in direction:
-            continue
-        ascents_fwd = sum(1 for i, lab in enumerate(cycle) if cycle[(i + 1) % len(cycle)] == lab + 1)
-        ascents_bwd = sum(1 for i, lab in enumerate(cycle) if cycle[(i - 1) % len(cycle)] == lab + 1)
-        if ascents_fwd == ascents_bwd:
-            raise DiagramError("cannot orient component without under-crossings")
-        # The traversal above arrives at occ[lab][0]; forward means that end is 'in'.
-        set_dir(dart, "in" if ascents_fwd > ascents_bwd else "out")
-        propagate()
-
-    if len(direction) != 4 * len(pd):
-        raise DiagramError("inconsistent orientation trace")
-    for ci in range(len(pd)):
-        if direction[(ci, 0)] != "in" or direction[(ci, 2)] != "out":
+            ci, slot = mate[leave]
+        under = {slot for _, slot in entries if slot % 2 == 0}
+        if under == {0, 2}:
             raise DiagramError("inconsistent orientation trace")
-        if direction[(ci, 1)] == direction[(ci, 3)]:
-            raise DiagramError("inconsistent orientation trace")
-    return direction, len(comps)
+        comps.append((labels, entries, under))
+
+    signs = [0] * len(pd)
+    for labels, entries, under in comps:
+        if under:
+            forward = under == {0}
+        else:
+            ascents_fwd = sum(1 for i, lab in enumerate(labels) if labels[(i + 1) % len(labels)] == lab + 1)
+            ascents_bwd = sum(1 for i, lab in enumerate(labels) if labels[i - 1] == lab + 1)
+            if ascents_fwd == ascents_bwd:
+                raise DiagramError("cannot orient component without under-crossings")
+            forward = ascents_fwd > ascents_bwd
+        for ci, slot in entries:
+            if slot % 2 == 1:
+                # Run against the trace, the over-strand enters where the trace left.
+                signs[ci] = 1 if (slot == 3) == forward else -1
+    return signs, len(comps)
 
 
 def _faces(pd, mate):
@@ -274,15 +250,14 @@ def build_diagram(pd: Sequence[tuple[int, int, int, int]]) -> LinkDiagram:
     if any(len(v) != 2 for v in occ.values()):
         raise DiagramError("side labels must appear exactly twice")
     _check_connected(pd, occ)
-    direction, ncomps = _orient(pd, occ, mate)
+    signs, ncomps = _orient(pd, occ, mate)
     face_of, nfaces = _faces(pd, mate)
     C = len(pd)
     if nfaces != C + 2:
         raise DiagramError(f"face count {nfaces} != C+2 = {C + 2}; rotation system is not planar")
 
     crossings = []
-    for ci, tup in enumerate(pd):
-        sign = 1 if direction[(ci, 3)] == "in" else -1
+    for ci, (tup, sign) in enumerate(zip(pd, signs)):
         corner_idx = _CORNERS_POS if sign > 0 else _CORNERS_NEG
         side_slots = _SIDE_SLOTS_POS if sign > 0 else _SIDE_SLOTS_NEG
         regions = tuple(face_of[(ci, q)] + 1 for q in corner_idx)
@@ -400,28 +375,18 @@ def relabel(diagram: LinkDiagram, region_map: dict, side_map: dict) -> LinkDiagr
 # JSON crossing-list format
 
 
-def to_json_dict(diagram: LinkDiagram) -> dict:
-    return {
-        "crossings": [
-            {"sign": c.sign, "regions": list(c.regions), "sides": list(c.sides)}
-            for c in diagram.crossings
-        ],
-        "n": diagram.n,
-        "g": diagram.g,
-    }
-
-
 def from_json_dict(data: dict) -> LinkDiagram:
     crossings = []
     try:
         for i, c in enumerate(data["crossings"]):
-            sign, regions, sides = c["sign"], tuple(c["regions"]), tuple(c["sides"])
+            sign, regions, sides = c["sign"], c["regions"], c["sides"]
             if (type(sign) is not int or sign not in (-1, 1)
+                    or not isinstance(regions, list) or not isinstance(sides, list)
                     or len(regions) != 4 or len(sides) != 4
                     or any(type(lab) not in (int, str) for lab in regions + sides)):
-                raise DiagramError(f"crossing {i} needs an integer sign of 1 or -1 and four "
+                raise DiagramError(f"crossing {i} needs an integer sign of 1 or -1 and lists of four "
                                    f"integer or string regions and sides, got {c!r}")
-            crossings.append(Crossing(sign, regions, sides))
+            crossings.append(Crossing(sign, tuple(regions), tuple(sides)))
     except (KeyError, TypeError) as exc:
         raise DiagramError(f"malformed crossing list: {exc}") from exc
     d = from_crossings(crossings)

@@ -11,6 +11,11 @@ from oracles import monomial_value
 
 FIG8_PD = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
 
+# Knot Atlas PD codes of the two-component Whitehead link L5a1 (volume 4G,
+# G Catalan's constant) and the three-component Borromean rings L6a4 (8G).
+WHITEHEAD_PD = "X(6,1,7,2) X(10,7,5,8) X(4,5,1,6) X(2,10,3,9) X(8,4,9,3)"
+BORROMEAN_PD = "X(6,1,7,2) X(12,8,9,7) X(4,12,1,11) X(10,5,11,6) X(8,4,5,3) X(2,9,3,10)"
+
 # Printed region potential of the figure-eight diagram: the four crossing
 # blocks in region labels 1..6 (sign; j, k, l, m).
 FIG8_CROSSINGS = [

@@ -6,8 +6,9 @@ computes: a monomial's value as a product of Python complex powers
 its printed block structure
 (against assemble_W of the twist diagram), the region values w_k as
 closed forms in t and the recurrence extended by one step (against
-twistknot.parametrize), and a PD code rendered from a diagram with a
-relabeling-invariant comparison of diagrams (against build_diagram).
+twistknot.parametrize), a PD code rendered from a diagram with a
+relabeling-invariant comparison of diagrams (against build_diagram), and
+a diagram written as a JSON crossing list (against from_json_dict).
 """
 
 from __future__ import annotations
@@ -197,3 +198,18 @@ def is_isomorphic(d1: LinkDiagram, d2: LinkDiagram) -> bool:
         return False
 
     return backtrack(0, frozenset(), {}, {})
+
+
+# ---------------------------------------------------------------------------
+# JSON crossing-list format
+
+
+def to_json_dict(diagram: LinkDiagram) -> dict:
+    return {
+        "crossings": [
+            {"sign": c.sign, "regions": list(c.regions), "sides": list(c.sides)}
+            for c in diagram.crossings
+        ],
+        "n": diagram.n,
+        "g": diagram.g,
+    }

@@ -10,9 +10,9 @@ import pytest
 
 from optlim import assemble_W, build_system, builtin, cli, solver
 from optlim.cli import main
-from optlim.diagram import to_json_dict
 
-from conftest import clear_diagram_caches
+from conftest import BORROMEAN_PD, WHITEHEAD_PD, clear_diagram_caches
+from oracles import to_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +166,7 @@ class TestSolve:
         {"sign": 1.5},
         {"sign": True},
         {"sign": "1"},
+        {"regions": "4213"},
     ])
     def test_malformed_json_crossing_exits_1(self, capsys, tmp_path, edit):
         doc = to_json_dict(builtin("4_1"))
@@ -297,6 +298,17 @@ class TestVerify:
         assert sum(r["status"] == "ok" for r in json.loads(out)["solutions"])
         # the solve system, then the bridge's side system: W and V, no other W
         assert build_counter == ["W", "V"]
+
+    @pytest.mark.parametrize("pd", [WHITEHEAD_PD, BORROMEAN_PD], ids=["whitehead", "borromean"])
+    def test_link_bridge_and_sign_flips(self, capsys, pd):
+        code, out, _ = run_cli(capsys, "--stable", "verify", "--pd", pd,
+                               "--sign-flip", "--trials", "5", "--seed", "0")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["congruences_checked"] > 0
+        assert doc["congruences_pass"] == doc["congruences_checked"]
+        assert all(r["status"] == "ok" and r["sign_flip_passes"] == r["sign_flip_trials"] == 5
+                   for r in doc["solutions"])
 
     def test_all_degenerate_reports_skips(self, capsys):
         pd = "X(1,7,2,6) X(5,3,6,2) X(4,8,5,7) X(3,8,4,1)"

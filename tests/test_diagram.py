@@ -5,11 +5,10 @@ import json
 import pytest
 
 from optlim import DiagramError, build_diagram, builtin, parse_pd, twist_diagram, validate
-from optlim.diagram import (Crossing, from_crossings, from_json_dict,
-                            side_region_borders, to_json_dict)
+from optlim.diagram import Crossing, from_crossings, from_json_dict, side_region_borders
 
-from conftest import FIG8_PD
-from oracles import is_isomorphic, render_pd
+from conftest import BORROMEAN_PD, FIG8_PD, WHITEHEAD_PD
+from oracles import is_isomorphic, render_pd, to_json_dict
 
 KINK_PD = "X(1,2,2,1)"
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -91,6 +90,30 @@ class TestBuildDiagram:
         with pytest.raises(DiagramError, match="disconnected"):
             build_diagram(parse_pd("X(1,2,2,1) X(3,4,4,3)"))
 
+    @pytest.mark.parametrize("pd_text,components,signs", [
+        (WHITEHEAD_PD, 2, [-1, -1, -1, 1, 1]),
+        (BORROMEAN_PD, 3, [-1, 1, 1, -1, 1, -1]),
+        # the component of labels 1, 6, 7 and 5 never passes under; it runs
+        # the way its labels increase
+        ("X(4,7,2,6) X(3,1,4,6) X(8,1,3,5) X(2,7,8,5)", 2, [1, -1, 1, -1]),
+    ], ids=["whitehead", "borromean", "never-under"])
+    def test_link_components_and_signs(self, pd_text, components, signs):
+        d = build_diagram(parse_pd(pd_text))
+        assert d.components == components
+        assert [c.sign for c in d.crossings] == signs
+
+    @pytest.mark.parametrize("pd_text,message", [
+        ("X(1,2,2,3) X(1,4,4,3)", "inconsistent orientation trace"),
+        # labels 2, 3 enter under-crossings at slots 0 and 2; labels 1, 4,
+        # traced first, never pass under and tie their ascents: the
+        # inconsistency is reported
+        ("X(2,4,3,1) X(2,1,3,4)", "inconsistent orientation trace"),
+        ("X(4,1,4,2) X(2,3,1,3)", "cannot orient component without under-crossings"),
+    ])
+    def test_orientation_errors(self, pd_text, message):
+        with pytest.raises(DiagramError, match=f"^{message}$"):
+            build_diagram(parse_pd(pd_text))
+
 
 class TestValidate:
     def test_figure_eight_report(self, fig8):
@@ -150,6 +173,9 @@ class TestJson:
         {"sign": "-1"},
         {"regions": [1, 2, 3]},
         {"sides": [1, 2, 3, 4, 5]},
+        {"regions": "4213"},
+        {"regions": {"4": 0, "2": 0, "1": 0, "3": 0}},
+        {"sides": "abcd"},
     ])
     def test_malformed_crossing_named(self, fig8, edit):
         doc = to_json_dict(fig8)

@@ -1,16 +1,19 @@
 """Corrected potential values: volume, Chern-Simons part, cross-checks."""
 
+import mpmath
 import numpy as np
 import pytest
 
-from optlim import (ALT_NEG_LOG, assemble_V, assemble_W, build_system, builtin, bw_volume,
-                    mod_eq, refine, sign_flip, sign_flip_point, w0)
+from optlim import (ALT_NEG_LOG, SolveConfig, assemble_V, assemble_W, build_diagram,
+                    build_system, builtin, bw_volume, mod_eq, parse_pd, refine, sign_flip,
+                    sign_flip_point, solve, w0)
 from optlim import numerics, twistknot
 from optlim.equations import EvaluationError
 from optlim.numerics import PI2, bloch_wigner
 from optlim.optimistic import w0_batch
 
-from conftest import make_rng, random_essential_assignment, w0_oracle
+from conftest import (BORROMEAN_PD, WHITEHEAD_PD, make_rng, random_essential_assignment,
+                      w0_oracle)
 from oracles import twist_potential
 
 FOUR_PI2 = 4 * PI2
@@ -334,3 +337,22 @@ class TestInvariances:
         for s in knot52_w_solutions:
             res = w0(p, s)
             assert -PI2 / 2 < res.cs_mod_pi2 <= PI2 / 2
+
+
+class TestLinks:
+    @pytest.mark.parametrize("pd_text,catalans,cs", [
+        (WHITEHEAD_PD, 4, -PI2 / 4),
+        (BORROMEAN_PD, 8, 0.0),
+    ], ids=["whitehead", "borromean"])
+    def test_geometric_class_on_w_and_v(self, pd_text, catalans, cs):
+        # Both potentials reach the volume catalans * G, and their
+        # geometric classes carry the same Chern-Simons value.
+        d = build_diagram(parse_pd(pd_text))
+        for assemble in (assemble_W, assemble_V):
+            p = assemble(d)
+            results = [w0(p, s) for s in solve(build_system(p), SolveConfig(restarts=512, seed=0))]
+            top = max(r.vol for r in results)
+            assert top == pytest.approx(catalans * float(mpmath.catalan), abs=1e-9)
+            for r in results:
+                if top - r.vol <= 1e-9:
+                    assert r.cs_mod_pi2 == pytest.approx(cs, abs=1e-9)
