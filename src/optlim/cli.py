@@ -2,7 +2,8 @@
 the region/side correspondence.
 
 Exit codes: 0 success, 1 input or validation error, 2 empty solution set.
-Reports are emitted as JSON on stdout with floats at 15 significant
+A verify whose congruence or any sign-flip trial fails exits 1 after its
+report.  Reports are emitted as JSON on stdout with floats at 15 significant
 digits; --stable drops the timing field so identical seeds give
 byte-identical output.
 """
@@ -45,8 +46,7 @@ def _round_floats(obj):
 def _emit(report: dict, stable: bool) -> None:
     if stable:
         report.pop("elapsed_seconds", None)
-    json.dump(_round_floats(report), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(_round_floats(report), indent=2, sort_keys=True) + "\n")
 
 
 def _load_diagram(args) -> tuple[diagram.LinkDiagram, diagram.ValidationReport]:
@@ -208,7 +208,8 @@ def cmd_verify(args) -> int:
     _emit(report, args.stable)
     if not solutions:
         return EXIT_EMPTY
-    if any(r["status"] == "ok" and not r["congruent_mod_4pi2"] for r in records):
+    if any(r["status"] == "ok" and (not r["congruent_mod_4pi2"] or
+           r.get("sign_flip_passes") != r.get("sign_flip_trials")) for r in records):
         return EXIT_INPUT
     return EXIT_OK
 

@@ -53,7 +53,7 @@ _LI2_TERMS = 10
 # P is evaluated by Horner in u^4 over the pair values c_2i + c_2i+1 u^2,
 # which takes fewer array operations than Horner in u^2.
 _LI2_EVEN, _LI2_ODD = (np.array(_bernoulli_series_coeffs(2 * _LI2_TERMS)[2::2])
-                       .reshape(-1, 2).T.copy())
+                       .reshape(-1, 2).T[..., None].copy())
 
 
 def _as_complex(z) -> np.ndarray:
@@ -104,26 +104,30 @@ def _li2(z: np.ndarray) -> np.ndarray:
     s = np.subtract(1.0, y, out=y.copy(), where=refl)
     # The logs of both reductions, 0 where a reduction does not apply; at
     # s = 1 - y = 0 log(s) is taken as 0, the log product being 0 there.
-    lg = np.log(-z + 0.0, out=np.zeros_like(z), where=inv)
-    ly = np.log(y, out=np.zeros_like(y), where=refl)
-    ls = np.log(s, out=np.zeros_like(s), where=refl & (s != 0.0))
+    lg = np.log(-z + 0.0, out=np.zeros(z.shape, complex), where=inv)
+    ly = np.log(y, out=np.zeros(z.shape, complex), where=refl)
+    ls = np.log(s, out=np.zeros(z.shape, complex), where=refl & (s != 0.0))
     sign = np.where(inv, -1.0, 1.0)
     shift = sign * (PI2_OVER_6 * refl - ly * ls) - PI2_OVER_6 * inv - 0.5 * lg * lg
-    sign[refl] *= -1.0
+    sign = np.where(refl, -sign, sign)
     # The series on |s| <= 1, Re s <= 1/2.  u = -log(1 - s) is formed as
     # s * log(w) / (w - 1) with w = 1 - s (the log1p correction), so tiny
     # |s| keeps its relative accuracy; where w - 1 rounds to 0 the ratio
     # log(w) / (w - 1) is 1.
     w = 1.0 - s
     d = w - 1.0
-    u = s * np.divide(np.log(w), d, out=np.ones_like(w), where=d != 0.0)
+    u = s * np.divide(np.log(w), d, out=np.ones(z.shape, complex), where=d != 0.0)
     x = u * u
-    pairs = _LI2_EVEN + _LI2_ODD * x[..., None]
-    x2 = x * x
-    p = pairs[..., -1]
-    for i in range(len(_LI2_EVEN) - 2, -1, -1):
-        p = p * x2 + pairs[..., i]
-    return shift + sign * (u + x * (u * p - 0.25))
+    # The pair values as contiguous (pairs, n) rows, Horner in place on the
+    # last row: the same operations, in the same order, for every element.
+    pairs = _LI2_ODD * x.reshape(1, -1)
+    pairs += _LI2_EVEN
+    x2 = (x * x).reshape(-1)
+    p = pairs[-1]
+    for row in pairs[-2::-1]:
+        p *= x2
+        p += row
+    return shift + sign * (u + x * (u * p.reshape(x.shape) - 0.25))
 
 
 def bloch_wigner(z):

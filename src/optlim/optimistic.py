@@ -13,8 +13,9 @@ nose, while the Chern-Simons part -Re(raw) is reported reduced into
 
 W, the mu_k, the snapping and the correction come from one array pass of
 the potential's compiled system over one gather of monomial values
-(EquationSystem.corrected_value), for one solution or for a batch
-(w0_batch); a batch row equals the single-solution result.
+(EquationSystem.corrected_value), over w0's one point or the rows of
+w0_batch's array; one helper builds the results of both, so a batch row
+equals the single-solution result bit for bit.
 
 The volume cross-check sums the Bloch-Wigner function D over the five
 tetrahedra of each crossing octahedron, with the two negatively-oriented
@@ -64,14 +65,16 @@ def w0(potential: Potential, solution: Solution | Assignment, *,
 
     Accepts either a Solution or a bare assignment.  W and the mu_k come
     from one pass of the potential's own system (build_system), compiled on
-    its first use; for a region potential the same pass gives the
-    Bloch-Wigner volume.  A diagram, if given, must be the one the
-    potential's variables are the regions of (ValueError otherwise); it
-    changes nothing else.
+    its first use, over the one point; for a region potential the same
+    pass gives the Bloch-Wigner volume.  A diagram, if given, must be the
+    one the potential's variables are the regions of (ValueError
+    otherwise); it changes nothing else.
     """
     if diagram is not None and diagram.regions != potential.variables:
         raise ValueError("the diagram's regions are not the potential's variables")
-    return w0_batch(potential, [solution])[0]
+    system = build_system(potential)
+    raw, k, bw = system.corrected_value(system.point_from_assignment(_assignment(solution)))
+    return _result(raw.item(), k.tolist(), None if bw is None else bw.item())
 
 
 def w0_batch(potential: Potential, solutions: Sequence[Solution | Assignment]
@@ -87,12 +90,14 @@ def w0_batch(potential: Potential, solutions: Sequence[Solution | Assignment]
     w = np.array([system.point_from_assignment(a) for a in points])
     raw, mu_integers, bw = system.corrected_value(w)
     bw = [None] * len(points) if bw is None else bw.tolist()
-    results = []
-    for r, k, b in zip(raw.tolist(), mu_integers.tolist(), bw):
-        cs = reduce_centered(-r.real, PI2)
-        results.append(OptimisticResult(w0=complex(-cs, r.imag), vol=r.imag, cs_mod_pi2=cs,
-                                        raw=r, bw_vol=b, mu_integers=tuple(k)))
-    return results
+    return [_result(*row) for row in zip(raw.tolist(), mu_integers.tolist(), bw)]
+
+
+def _result(raw: complex, mu_integers: list[int], bw_vol: float | None) -> OptimisticResult:
+    """The result of one point's raw value, mu integers and Bloch-Wigner sum."""
+    cs = reduce_centered(-raw.real, PI2)
+    return OptimisticResult(w0=complex(-cs, raw.imag), vol=raw.imag, cs_mod_pi2=cs, raw=raw,
+                            bw_vol=bw_vol, mu_integers=tuple(mu_integers))
 
 
 def bw_volume(diagram: LinkDiagram, solution: Solution | Assignment) -> float:

@@ -310,6 +310,18 @@ class TestVerify:
         assert all(r["status"] == "ok" and r["sign_flip_passes"] == r["sign_flip_trials"] == 5
                    for r in doc["solutions"])
 
+    def test_failed_sign_flip_trials_exit_1(self, capsys, monkeypatch):
+        # Only the trials compare through optimistic.mod_eq; the bridge's
+        # congruence keeps its own reference and still passes.
+        monkeypatch.setattr(cli.optimistic, "mod_eq", lambda *args: False)
+        code, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "4_1",
+                               "--restarts", "64", "--seed", "0", "--sign-flip", "--trials", "3")
+        assert code == 1
+        doc = json.loads(out)
+        checked = [r for r in doc["solutions"] if r["status"] == "ok"]
+        assert checked and doc["congruences_pass"] == doc["congruences_checked"]
+        assert all(r["sign_flip_passes"] == 0 and r["sign_flip_trials"] == 3 for r in checked)
+
     def test_all_degenerate_reports_skips(self, capsys):
         pd = "X(1,7,2,6) X(5,3,6,2) X(4,8,5,7) X(3,8,4,1)"
         code, out, _ = run_cli(capsys, "--stable", "verify", "--pd", pd,

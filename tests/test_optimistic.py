@@ -128,6 +128,23 @@ class TestOnePassW0:
         assert [r.mu_integers for r in batch] == [r.mu_integers for r in single]
         assert result_bits(batch) == result_bits(single)
 
+    @pytest.mark.parametrize("kind", ["W", "W-alt"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_single_equals_batch_row_at_sign_flips(self, n, kind):
+        # The path of the sign-flip trials: w0 of a flipped potential at its
+        # flipped point, against the one-row batch, every field bit for bit.
+        p = twist_potential_of_kind(n, kind)
+        points = closed_form_points(n, kind)
+        rng = make_rng(130 + n)
+        for i in range(20):
+            taus = {v: int(rng.choice((-1, 1))) for v in p.variables}
+            eps = {v: int(rng.choice((-1, 1))) for v in p.variables}
+            point = sign_flip_point(p, taus, eps, points[i % len(points)])
+            flipped = sign_flip(p, taus, eps)
+            single, row = w0(flipped, point), w0_batch(flipped, [point])[0]
+            assert single == row and single.bw_vol is not None
+            assert result_bits([single]) == result_bits([row])
+
     def test_empty_batch(self, fig8):
         assert w0_batch(assemble_W(fig8), []) == []
 
@@ -257,7 +274,8 @@ class TestSharedLi2Pass:
         w0_batch(p, points)
         w0(p, points[0])
         ndilog = 5 * len(d.crossings)        # the dilogarithm terms, no second set of shapes
-        assert calls == [(len(points), ndilog), (1, ndilog)]
+        # the batch as rows of one array, the single point as a vector
+        assert calls == [(len(points), ndilog), (ndilog,)]
 
     def test_w0_errors_come_first(self, fig8):
         # The volume is read after W0, so degenerate inputs raise W0's errors.
