@@ -1,7 +1,7 @@
 """Command-line driver: solve diagrams, run the twist regression, verify
 the region/side correspondence.
 
-Exit codes: 0 success, 1 input or validation error, 2 empty solution set.
+Exit codes: 0 success, 1 usage, input or validation error, 2 empty solution set.
 A verify whose congruence or any sign-flip trial fails exits 1 after its
 report.  Reports are emitted as JSON on stdout with floats at 15 significant
 digits; --stable drops the timing field so identical seeds give
@@ -70,7 +70,7 @@ def _load_diagram(args) -> tuple[diagram.LinkDiagram, diagram.ValidationReport]:
 
 
 def _solve_config(args) -> solver.SolveConfig:
-    return solver.SolveConfig(restarts=args.restarts, residual_tol=args.tol, seed=args.seed)
+    return solver.SolveConfig(restarts=args.restarts, seed=args.seed)
 
 
 def _diagram_stats(rep: diagram.ValidationReport) -> dict:
@@ -114,7 +114,7 @@ def cmd_solve(args) -> int:
         "potential": args.potential,
         "diagram": _diagram_stats(rep),
         "config": {"restarts": cfg.restarts, "seed": cfg.seed,
-                   "residual_tol": cfg.residual_tol},
+                   "residual_tol": solver.RESIDUAL_TOL},
         "solutions": records,
         "elapsed_seconds": time.perf_counter() - t0,
     }
@@ -186,8 +186,7 @@ def cmd_verify(args) -> int:
         if args.sign_flip:
             flips = []
             for _ in range(args.trials):
-                taus = {v: int(rng_signs.choice((-1, 1))) for v in potential.variables}
-                eps = {v: int(rng_signs.choice((-1, 1))) for v in potential.variables}
+                taus, eps = rng_signs.choice((-1, 1), (2, len(potential.variables))).tolist()
                 flipped = correspondence.sign_flip(potential, taus, eps)
                 point = correspondence.sign_flip_point(potential, taus, eps, sol.assignment)
                 res_flip = optimistic.w0(flipped, point)
@@ -223,8 +222,6 @@ def _add_diagram_args(p):
 def _add_solver_args(p):
     p.add_argument("--restarts", type=int, default=solver.SolveConfig.restarts)
     p.add_argument("--seed", type=int, default=solver.SolveConfig.seed)
-    p.add_argument("--tol", type=float, default=solver.SolveConfig.residual_tol,
-                   help="residual tolerance")
 
 
 @functools.cache
@@ -261,8 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:           # argparse has printed its usage or help
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (CliError, diagram.DiagramError, twistknot.TwistError,

@@ -19,7 +19,9 @@ with inverses
 and negative crossings the analogous relations with primed and
 double-primed roles exchanged.  Values propagate along a spanning tree of
 the side (resp. region) adjacency graph; non-tree constraints are checked,
-so inconsistent inputs are rejected rather than silently projected.
+so inconsistent inputs are rejected rather than silently projected.  The
+converted point, scaled so that the pin is 1, must then satisfy the other
+potential's system: its residual_vector, the solver's residual.
 """
 
 from __future__ import annotations
@@ -171,6 +173,20 @@ def _propagate(labels, edges, what: str) -> dict[Label, complex]:
     return values
 
 
+def _checked(potential: Potential, values: dict[Label, complex], what: str) -> Solution:
+    """The converted values as a Solution, with the residual norm of the
+    potential's pinned system at them scaled to pin 1; CorrespondenceError
+    when it exceeds BRIDGE_TOL."""
+    system = build_system(potential)
+    pin = values[system.pin]
+    res = system.residual_vector([values[v] / pin for v in system.unknowns])
+    residual_norm = float(np.max(np.abs(res))) if len(res) else 0.0
+    if residual_norm > BRIDGE_TOL:
+        raise CorrespondenceError(
+            f"converted {what} values violate the {what} system ({residual_norm:.2e})")
+    return Solution(values, residual_norm)
+
+
 def w_to_z(diagram: LinkDiagram, w: Solution | Assignment) -> Solution:
     """Convert a region solution to the side solution of the same octahedra."""
     a = w.assignment if isinstance(w, Solution) else w
@@ -186,13 +202,7 @@ def w_to_z(diagram: LinkDiagram, w: Solution | Assignment) -> Solution:
         if abs(cyc - 1.0) > 1e-10:
             raise CorrespondenceError(f"cyclic ratio product {cyc} != 1 at crossing {cr.sides}")
         edges.extend([(sa, sb, r_ba), (sb, sc, r_cb), (sc, sd, r_dc), (sd, sa, r_ad)])
-    values = _propagate(diagram.sides, edges, "side")
-    res = build_system(assemble_V(diagram)).residual(values)
-    residual_norm = float(np.max(np.abs(res))) if len(res) else 0.0
-    if residual_norm > BRIDGE_TOL:
-        raise CorrespondenceError(
-            f"converted side values violate the side system ({residual_norm:.2e})")
-    return Solution(values, residual_norm)
+    return _checked(assemble_V(diagram), _propagate(diagram.sides, edges, "side"), "side")
 
 
 def z_to_w(diagram: LinkDiagram, z: Solution | Assignment) -> Solution:
@@ -213,12 +223,7 @@ def z_to_w(diagram: LinkDiagram, z: Solution | Assignment) -> Solution:
         want = wj * wl / (wk * wm) if cr.sign > 0 else wk * wm / (wj * wl)
         if abs(want - quad) > BRIDGE_TOL * max(1.0, abs(quad)):
             raise CorrespondenceError("inconsistent 4-corner ratio (input is not a true solution)")
-    res = build_system(assemble_W(diagram)).residual(values)
-    residual_norm = float(np.max(np.abs(res))) if len(res) else 0.0
-    if residual_norm > BRIDGE_TOL:
-        raise CorrespondenceError(
-            f"converted region values violate the region system ({residual_norm:.2e})")
-    return Solution(values, residual_norm)
+    return _checked(assemble_W(diagram), values, "region")
 
 
 # ---------------------------------------------------------------------------

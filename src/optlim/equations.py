@@ -30,8 +30,10 @@ pass per point writes both, with the atom values and exp(mu_k), into one
 packed row, the kernel state; residual_state returns the residual with
 that state, and jacobian_at forms the Jacobian from it without a second
 pass, so the Newton iteration evaluates the kernel once per trial point.
-Both take a leading batch axis of points; a batch row at a degenerate
-point comes out non-finite, while a single point raises EvaluationError.
+It is the one residual: the region/side bridge checks its converted
+points with residual_vector, the same pass.  Both take a leading batch
+axis of points; a batch row at a degenerate point comes out non-finite,
+while a single point raises EvaluationError.
 
 The corrected potential W0 = W - sum_k mu_k log w_k is formed in one pass
 (EquationSystem.corrected_value): the value of every term monomial is
@@ -196,9 +198,6 @@ class EquationSystem:
         a[self.pin] = 1.0 + 0.0j
         return a
 
-    def vector_from_assignment(self, a: Assignment) -> np.ndarray:
-        return np.array([complex(a[v]) for v in self.unknowns], dtype=complex)
-
     def point_from_assignment(self, a: Assignment) -> np.ndarray:
         """Every variable's value in potential.variables order, the pin
         last: the points that monomial_values() and the passes built on it
@@ -323,8 +322,8 @@ class EquationSystem:
         arg = self._essential_arguments(self.monomial_values(w))
         return self._bloch_wigner_sum(arg, li2(arg))
 
-    def _kernel(self, x: np.ndarray, pin: complex = 1.0) -> np.ndarray:
-        """The kernel state at unknowns x (..., n) and the given pin value:
+    def _kernel(self, x: np.ndarray) -> np.ndarray:
+        """The kernel state at unknowns x (..., n) with the pin at 1:
         per point one packed row [w, 1/w, 1 | base, 1/base, 1 | t | exp(mu_k)],
         t the atom values with base = is_1m + t (_Products.views).
 
@@ -338,7 +337,7 @@ class EquationSystem:
         wb, ab, t, F = (state[..., v] for v in k.views)
         na = t.shape[-1]
         wb[..., :nv - 1] = x
-        wb[..., nv - 1] = pin
+        wb[..., nv - 1] = 1.0           # the pin
         wb[..., -1] = 1.0
         np.divide(1.0, wb[..., :nv], out=wb[..., nv:-1])
         np.multiply.reduceat(wb[..., k.mono_gather], k.mono_starts, axis=-1, out=t)
@@ -400,14 +399,6 @@ class EquationSystem:
     def jacobian(self, x: Sequence[complex]) -> np.ndarray:
         """Analytic Jacobian of the residual vector: (n, n), or (rows, n, n)."""
         return self.jacobian_at(self.residual_state(x)[1])
-
-    @np.errstate(all="ignore")
-    def residual(self, a: Assignment) -> np.ndarray:
-        """Residual vector at a full assignment, pin included as given."""
-        if self.size == 0:
-            return np.empty(0, dtype=complex)
-        x = self.vector_from_assignment(a)
-        return self._kernel(x, complex(a[self.pin]))[self._products.views[3]] - 1.0
 
     def sign_flipped(self, taus: Sequence[int], epsilons: Sequence[int]) -> EquationSystem:
         """The system of the potential that w_v -> tau_v w_v^eps_v makes of

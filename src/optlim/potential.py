@@ -103,10 +103,6 @@ class Potential:
     _system: EquationSystem | None = field(default=None, init=False, repr=False, compare=False)
 
 
-def _ratio(num: Label, den: Label) -> Monomial:
-    return Monomial.ratio(num, den)
-
-
 def region_terms_W(sign: int, regions: tuple[Label, Label, Label, Label],
                    variant: WNVariant = DEFAULT) -> list[Term]:
     """The seven W-terms (five dilogs, a constant, a log product) of a
@@ -114,17 +110,17 @@ def region_terms_W(sign: int, regions: tuple[Label, Label, Label, Label],
     j, k, l, m = regions
     s = sign
     terms = [
-        Term.dilog(-s, _ratio(l, m)),
-        Term.dilog(-s, _ratio(l, k)),
+        Term.dilog(-s, Monomial.ratio(l, m)),
+        Term.dilog(-s, Monomial.ratio(l, k)),
         Term.dilog(+s, Monomial.from_pairs([(j, 1), (l, 1), (k, -1), (m, -1)])),
-        Term.dilog(+s, _ratio(m, j)),
-        Term.dilog(+s, _ratio(k, j)),
+        Term.dilog(+s, Monomial.ratio(m, j)),
+        Term.dilog(+s, Monomial.ratio(k, j)),
         Term.const(-s),
     ]
     if s > 0 or variant == DEFAULT:
-        terms.append(Term.logprod(s, _ratio(m, j), _ratio(k, j)))
+        terms.append(Term.logprod(s, Monomial.ratio(m, j), Monomial.ratio(k, j)))
     else:
-        terms.append(Term.logprod(s, _ratio(j, m), _ratio(j, k)))
+        terms.append(Term.logprod(s, Monomial.ratio(j, m), Monomial.ratio(j, k)))
     return terms
 
 
@@ -141,16 +137,16 @@ def crossing_terms_V(crossing: Crossing) -> list[Term]:
     rotated by one position at negative crossings before applying
     Li2(b/a) - Li2(b/c) + Li2(d/c) - Li2(d/a).
     """
+    if crossing.is_kinked():
+        raise DiagramError(f"kinked crossing {crossing.sides}: a side ratio degenerates to 1")
     a, b, c, d = crossing.sides
     if crossing.sign < 0:
         a, b, c, d = d, a, b, c
-    if a == b or b == c or c == d or d == a:
-        raise DiagramError(f"kinked crossing {crossing.sides}: a side ratio degenerates to 1")
     return [
-        Term.dilog(+1, _ratio(b, a)),
-        Term.dilog(-1, _ratio(b, c)),
-        Term.dilog(+1, _ratio(d, c)),
-        Term.dilog(-1, _ratio(d, a)),
+        Term.dilog(+1, Monomial.ratio(b, a)),
+        Term.dilog(-1, Monomial.ratio(b, c)),
+        Term.dilog(+1, Monomial.ratio(d, c)),
+        Term.dilog(-1, Monomial.ratio(d, a)),
     ]
 
 

@@ -26,15 +26,15 @@ near-null directions along the solution set, and keeps the quadratic
 rate onto such sets; away from them it is the Newton step to about
 lam / sigma_min(J)^2 relative.
 
-Each row leaves with a status code
-(converged, left the essential domain, singular Jacobian, non-finite step,
-line-search stall, stagnation, divergence or iteration limit); refine()
-is the same iteration on a single row and turns a failure code into
-SolveError, and a start with a missing or non-finite variable into
-EvaluationError.  solve() keeps every converged row with an essential
-point (essential_margin, the distance of every dilogarithm argument from
-0, 1 and infinity, at least ESSENTIAL_TOL), with no dedup: the solution
-sets are positive-dimensional, so restarts land on distinct points.
+Each row leaves with a status code (converged to RESIDUAL_TOL, left the
+essential domain, singular Jacobian, non-finite step, line-search stall,
+stagnation, divergence or iteration limit); refine() is the same
+iteration on a single row and turns a failure code into SolveError, and
+a start with a missing or non-finite variable into EvaluationError.
+solve() keeps every converged row with an essential point
+(essential_margin, the distance of every dilogarithm argument from 0, 1
+and infinity, at least ESSENTIAL_TOL), with no dedup: the solution sets
+are positive-dimensional, so restarts land on distinct points.
 Every row's arithmetic is independent of the other rows in the block, so
 the same seed gives the same solutions.
 """
@@ -62,6 +62,11 @@ REGULARISATION = 1e-10
 
 # Newton iterations per row before it leaves with MAX_ITER.
 ITERATIONS = 200
+
+# A row converges when its residual norm is at most RESIDUAL_TOL.  W0 snaps
+# each mu_k at MU_TOL = 1e-6, and the pin's mu, minus the sum of the others,
+# adds up their errors, so the tolerance stays far below it.
+RESIDUAL_TOL = 1e-12
 
 # Cut-off of essential_margin.  The regularised step also converges
 # onto points near the non-essential boundary, where the region/side
@@ -101,16 +106,11 @@ class SolveError(RuntimeError):
 @dataclass(frozen=True)
 class SolveConfig:
     restarts: int = 512
-    residual_tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        # W0 snaps each mu_k at MU_TOL = 1e-6, and the pin's mu, minus the
-        # sum of the others, adds up their errors.
-        if not 0 < self.residual_tol < 1e-8:
-            raise ValueError("residual_tol must lie in (0, 1e-08)")
 
 
 @dataclass(frozen=True)
@@ -207,15 +207,15 @@ def _line_search(system: EquationSystem, x: np.ndarray, step: np.ndarray, fnorm:
     return (accepted, *out)
 
 
-def _newton(system: EquationSystem, X0: np.ndarray, cfg: SolveConfig
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _newton(system: EquationSystem, X0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lockstep damped Newton from every row of X0 (rows, n).
 
     Returns the last iterate, its residual norm and the status code of
-    every row.  The per-row rules: the step is capped at 1 + |x|, the line
-    search takes the first halving with a smaller residual norm, 20 slow
-    steps (ratio > 0.9) above 1e-6 are stagnation, and a residual or
-    coordinate beyond 1e12 or a coordinate below 1e-12 is divergence.
+    every row.  The per-row rules: a residual norm at most RESIDUAL_TOL is
+    convergence, the step is capped at 1 + |x|, the line search takes the
+    first halving with a smaller residual norm, 20 slow steps (ratio > 0.9)
+    above 1e-6 are stagnation, and a residual or coordinate beyond 1e12 or
+    a coordinate below 1e-12 is divergence.
     The live rows' iterates, residuals, norms, kernel states (which give
     the next Jacobian) and slow-step counts are kept as compact arrays; a
     row's iterate, norm and status are written back when it retires.  The
@@ -229,9 +229,8 @@ def _newton(system: EquationSystem, X0: np.ndarray, cfg: SolveConfig
     status = np.full(len(X), RUNNING)
     # x and fn may be X and fnorm themselves: the loop never writes into them.
     live, x, fn, slow = np.arange(len(X)), X, fnorm, np.zeros(len(X), dtype=int)
-    tol = cfg.residual_tol
-    if not (np.minimum.reduce(fnorm) > tol and np.maximum.reduce(fnorm) < math.inf):
-        status[fnorm <= tol] = CONVERGED
+    if not (np.minimum.reduce(fnorm) > RESIDUAL_TOL and np.maximum.reduce(fnorm) < math.inf):
+        status[fnorm <= RESIDUAL_TOL] = CONVERGED
         status[~np.isfinite(fnorm)] = LEFT_DOMAIN
         live = np.flatnonzero(status == RUNNING)
         x, F, fn, state, slow = X[live], F[live], fnorm[live], state[live], slow[live]
@@ -273,12 +272,12 @@ def _newton(system: EquationSystem, X0: np.ndarray, cfg: SolveConfig
         slow = np.where(fx / fn > 0.9, slow + 1, 0)
         x, fn = x_new, fx
         ax = np.abs(x)
-        if not (np.minimum.reduce(fn) > tol and np.maximum.reduce(slow) < 20
+        if not (np.minimum.reduce(fn) > RESIDUAL_TOL and np.maximum.reduce(slow) < 20
                 and np.maximum.reduce(fn) <= 1e12 and np.maximum.reduce(ax, axis=None) <= 1e12
                 and np.minimum.reduce(ax, axis=None) >= 1e-12):
-            # Converged before stagnant before diverged; residual_tol < 1e-6,
+            # Converged before stagnant before diverged; RESIDUAL_TOL < 1e-6,
             # so a stagnant row is never a converged one.
-            converged = fn <= tol
+            converged = fn <= RESIDUAL_TOL
             stagnant = (slow >= 20) & (fn > 1e-6)
             diverged = (fn > 1e12) | np.logical_or.reduce((ax > 1e12) | (ax < 1e-12), axis=-1)
             done = converged | stagnant | diverged
@@ -323,14 +322,13 @@ def is_essential(system: EquationSystem, a: Assignment | np.ndarray, tol: float)
     return essential_margin(system, a) >= tol
 
 
-def refine(system: EquationSystem, a: Assignment, cfg: SolveConfig | None = None) -> Solution:
-    """Polish an approximate solution to residual_tol by damped Newton.
+def refine(system: EquationSystem, a: Assignment) -> Solution:
+    """Polish an approximate solution to RESIDUAL_TOL by damped Newton.
 
     Raises EvaluationError when a variable is missing or not finite, and
     SolveError on divergence, singular Jacobians, or when the limit is not
     essential.
     """
-    cfg = cfg or SolveConfig()
     w = system.point_from_assignment(a)
     finite = np.isfinite(w)
     if not np.logical_and.reduce(finite):
@@ -342,7 +340,7 @@ def refine(system: EquationSystem, a: Assignment, cfg: SolveConfig | None = None
     # Rescale so the pinned variable sits at 1 (the scaling quotient), in
     # Python's complex division.
     x0 = np.array([[v / pin_value for v in values]], dtype=complex)
-    X, fnorm, status = _newton(system, x0, cfg)
+    X, fnorm, status = _newton(system, x0)
     if status[0] != CONVERGED:
         raise _failure(system, X[0], float(fnorm[0]), status[0])
     if not is_essential(system, np.append(X[0], 1.0), ESSENTIAL_TOL):
@@ -369,7 +367,7 @@ def solve(system: EquationSystem, cfg: SolveConfig | None = None) -> list[Soluti
         return []
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     X0 = np.array([_sample(np.random.default_rng(s), system.size) for s in seeds])
-    X, fnorm, status = _newton(system, X0, cfg)
+    X, fnorm, status = _newton(system, X0)
 
     rows = np.flatnonzero(status == CONVERGED)
     points = np.concatenate((X[rows], np.ones((len(rows), 1))), axis=1)

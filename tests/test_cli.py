@@ -127,13 +127,6 @@ class TestSolve:
         assert code == 1
         assert "at least 1" in err
 
-    @pytest.mark.parametrize("tol", ["1e-8", "1e-6", "0"])
-    def test_out_of_range_tol_exits_1(self, capsys, tol):
-        code, out, err = run_cli(capsys, "solve", "--builtin", "4_1", "--tol", tol)
-        assert code == 1
-        assert out == ""
-        assert err == "error: residual_tol must lie in (0, 1e-08)\n"
-
     def test_record_keys(self, capsys):
         code, out, _ = run_cli(capsys, "--stable", "solve", "--builtin", "4_1",
                                "--restarts", "12", "--seed", "0")
@@ -177,6 +170,47 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err.startswith("error: crossing 2 ")
+
+
+class TestUsage:
+    """Usage errors exit 1 (2 means an empty solution set) with argparse's
+    usage line on stderr, and return a code instead of raising SystemExit."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("solve", "--bogus"), "unrecognized arguments: --bogus"),
+        (("solve", "--builtin", "4_1", "--restarts", "abc"), "invalid int value: 'abc'"),
+        ((), "the following arguments are required: command"),
+    ], ids=["unknown-option", "non-integer-restarts", "no-command"])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: optlim")
+        assert message in err
+
+    def test_tol_option_exits_1(self, capsys):
+        # the residual tolerance is solver.RESIDUAL_TOL, not an option
+        code, out, err = run_cli(capsys, "solve", "--builtin", "4_1", "--tol", "1e-10")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --tol 1e-10" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "--help")
+        assert code == 0
+        assert out.startswith("usage: optlim")
+        assert err == ""
+
+    def test_usage_error_exit_code_of_a_process(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "optlim.cli", "solve", "--bogus"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: optlim")
+        assert "unrecognized arguments: --bogus" in proc.stderr
 
 
 class TestTwist:

@@ -142,7 +142,8 @@ class TestBuildSystem:
         assert len(system.unknowns) == 5
         # five equations kept, mu over all six variables
         a = random_essential_assignment(p, make_rng(3))
-        assert len(system.residual(a)) == 5
+        w = system.point_from_assignment(a)
+        assert len(system.residual_vector(w[:-1] / w[-1])) == 5
         assert len(system.mu(a)) == 6
 
     def test_pin_and_counts_side(self, fig8):
@@ -150,7 +151,8 @@ class TestBuildSystem:
         system = build_system(p)
         assert len(system.unknowns) == 7
         a = random_essential_assignment(p, make_rng(3))
-        assert len(system.residual(a)) == 7
+        w = system.point_from_assignment(a)
+        assert len(system.residual_vector(w[:-1] / w[-1])) == 7
         assert len(system.mu(a)) == 8
 
     def test_default_pin_is_last(self, fig8):
@@ -202,9 +204,6 @@ class TestResidual:
         x = [a[v] / pin_value for v in system.unknowns]
         res = system.residual_vector(x)
         assert np.max(np.abs(res)) < 1e-9
-        # the full-assignment form takes the values as given; for these
-        # degree-0 systems it agrees with the pin-normalized form exactly
-        assert np.max(np.abs(system.residual(a))) < 1e-9
 
     def test_all_ones_is_non_essential(self, fig8):
         system = build_system(assemble_W(fig8))
@@ -323,7 +322,7 @@ def _pinned_points(system, rng, count):
     for _ in range(count):
         a = random_essential_assignment(system.potential, rng)
         points.append({v: val / a[system.pin] for v, val in a.items()})
-    return points, np.array([system.vector_from_assignment(a) for a in points])
+    return points, np.array([system.point_from_assignment(a)[:-1] for a in points])
 
 
 @pytest.mark.parametrize("name,kind", BUILTIN_SYSTEMS)

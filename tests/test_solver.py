@@ -36,25 +36,16 @@ NEWTON_FAILURE = re.compile(
 
 class TestConfig:
     def test_defaults(self):
-        assert [f.name for f in dataclasses.fields(SolveConfig)] == [
-            "restarts", "residual_tol", "seed"]
+        assert [f.name for f in dataclasses.fields(SolveConfig)] == ["restarts", "seed"]
         cfg = SolveConfig()
         assert cfg.restarts == 512
-        assert cfg.residual_tol == 1e-12
         assert cfg.seed == 0
+        assert solver.RESIDUAL_TOL == 1e-12
         assert solver.ITERATIONS == 200
         assert solver.ESSENTIAL_TOL == 1e-3
         assert solver.START_RADII == (0.1, 10.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolveConfig(residual_tol=1e-8)
-        with pytest.raises(ValueError):
-            SolveConfig(residual_tol=1e-6)
-        with pytest.raises(ValueError):
-            SolveConfig(residual_tol=0)
-        with pytest.raises(ValueError):
-            SolveConfig(residual_tol=-1)
         with pytest.raises(ValueError):
             SolveConfig(restarts=0)
 
@@ -285,12 +276,11 @@ class TestLockstepNewton:
         monkeypatch.setattr(solver, "BLOCK_ROWS", block_rows)
         d = builtin(name)
         system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
-        cfg = SolveConfig(seed=0)
         X0 = _starts(system, 24)
-        X, fnorm, status = solver._newton(system, X0, cfg)
+        X, fnorm, status = solver._newton(system, X0)
         assert (status == solver.CONVERGED).any()
         for i in range(len(X0)):
-            x1, f1, s1 = solver._newton(system, X0[i:i + 1], cfg)
+            x1, f1, s1 = solver._newton(system, X0[i:i + 1])
             assert np.array_equal(x1[0], X[i])
             assert np.array_equal(f1[0], fnorm[i], equal_nan=True)
             assert s1[0] == status[i]
@@ -343,18 +333,17 @@ class TestLockstepNewton:
 
     def test_singular_jacobian_retires_only_its_row(self, fig8):
         system = build_system(assemble_W(fig8))
-        cfg = SolveConfig(seed=0)
         X0 = _starts(system, 6)
         ZeroJacobianAtRow2 = _edit_jacobian_at(system, X0[2], np.zeros_like)
-        X, fnorm, status = solver._newton(ZeroJacobianAtRow2, X0, cfg)
-        ref_X, ref_fnorm, ref_status = solver._newton(system, X0, cfg)
+        X, fnorm, status = solver._newton(ZeroJacobianAtRow2, X0)
+        ref_X, ref_fnorm, ref_status = solver._newton(system, X0)
         assert status[2] == solver.SINGULAR
         assert np.array_equal(X[2], X0[2])
         others = [0, 1, 3, 4, 5]
         assert np.array_equal(X[others], ref_X[others])
         assert np.array_equal(status[others], ref_status[others])
         # Retiring the last live row ends the iteration.
-        X, fnorm, status = solver._newton(ZeroJacobianAtRow2, X0[2:3], cfg)
+        X, fnorm, status = solver._newton(ZeroJacobianAtRow2, X0[2:3])
         assert status.tolist() == [solver.SINGULAR]
         assert np.array_equal(X, X0[2:3])
 
@@ -379,14 +368,14 @@ def _edit_jacobian_at(system, x, edit):
 LENGTHS = np.concatenate(solver._STAGES)
 
 
-def _sequential_newton(system, x0, cfg):
+def _sequential_newton(system, x0):
     """_newton on the single row x0, one trial length per residual_state
     call: (x, fnorm, status) by the same rules, written out row-wise."""
     x = x0[None]
     with np.errstate(all="ignore"):
         F, state = system.residual_state(x)
         fnorm = solver._norms(F)[0]
-    if fnorm <= cfg.residual_tol:
+    if fnorm <= solver.RESIDUAL_TOL:
         return x[0], fnorm, solver.CONVERGED
     if not np.isfinite(fnorm):
         return x[0], fnorm, solver.LEFT_DOMAIN
@@ -413,7 +402,7 @@ def _sequential_newton(system, x0, cfg):
             return x[0], fnorm, solver.STALLED
         ratio = norm / fnorm
         x, F, state, fnorm = cand, F_cand, state_cand, norm
-        if fnorm <= cfg.residual_tol:
+        if fnorm <= solver.RESIDUAL_TOL:
             return x[0], fnorm, solver.CONVERGED
         slow = slow + 1 if ratio > 0.9 else 0
         if slow >= 20 and fnorm > 1e-6:
@@ -424,12 +413,12 @@ def _sequential_newton(system, x0, cfg):
     return x[0], fnorm, solver.MAX_ITER
 
 
-def _assert_matches_sequential(system, X0, cfg):
+def _assert_matches_sequential(system, X0):
     """_newton on X0 equals the sequential oracle bitwise, row by row;
     returns its status codes."""
-    X, fnorm, status = solver._newton(system, X0, cfg)
+    X, fnorm, status = solver._newton(system, X0)
     for i, x0 in enumerate(X0):
-        x, fn, code = _sequential_newton(system, x0, cfg)
+        x, fn, code = _sequential_newton(system, x0)
         assert X[i].tobytes() == x.tobytes()
         assert fnorm[i].tobytes() == fn.tobytes()
         assert status[i] == code
@@ -442,8 +431,7 @@ class TestSequentialOracle:
     def test_lockstep_equals_sequential(self, name, kind, seed):
         d = builtin(name)
         system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
-        cfg = SolveConfig(restarts=12, seed=seed)
-        _assert_matches_sequential(system, _starts(system, 12, seed), cfg)
+        _assert_matches_sequential(system, _starts(system, 12, seed))
 
     @pytest.mark.parametrize("noise", [1e-8, 1e-3])
     @pytest.mark.parametrize("n", range(1, twistknot.MAX_INDEX + 1))
@@ -461,7 +449,7 @@ class TestSequentialOracle:
                 start = {v: val * (1.0 + noise * dz) for (v, val), dz in zip(base.items(), z)}
                 pin = start[system.pin]
                 X0 = np.array([[start[v] / pin for v in system.unknowns]])
-                status = _assert_matches_sequential(system, X0, SolveConfig())
+                status = _assert_matches_sequential(system, X0)
                 assert status.tolist() == [solver.CONVERGED]
 
     def test_max_iter_and_left_domain(self, monkeypatch, knot52):
@@ -469,7 +457,7 @@ class TestSequentialOracle:
         system = build_system(assemble_V(knot52))
         X0 = _starts(system, 12)
         X0[5] = 1.0
-        status = _assert_matches_sequential(system, X0, SolveConfig(seed=0))
+        status = _assert_matches_sequential(system, X0)
         assert status[5] == solver.LEFT_DOMAIN
         assert (status == solver.MAX_ITER).sum() >= 6
 
@@ -481,17 +469,16 @@ class TestSequentialOracle:
         (lambda J: -1e6 * J, solver.STALLED)])
     def test_retired_row_matches_sequential(self, edit, code):
         system = build_system(assemble_W(builtin("T3")))
-        cfg = SolveConfig(seed=0)
         X0 = _starts(system, 12)
         edited = _edit_jacobian_at(system, X0[2], edit)
-        status = _assert_matches_sequential(edited, X0, cfg)
+        status = _assert_matches_sequential(edited, X0)
         assert status[2] == code
-        X, fnorm, _ = solver._newton(edited, X0, cfg)
+        X, fnorm, _ = solver._newton(edited, X0)
         with np.errstate(all="ignore"):
             start = solver._norms(system.residual_state(X0[2:3])[0])[0]
         assert X[2].tobytes() == X0[2].tobytes() and fnorm[2] == start
         others = np.arange(12) != 2
-        ref = solver._newton(system, X0, cfg)
+        ref = solver._newton(system, X0)
         for a, b in zip((X, fnorm, status), ref):
             assert a[others].tobytes() == b[others].tobytes()
 
@@ -583,8 +570,7 @@ class TestLineSearch:
                 jacobian_at = staticmethod(system.jacobian_at)
 
             for seed in range(5):
-                cfg = SolveConfig(restarts=12, seed=seed)
-                solver._newton(Counting, _starts(system, 12, seed), cfg)
+                solver._newton(Counting, _starts(system, 12, seed))
         assert rows <= 207_998 // 2
         assert passes <= 7_210 // 2
 
@@ -600,8 +586,7 @@ def test_status_counts_on_multistart_systems():
         d = builtin(name)
         system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
         for seed in range(5):
-            cfg = SolveConfig(restarts=12, seed=seed)
-            status.append(solver._newton(system, _starts(system, 12, seed), cfg)[2])
+            status.append(solver._newton(system, _starts(system, 12, seed))[2])
     counts = np.bincount(np.concatenate(status), minlength=solver.MAX_ITER + 1)
     assert counts.sum() == 360
     assert counts[solver.CONVERGED] >= 95
@@ -617,12 +602,11 @@ def test_solve_returns_every_converged_essential_row(name, kind, seed):
     # coordinates) order.
     d = builtin(name)
     system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
-    cfg = SolveConfig(restarts=64, seed=seed)
-    X, fnorm, status = solver._newton(system, _starts(system, 64, seed), cfg)
+    X, fnorm, status = solver._newton(system, _starts(system, 64, seed))
     rows = [i for i in range(64) if status[i] == solver.CONVERGED
             and solver.is_essential(system, np.append(X[i], 1.0), solver.ESSENTIAL_TOL)]
     rows.sort(key=lambda i: (fnorm[i], *np.round(X[i].view(float), 6)))
-    solutions = solve(system, cfg)
+    solutions = solve(system, SolveConfig(restarts=64, seed=seed))
     assert len(solutions) == len(rows)
     for s, i in zip(solutions, rows):
         assert s.assignment == system.assignment_from_vector(X[i])
