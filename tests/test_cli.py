@@ -127,6 +127,16 @@ class TestSolve:
         assert code == 1
         assert "at least 1" in err
 
+    @pytest.mark.parametrize("tol", ["1e-8", "1e-6", "0", "1e-10"])
+    def test_out_of_range_tol_exits_1(self, capsys, tol):
+        # the residual tolerance is solver.RESIDUAL_TOL, not an option:
+        # every --tol value, in range or not, is a usage error
+        code, out, err = run_cli(capsys, "solve", "--builtin", "4_1", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: optlim")
+        assert f"unrecognized arguments: --tol {tol}" in err
+
     def test_record_keys(self, capsys):
         code, out, _ = run_cli(capsys, "--stable", "solve", "--builtin", "4_1",
                                "--restarts", "12", "--seed", "0")
@@ -187,13 +197,6 @@ class TestUsage:
         assert out == ""
         assert err.startswith("usage: optlim")
         assert message in err
-
-    def test_tol_option_exits_1(self, capsys):
-        # the residual tolerance is solver.RESIDUAL_TOL, not an option
-        code, out, err = run_cli(capsys, "solve", "--builtin", "4_1", "--tol", "1e-10")
-        assert code == 1
-        assert out == ""
-        assert "unrecognized arguments: --tol 1e-10" in err
 
     def test_help_exits_0(self, capsys):
         code, out, err = run_cli(capsys, "--help")
