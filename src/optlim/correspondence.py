@@ -37,7 +37,7 @@ from .equations import build_system
 from .numerics import PI2, PI2_OVER_6, bloch_wigner, li2, plog, shape_double_prime, shape_prime
 from .optimistic import OptimisticResult, mod_eq, w0
 from .potential import Assignment, Potential, assemble_V, assemble_W
-from .solver import Solution
+from .solver import Solution, _norms
 
 
 # The bridge's one tolerance: the non-tree ratio constraints and 4-corner
@@ -175,12 +175,13 @@ def _propagate(labels, edges, what: str) -> dict[Label, complex]:
 
 def _checked(potential: Potential, values: dict[Label, complex], what: str) -> Solution:
     """The converted values as a Solution, with the residual norm of the
-    potential's pinned system at them scaled to pin 1; CorrespondenceError
-    when it exceeds BRIDGE_TOL."""
+    potential's pinned system at them scaled to pin 1, the solver's
+    Euclidean norm; CorrespondenceError when it exceeds BRIDGE_TOL."""
     system = build_system(potential)
     pin = values[system.pin]
     res = system.residual_vector([values[v] / pin for v in system.unknowns])
-    residual_norm = float(np.max(np.abs(res))) if len(res) else 0.0
+    with np.errstate(over="ignore"):
+        residual_norm = float(_norms(res))
     if residual_norm > BRIDGE_TOL:
         raise CorrespondenceError(
             f"converted {what} values violate the {what} system ({residual_norm:.2e})")

@@ -29,7 +29,8 @@ from [w, 1/w, 1] and the exp(mu_k) products gathered from
 pass per point writes both, with the atom values and exp(mu_k), into one
 packed row, the kernel state; residual_state returns the residual with
 that state, and jacobian_at forms the Jacobian from it without a second
-pass, so the Newton iteration evaluates the kernel once per trial point.
+pass, as margin_at reads the atoms' distance from the boundary, so the
+Newton iteration evaluates the kernel once per trial point.
 It is the one residual: the region/side bridge checks its converted
 points with residual_vector, the same pass.  Both take a leading batch
 axis of points; a batch row at a degenerate point comes out non-finite,
@@ -347,13 +348,13 @@ class EquationSystem:
         ab[..., -1] = 1.0
         np.multiply.reduceat(ab[..., k.prod_gather], k.prod_starts, axis=-1, out=F)
         # A zero variable or base shows up as an infinite reciprocal.
-        ok = np.isfinite(wb.sum(axis=-1) * ab.sum(axis=-1))
+        ok = np.isfinite(np.add.reduce(wb, axis=-1) * np.add.reduce(ab, axis=-1))
         if x.ndim == 1:
             if not ok:
                 if np.any(wb[:nv] == 0.0):
                     raise EvaluationError("zero variable value")
                 raise EvaluationError("non-essential point: monomial value in {0, 1}")
-        elif not ok.all():
+        elif not np.logical_and.reduce(ok, axis=None):
             F[~ok] = np.nan
         return state
 
@@ -389,6 +390,22 @@ class EquationSystem:
         J *= F[..., :, None]
         J *= wb[..., None, nu + 1:2 * nu + 1]
         return J
+
+    def margin_at(self, state: np.ndarray) -> np.ndarray:
+        """Distance of the kernel's atoms from the boundary, from the kernel
+        state of residual_state(), or of any selection of its rows: the
+        minimum over the atoms of min(|1 - m|, 1/|1 - m|, |m|) for (1 - m)
+        atoms and of min(|m|, 1/|m|) for m atoms, capped at 1.
+
+        The (1 - m) atoms are the Li2 arguments that the unknowns move, so
+        for a Li2 argument at essential_margin e <= 1/2 (solver) the margin
+        is at most e / (1 - e) <= 2e; from below it is at least e / 2, or
+        the margin of an m atom of a log term, if that is smaller.  One
+        abs and one reduction over the contiguous [base, 1/base, 1, t]
+        part of each state row.
+        """
+        k = self._products
+        return np.minimum.reduce(np.abs(state[..., k.views[1].start:k.views[2].stop]), axis=-1)
 
     @np.errstate(all="ignore")
     def residual_vector(self, x: Sequence[complex]) -> np.ndarray:

@@ -79,6 +79,37 @@ class TestEssentialMargin:
         a = {v: 1.0 for v in system.potential.variables}
         assert solver.essential_margin(system, a) == 0.0
 
+    @pytest.mark.parametrize("kind", ["W", "V"])
+    def test_kernel_margin_brackets_essential_margin(self, fig8, kind):
+        # margin_at reads min(|1 - m|, 1/|1 - m|, |m|) over the Li2
+        # arguments and min(|m|, 1/|m|) over the log terms' monomials,
+        # capped at 1: at most min(1, 2e) and at least min(e/2, the log
+        # terms' margin), e = essential_margin.  Random points, and points
+        # where the Li2 argument l/m sits 1e-2 .. 1e-12 from 1 and from 0.
+        # The slack covers rounding: the kernel forms 1 - m from its own m.
+        p = assemble_W(fig8) if kind == "W" else assemble_V(fig8)
+        system = build_system(p)
+        rng = make_rng(97)
+        ratios = (t.m1.exps for t in p.terms if t.kind == "dilog")
+        (l, _), (m, _) = next(e for e in ratios if sorted(k for _, k in e) == [-1, 1])
+        points = []
+        for k in range(24):
+            a = random_essential_assignment(p, rng)
+            delta = 10.0 ** -(2 + k % 11) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            points += [a, {**a, l: a[m] * (1.0 + delta)}, {**a, l: a[m] * delta}]
+        log_monomials = [t_m for t in p.terms if t.kind == "logprod" for t_m in (t.m1, t.m2)]
+        for a in points:
+            w = system.point_from_assignment(a)
+            w = w / w[-1]
+            margin = system.margin_at(system.residual_state(w[:-1])[1])
+            e = solver.essential_margin(system, w)
+            logs = min((min(abs(v), 1 / abs(v)) for v in
+                        (monomial_value(t_m, a) for t_m in log_monomials)), default=math.inf)
+            assert margin <= min(1.0, 2.0 * e) * (1 + 1e-12) + 1e-15
+            assert margin >= min(e / 2.0, logs) * (1 - 1e-12) - 1e-15
+        assert min(solver.essential_margin(system, system.point_from_assignment(a))
+                   for a in points) < 1e-11
+
     def test_solutions_clear_the_cut(self, fig8_w_solutions, fig8):
         system = build_system(assemble_W(fig8))
         for s in fig8_w_solutions:
@@ -249,6 +280,21 @@ class TestRefine:
             with pytest.raises(EvaluationError, match=f"^variable {v!r} is not finite: "):
                 refine(system, start)
 
+    def test_boundary_retiree_reports_its_margin(self):
+        # A T3 W restart that converges onto the boundary: refine stops
+        # where _newton retires it and says how close it came.
+        system = build_system(assemble_W(builtin("T3")))
+        X0 = _starts(system, 12)
+        X, fnorm, status = solver._newton(system, X0)
+        i = int(np.flatnonzero(status == solver.LEFT_DOMAIN)[0])
+        with pytest.raises(SolveError) as info:
+            refine(system, system.assignment_from_vector(X0[i]))
+        found = re.fullmatch(r"iterate left the essential domain: "
+                             r"essential margin (\S+) at residual (\S+)", str(info.value))
+        assert found and NEWTON_FAILURE.fullmatch(str(info.value))
+        assert float(found[1]) < 2 * solver.BOUNDARY_TOL
+        assert found[2] == f"{fnorm[i]:.3e}" and fnorm[i] < 1e-2
+
     def test_degenerate_start_left_the_domain(self, fig8):
         system = build_system(assemble_W(fig8))
         with pytest.raises(SolveError, match="^iterate left the essential domain: "
@@ -265,6 +311,15 @@ def _starts(system, count, seed=0):
                      for s in np.random.SeedSequence(seed).spawn(count)])
 
 
+def _noisy_twist_start(system, n, noise, rng):
+    """One start (1, size): the first closed-form point of twist knot n,
+    W regions, with relative complex noise, pinned to 1."""
+    par = twistknot.parametrize(n, twistknot.poly_roots(twistknot.defining_poly(n))[0])
+    z = rng.standard_normal((len(par.regions), 2)) @ [1.0, 1.0j] / math.sqrt(2.0)
+    start = {v: val * (1.0 + noise * dz) for (v, val), dz in zip(par.regions.items(), z)}
+    return np.array([[start[v] / start[system.pin] for v in system.unknowns]])
+
+
 class TestLockstepNewton:
     @pytest.mark.parametrize("block_rows", [solver.BLOCK_ROWS, 40])
     @pytest.mark.parametrize("name,kind", [("4_1", "W"), ("5_2", "V"), ("T5", "W")])
@@ -277,8 +332,14 @@ class TestLockstepNewton:
         d = builtin(name)
         system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
         X0 = _starts(system, 24)
+        if name == "T5":
+            # None of the 24 T5 W starts converges: most retire on the
+            # boundary.  A noisy closed-form point does converge.
+            X0 = np.concatenate((X0, _noisy_twist_start(system, 5, 1e-3, make_rng(83))))
         X, fnorm, status = solver._newton(system, X0)
         assert (status == solver.CONVERGED).any()
+        if name == "T5":
+            assert (status == solver.LEFT_DOMAIN).any()
         for i in range(len(X0)):
             x1, f1, s1 = solver._newton(system, X0[i:i + 1])
             assert np.array_equal(x1[0], X[i])
@@ -331,6 +392,46 @@ class TestLockstepNewton:
         assert (change <= bound).all()
         assert (change > 0.1 * bound).any()
 
+    @pytest.mark.parametrize("block_rows", [solver.BLOCK_ROWS, 40])
+    def test_boundary_row_retires_left_domain(self, monkeypatch, block_rows):
+        # Row 2, a noisy closed-form start, reads a zero margin at its
+        # first iterate, where its residual norm is below 1e-2: it retires
+        # there with that iterate and norm, and every other row runs on
+        # bitwise unchanged.
+        monkeypatch.setattr(solver, "BLOCK_ROWS", block_rows)
+        system = build_system(assemble_W(builtin("T3")))
+        X0 = _starts(system, 48)
+        X0[2] = _noisy_twist_start(system, 3, 1e-3, make_rng(89))
+        with monkeypatch.context() as m:
+            m.setattr(solver, "ITERATIONS", 1)
+            x1, f1, s1 = solver._newton(system, X0[2:3])
+        assert s1.tolist() == [solver.MAX_ITER] and f1[0] < 1e-2
+        X, fnorm, status = solver._newton(_boundary_at(system, x1[0]), X0)
+        assert status[2] == solver.LEFT_DOMAIN
+        assert X[2].tobytes() == x1[0].tobytes() and fnorm[2] == f1[0]
+        others = np.arange(len(X0)) != 2
+        ref = solver._newton(system, X0)
+        assert ref[2][2] == solver.CONVERGED
+        for a, b in zip((X, fnorm, status), ref):
+            assert a[others].tobytes() == b[others].tobytes()
+
+    def test_boundary_rule_precedence(self, monkeypatch):
+        # With a zero margin at every iterate: a start that converges in
+        # one step retires CONVERGED with the same point, and one still
+        # far from a solution (residual norm above 1e-2) runs on.
+        system = build_system(assemble_W(builtin("T3")))
+        boundary = _boundary_at(system, None)
+        X0 = _noisy_twist_start(system, 3, 1e-8, make_rng(89))
+        X, fnorm, status = solver._newton(boundary, X0)
+        assert status.tolist() == [solver.CONVERGED]
+        ref_X, ref_fnorm, _ = solver._newton(system, X0)
+        assert X.tobytes() == ref_X.tobytes() and fnorm.tobytes() == ref_fnorm.tobytes()
+        monkeypatch.setattr(solver, "ITERATIONS", 3)
+        X0 = _starts(system, 1)
+        X, fnorm, status = solver._newton(boundary, X0)
+        assert status.tolist() == [solver.MAX_ITER] and fnorm[0] > 1e-2
+        assert X.tobytes() == solver._newton(system, X0)[0].tobytes()
+
     def test_singular_jacobian_retires_only_its_row(self, fig8):
         system = build_system(assemble_W(fig8))
         X0 = _starts(system, 6)
@@ -354,6 +455,7 @@ def _edit_jacobian_at(system, x, edit):
 
     class Edited:
         residual_state = staticmethod(system.residual_state)
+        margin_at = staticmethod(system.margin_at)
 
         @staticmethod
         def jacobian_at(state):
@@ -363,6 +465,23 @@ def _edit_jacobian_at(system, x, edit):
             return J
 
     return Edited
+
+
+def _boundary_at(system, x):
+    """system with a zero margin at the iterate x, or at every iterate
+    when x is None."""
+
+    class OnBoundary:
+        residual_state = staticmethod(system.residual_state)
+        jacobian_at = staticmethod(system.jacobian_at)
+
+        @staticmethod
+        def margin_at(state):
+            margin = system.margin_at(state)
+            at = True if x is None else np.all(state[:, :system.size] == x, axis=-1)
+            return np.where(at, 0.0, margin)
+
+    return OnBoundary
 
 
 LENGTHS = np.concatenate(solver._STAGES)
@@ -404,6 +523,8 @@ def _sequential_newton(system, x0):
         x, F, state, fnorm = cand, F_cand, state_cand, norm
         if fnorm <= solver.RESIDUAL_TOL:
             return x[0], fnorm, solver.CONVERGED
+        if system.margin_at(state)[0] < solver.BOUNDARY_TOL and fnorm < 1e-2:
+            return x[0], fnorm, solver.LEFT_DOMAIN
         slow = slow + 1 if ratio > 0.9 else 0
         if slow >= 20 and fnorm > 1e-6:
             return x[0], fnorm, solver.STAGNATION
@@ -568,6 +689,7 @@ class TestLineSearch:
                     return system.residual_state(x)
 
                 jacobian_at = staticmethod(system.jacobian_at)
+                margin_at = staticmethod(system.margin_at)
 
             for seed in range(5):
                 solver._newton(Counting, _starts(system, 12, seed))
@@ -580,18 +702,37 @@ def test_status_counts_on_multistart_systems():
     # 0-4 (360 rows).  Plain Newton steps -J^-1 F: 58 converged, 25
     # stalled in the line search, 8 at MAX_ITER, 202 stagnated, 67
     # diverged.  Regularised Gauss-Newton steps: 116 converged, 0 stalled,
-    # 1 at MAX_ITER, 205 stagnated, 38 diverged.
-    status = []
+    # 1 at MAX_ITER, 205 stagnated, 38 diverged.  With rows retired on
+    # the boundary (margin_at < BOUNDARY_TOL at a residual norm below
+    # 1e-2): 77 converged, 134 left the domain, 148 stagnated, 0 diverged,
+    # 1 at MAX_ITER.  The 61 converged essential rows are the same either
+    # way; the non-essential converged rows now mostly retire earlier.
+    status, essential = [], 0
     for name, kind in MULTISTART_SYSTEMS:
         d = builtin(name)
         system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
         for seed in range(5):
-            status.append(solver._newton(system, _starts(system, 12, seed))[2])
+            X, _, code = solver._newton(system, _starts(system, 12, seed))
+            status.append(code)
+            for x in X[code == solver.CONVERGED]:
+                essential += solver.is_essential(system, np.append(x, 1.0), solver.ESSENTIAL_TOL)
     counts = np.bincount(np.concatenate(status), minlength=solver.MAX_ITER + 1)
     assert counts.sum() == 360
-    assert counts[solver.CONVERGED] >= 95
+    assert essential == 61
     assert counts[solver.STALLED] <= 5
     assert counts[solver.MAX_ITER] <= 3
+
+
+def test_baseline_rows_at_512_restarts(fig8_w_solutions, knot52_w_solutions,
+                                       knot52_v_solutions):
+    # The points that solve returns at the default 512 restarts, seed 0:
+    # 4_1 W, 5_2 W and V, T3 W, T5 W and V (the ROADMAP Baseline table).
+    counts = [len(fig8_w_solutions), len(knot52_w_solutions), len(knot52_v_solutions)]
+    for name, kind in MULTISTART_SYSTEMS[3:]:
+        d = builtin(name)
+        system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
+        counts.append(len(solve(system, SolveConfig(restarts=512, seed=0))))
+    assert counts == [104, 53, 276, 35, 3, 73]
 
 
 @pytest.mark.parametrize("seed", range(3))
