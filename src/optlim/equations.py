@@ -230,17 +230,17 @@ class EquationSystem:
         wb[..., :nv] = w
         wb[..., nv:-1] = np.array(reciprocals, dtype=complex).reshape(w.shape)
         wb[..., -1] = 1.0
-        return self._mono_coeff * np.multiply.reduceat(wb[..., self._value_gather],
+        return self._mono_coeff * np.multiply.reduceat(wb.take(self._value_gather, -1),
                                                        self._value_starts, axis=-1)
 
     def dilog_arguments(self, w: np.ndarray) -> np.ndarray:
         """The argument of every Li2 term at points w (..., nvars)."""
-        return self.monomial_values(w)[..., self._terms.dilog_mono]
+        return self.monomial_values(w).take(self._terms.dilog_mono, -1)
 
     def _essential_arguments(self, mv: np.ndarray) -> np.ndarray:
         """The Li2 arguments among the monomial values; EvaluationError when
         one equals 0 or 1."""
-        arg = mv[..., self._terms.dilog_mono]
+        arg = mv.take(self._terms.dilog_mono, -1)
         bad = (arg == 0.0) | (arg == 1.0)
         if np.count_nonzero(bad):
             raise EvaluationError(
@@ -251,7 +251,7 @@ class EquationSystem:
         """Principal logs of the log atoms' bases and of the variables, from
         one plog call."""
         t = self._terms
-        v = mv[..., t.atom_mono]
+        v = mv.take(t.atom_mono, -1)
         base = np.where(t.atom_is_1m, 1.0 - v, v)
         try:
             logs = plog(np.concatenate((base, w), axis=-1))
@@ -262,7 +262,7 @@ class EquationSystem:
     def _potential_value(self, li2_arg: np.ndarray, atom_logs: np.ndarray) -> np.ndarray:
         """W from li2 at its Li2 arguments and the log atoms."""
         t = self._terms
-        lp = atom_logs[..., t.logprod_atom]
+        lp = atom_logs.take(t.logprod_atom, -1)
         return (row_sums(li2_arg * t.dilog_sign)
                 + row_sums(lp[..., 0] * lp[..., 1] * t.logprod_sign)
                 + t.const * PI2_OVER_6)
@@ -330,7 +330,8 @@ class EquationSystem:
 
         Rows at a zero variable or at a monomial value in {0, 1} get a nan
         exp(mu_k); a single point raises EvaluationError instead.  Floating
-        point errors are left to the caller's np.errstate.
+        point errors are left to the caller's np.errstate.  The gathers use
+        ndarray.take, which copies what indexing copies at less cost per call.
         """
         k = self._products
         nv = self.size + 1
@@ -341,12 +342,12 @@ class EquationSystem:
         wb[..., nv - 1] = 1.0           # the pin
         wb[..., -1] = 1.0
         np.divide(1.0, wb[..., :nv], out=wb[..., nv:-1])
-        np.multiply.reduceat(wb[..., k.mono_gather], k.mono_starts, axis=-1, out=t)
+        np.multiply.reduceat(wb.take(k.mono_gather, -1), k.mono_starts, axis=-1, out=t)
         np.multiply(k.atom_coeff, t, out=t)
         np.add(k.atom_is_1m, t, out=ab[..., :na])
         np.divide(1.0, ab[..., :na], out=ab[..., na:-1])
         ab[..., -1] = 1.0
-        np.multiply.reduceat(ab[..., k.prod_gather], k.prod_starts, axis=-1, out=F)
+        np.multiply.reduceat(ab.take(k.prod_gather, -1), k.prod_starts, axis=-1, out=F)
         # A zero variable or base shows up as an infinite reciprocal.
         ok = np.isfinite(np.add.reduce(wb, axis=-1) * np.add.reduce(ab, axis=-1))
         if x.ndim == 1:
@@ -383,7 +384,7 @@ class EquationSystem:
         na = t.shape[-1]
         # g = -m/(1-m) = t/base for (1-m) atoms, exactly 1 for m atoms.
         g = np.where(k.atom_is_1m, t * ab[..., na:-1], 1.0)
-        entries = np.add.reduceat(g[..., k.jac_atom] * k.jac_coeff, k.jac_starts, axis=-1)
+        entries = np.add.reduceat(g.take(k.jac_atom, -1) * k.jac_coeff, k.jac_starts, axis=-1)
         J = np.zeros(state.shape[:-1] + (nu * nu,), dtype=complex)
         J[..., k.jac_entry] = entries
         J = J.reshape(state.shape[:-1] + (nu, nu))

@@ -6,15 +6,18 @@ iteration: every iteration forms the Jacobians of all live rows, solves
 them as a stack, and runs a backtracking line search on the residual norm
 with per-row rules.  The live rows are held as compact arrays, and a row's
 result is written to the output only when it retires.  One path serves
-solve()'s hundreds of rows and refine()'s one.  The Jacobians and the
-capped line search run under np.errstate; the steps and the status rules
-run outside it, where a numpy warning still surfaces.  The line search
-goes in stages (_STAGES): t = 1, 1/2, 1/4 and 1/8 for every row in one
-call, then 1/16 .. 1/128 and 2^-8 .. 2^-29 for the rows that rejected
-every earlier length.  Each trial point costs one kernel pass
-(EquationSystem.residual_state), and the next Jacobian is formed from the
-accepted point's kernel state (EquationSystem.jacobian_at), with no
-second pass.
+solve()'s hundreds of rows and refine()'s one.  Each iteration opens one
+np.errstate scope, over the Jacobians, the steps and the capped line
+search (a non-finite step has a status of its own, below); the status
+rules run outside it, where a numpy warning still surfaces.  The line
+search goes in stages (_STAGES): t = 1, 1/2, 1/4 and 1/8 for every row,
+in one call up to BLOCK_ROWS // 4 rows, then 1/16 .. 1/128 and
+2^-8 .. 2^-29 for the rows that rejected every earlier length.  Each
+trial point costs one kernel pass (EquationSystem.residual_state), and
+the next Jacobian is formed from the accepted point's kernel state
+(EquationSystem.jacobian_at), with no second pass.  The step cap and the
+status rules are screened by a few reductions over the live rows, and
+the loop returns once a screen retires every live row (refine()'s end).
 
 The step is the Tikhonov-regularised Gauss-Newton step
 -(J^H J + lam I)^-1 J^H F with lam = REGULARISATION * ||J||_F^2, not the
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -128,6 +132,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -136,12 +142,13 @@ class Solution:
     residual_norm: float        # Euclidean norm of the pinned residual (_norms)
 
 
-def _blocks(fn, X: np.ndarray):
-    """fn over the rows of X, BLOCK_ROWS rows per call; fn returns an array
-    or a tuple of arrays."""
-    if len(X) <= BLOCK_ROWS:
-        return fn(X)
-    parts = [fn(X[i:i + BLOCK_ROWS]) for i in range(0, len(X), BLOCK_ROWS)]
+def _blocks(fn, *arrays: np.ndarray, rows: int = 0):
+    """fn over the rows of the arrays, rows (BLOCK_ROWS when 0) rows of
+    each per call; fn returns an array or a tuple of arrays."""
+    rows = rows or BLOCK_ROWS
+    if len(arrays[0]) <= rows:
+        return fn(*arrays)
+    parts = [fn(*(a[i:i + rows] for a in arrays)) for i in range(0, len(arrays[0]), rows)]
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)
@@ -178,6 +185,21 @@ def _steps(J: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return steps, singular
 
 
+def _trials(system: EquationSystem, lengths: np.ndarray, x: np.ndarray, step: np.ndarray,
+            fnorm: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row, the first t of lengths at which x + t*step has a residual
+    norm below fnorm, all lengths in one kernel call: (found, x + t*step,
+    F, norm, state), at the first length for a row that accepts none.
+    (take and compress copy what indexing copies, at less cost per call.)"""
+    shorter = (x[:, None, :] + lengths[:, None] * step[:, None, :]).reshape(-1, x.shape[1])
+    F, state = system.residual_state(shorter)
+    norms = _norms(F)
+    ok = norms.reshape(len(x), -1) < fnorm[:, None]
+    pick = np.arange(0, len(shorter), len(lengths)) + ok.argmax(axis=1)
+    return (np.logical_or.reduce(ok, axis=1), shorter.take(pick, 0), F.take(pick, 0),
+            norms.take(pick, 0), state.take(pick, 0))
+
+
 def _line_search(system: EquationSystem, x: np.ndarray, step: np.ndarray, fnorm: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per row, the first x + t*step, t = 1, 1/2, ..., 2^-29, whose residual
@@ -186,38 +208,24 @@ def _line_search(system: EquationSystem, x: np.ndarray, step: np.ndarray, fnorm:
     keeps its t = 1 values.  x holds at least one row.  Floating point
     errors at the trial points are left to the caller's np.errstate.
 
-    The first stage of _STAGES is evaluated for every row, reading x, step
-    and fnorm by slices, each later one for the rows that rejected every
-    earlier length, all lengths of a stage in one call; the first accepted
-    length is the same as in a sequential search.  When one call covers
-    every row, its picks are the outputs; later stages write only the rows
-    they accept.
+    The first stage of _STAGES is tried for every row, each later one for
+    the rows that rejected every earlier length, in calls of about
+    BLOCK_ROWS trial points (_trials); the first accepted length is the
+    same as in a sequential search.  Up to BLOCK_ROWS // 4 rows the first
+    stage is one call, whose picks are the outputs; later stages write
+    only the rows they accept.
     """
-    rows = None             # the rows to search; every row in the first stage
-    for lengths in _STAGES:
+    for i, lengths in enumerate(_STAGES):
+        trials = partial(_trials, system, lengths)
         per_call = max(1, BLOCK_ROWS // len(lengths))
-        for i in range(0, len(x) if rows is None else len(rows), per_call):
-            at = slice(i, i + per_call) if rows is None else rows[i:i + per_call]
-            shorter = (x[at, None, :] + lengths[:, None] * step[at, None, :]
-                       ).reshape(-1, x.shape[1])
-            F, state = system.residual_state(shorter)
-            norms = _norms(F)
-            ok = norms.reshape(-1, len(lengths)) < fnorm[at, None]
-            found = np.logical_or.reduce(ok, axis=1)
-            # Each row's first accepted length, its first when it accepts none.
-            pick = np.arange(0, len(shorter), len(lengths)) + ok.argmax(axis=1)
-            values = (shorter, F, norms, state)
-            if rows is None and per_call >= len(x):     # one call covers every row
-                accepted, out = found, [v[pick] for v in values]
-                continue
-            if rows is None and not i:
-                accepted = np.empty(len(x), dtype=bool)
-                out = [np.empty((len(x),) + v.shape[1:], dtype=v.dtype) for v in values]
-            accepted[at] = found
-            if rows is not None:
-                at, pick = at[found], pick[found]
+        if not i:
+            accepted, *out = _blocks(trials, x, step, fnorm, rows=per_call)
+        else:
+            found, *values = _blocks(trials, x[rows], step[rows], fnorm[rows], rows=per_call)
+            rows = rows[found]
+            accepted[rows] = True
             for dest, v in zip(out, values):
-                dest[at] = v[pick]
+                dest[rows] = v[found]
         if np.logical_and.reduce(accepted):
             break
         rows = np.flatnonzero(~accepted)
@@ -240,8 +248,9 @@ def _newton(system: EquationSystem, X0: np.ndarray) -> tuple[np.ndarray, np.ndar
     The live rows' iterates, residuals, norms, kernel states (which give
     the next Jacobian) and slow-step counts are kept as compact arrays; a
     row's iterate, norm and status are written back when it retires.  The
-    rules are screened by a few reductions over the live rows; rows are
-    classified, and the arrays compressed, only when some row can retire.
+    rules and the step cap are screened by a few reductions over the live
+    rows; rows are classified, and the arrays compressed, only when some
+    row can retire, and the loop ends when every live row does.
     """
     X = np.array(X0, dtype=complex)
     with np.errstate(all="ignore"):
@@ -256,52 +265,58 @@ def _newton(system: EquationSystem, X0: np.ndarray) -> tuple[np.ndarray, np.ndar
         live = np.flatnonzero(status == RUNNING)
         x, F, fn, state, slow = X[live], F[live], fnorm[live], state[live], slow[live]
 
-    def retire(rows: np.ndarray, code) -> None:
-        X[live[rows]], fnorm[live[rows]], status[live[rows]] = x[rows], fn[rows], code
+    def retire(rows, code) -> None:
+        at = live[rows]
+        X[at], fnorm[at], status[at] = x[rows], fn[rows], code
 
-    for _ in range(ITERATIONS):
+    for i in range(ITERATIONS):
         if not live.size:
             break
         with np.errstate(all="ignore"):
-            J = _blocks(system.jacobian_at, state)
-        step, singular = _steps(J, F)
-        # A singular row's step is nan.
-        finite = np.isfinite(step)
-        if not np.logical_and.reduce(finite, axis=None):
-            failed = ~np.logical_and.reduce(finite, axis=-1)
-            retire(failed, np.where(singular[failed], SINGULAR, NONFINITE_STEP))
-            keep = ~failed
-            live, x, fn, step, slow = live[keep], x[keep], fn[keep], step[keep], slow[keep]
-            if not live.size:
-                break
-        with np.errstate(all="ignore"):
+            step, singular = _steps(_blocks(system.jacobian_at, state), F)
             # Cap the step length relative to the iterate; wild early jumps
-            # throw restarts out of every basin.
-            step_len, max_len = _norms(step), 1.0 + _norms(x)
-            over = step_len > max_len
-            if np.logical_or.reduce(over):
+            # throw restarts out of every basin.  A non-finite step's length,
+            # nan or inf, fails the screen too.
+            norms = _norms(np.concatenate((step, x)))
+            step_len, max_len = norms[:len(x)], 1.0 + norms[len(x):]
+            if not np.logical_and.reduce(step_len <= max_len):
+                # A singular row's step is nan.
+                failed = ~np.logical_and.reduce(np.isfinite(step), axis=-1)
+                if np.logical_or.reduce(failed):
+                    retire(failed, np.where(singular[failed], SINGULAR, NONFINITE_STEP))
+                    live, x, fn, step, slow, step_len, max_len = (
+                        a.compress(~failed, 0) for a in (live, x, fn, step, slow, step_len, max_len))
+                    if not live.size:
+                        break
+                over = step_len > max_len
                 step[over] *= (max_len[over] / step_len[over])[:, None]
             accepted, x_new, F, fx, state = _line_search(system, x, step, fn)
         if not np.logical_and.reduce(accepted):
             retire(~accepted, STALLED)
-            live, fn, slow = live[accepted], fn[accepted], slow[accepted]
-            x_new, F, fx, state = x_new[accepted], F[accepted], fx[accepted], state[accepted]
+            live, fn, slow, x_new, F, fx, state = (
+                a.compress(accepted, 0) for a in (live, fn, slow, x_new, F, fx, state))
             if not live.size:
                 break
         # A Newton basin shows fast decrease; persistent crawling means the
         # restart is wandering and is cheaper to abandon than to ride out.
-        slow = np.where(fx / fn > 0.9, slow + 1, 0)
+        slow = (slow + 1) * (fx / fn > 0.9)
         x, fn = x_new, fx
         ax, margin = np.abs(x), system.margin_at(state)
+        # fn only falls, and slow rises by at most 1 per iteration: no live
+        # row is above 1e12 after the first screen, nor at 20 before the 20th.
         if not (np.minimum.reduce(fn) > RESIDUAL_TOL and np.minimum.reduce(margin) >= BOUNDARY_TOL
-                and np.maximum.reduce(slow) < 20 and np.maximum.reduce(fn) <= 1e12
+                and (i < 19 or np.maximum.reduce(slow) < 20)
+                and (i > 0 or np.maximum.reduce(fn) <= 1e12)
                 and np.maximum.reduce(ax, axis=None) <= 1e12
                 and np.minimum.reduce(ax, axis=None) >= 1e-12):
+            converged = fn <= RESIDUAL_TOL
+            if np.logical_and.reduce(converged):
+                retire(slice(None), CONVERGED)
+                break
             # Converged before left the domain before stagnant before
             # diverged, so refine() still tells a converged non-essential
             # row apart; RESIDUAL_TOL < 1e-6, so a stagnant row is never a
             # converged one.
-            converged = fn <= RESIDUAL_TOL
             left = (margin < BOUNDARY_TOL) & (fn < 1e-2)
             stagnant = (slow >= 20) & (fn > 1e-6)
             diverged = (fn > 1e12) | np.logical_or.reduce((ax > 1e12) | (ax < 1e-12), axis=-1)
@@ -309,11 +324,14 @@ def _newton(system: EquationSystem, X0: np.ndarray) -> tuple[np.ndarray, np.ndar
             if np.logical_or.reduce(done):
                 code = np.where(converged, CONVERGED, np.where(
                     left, LEFT_DOMAIN, np.where(stagnant, STAGNATION, DIVERGED)))
+                if np.logical_and.reduce(done):
+                    retire(slice(None), code)
+                    break
                 retire(done, code[done])
-                keep = ~done
-                live, x, F, fn, state, slow = (live[keep], x[keep], F[keep], fn[keep], state[keep],
-                                               slow[keep])
-    retire(slice(None), MAX_ITER)
+                live, x, F, fn, state, slow = (
+                    a.compress(~done, 0) for a in (live, x, F, fn, state, slow))
+    else:                   # the iterations ran out
+        retire(slice(None), MAX_ITER)
     return X, fnorm, status
 
 

@@ -198,6 +198,14 @@ class TestUsage:
         assert err.startswith("usage: optlim")
         assert message in err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_negative_seed_exits_1(self, capsys, command):
+        # SolveConfig names the option; numpy's own message does not
+        code, out, err = run_cli(capsys, command, "--builtin", "4_1", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
+
     def test_help_exits_0(self, capsys):
         code, out, err = run_cli(capsys, "--help")
         assert code == 0

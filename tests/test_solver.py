@@ -48,6 +48,8 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolveConfig(restarts=0)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            SolveConfig(seed=-1)
 
 
 class TestEssentialMargin:
@@ -582,6 +584,37 @@ class TestSequentialOracle:
         assert status[5] == solver.LEFT_DOMAIN
         assert (status == solver.MAX_ITER).sum() >= 6
 
+    @pytest.mark.parametrize("block_rows", [solver.BLOCK_ROWS, 40])
+    def test_rows_converging_in_one_screen(self, monkeypatch, block_rows):
+        # 48 copies of one noisy closed-form start: every live row
+        # converges in the same screen, which ends the iteration.
+        monkeypatch.setattr(solver, "BLOCK_ROWS", block_rows)
+        system = build_system(assemble_W(builtin("T3")))
+        X0 = np.repeat(_noisy_twist_start(system, 3, 1e-3, make_rng(89)), 48, axis=0)
+        status = _assert_matches_sequential(system, X0)
+        assert status.tolist() == [solver.CONVERGED] * 48
+        alone = solver._newton(system, X0[:1])
+        X, fnorm, _ = solver._newton(system, X0)
+        assert X.tobytes() == np.repeat(alone[0], 48, axis=0).tobytes()
+        assert fnorm.tobytes() == np.repeat(alone[1], 48).tobytes()
+
+    def test_last_rows_retiring_in_one_screen(self):
+        # With a zero margin at every iterate: row 0 leaves the domain at
+        # its start, and after one step row 1 has converged and row 2 (a
+        # residual norm below 1e-2) leaves the domain, in the same screen.
+        system = build_system(assemble_W(builtin("T3")))
+        boundary = _boundary_at(system, None)
+        X0 = np.concatenate((np.ones((1, system.size), dtype=complex),
+                             _noisy_twist_start(system, 3, 1e-8, make_rng(89)),
+                             _noisy_twist_start(system, 3, 1e-3, make_rng(89))))
+        status = _assert_matches_sequential(boundary, X0)
+        assert status.tolist() == [solver.LEFT_DOMAIN, solver.CONVERGED, solver.LEFT_DOMAIN]
+        X, fnorm, _ = solver._newton(boundary, X0)
+        for i in range(len(X0)):
+            x1, f1, s1 = solver._newton(boundary, X0[i:i + 1])
+            assert X[i].tobytes() == x1[0].tobytes() and fnorm[i].tobytes() == f1[0].tobytes()
+            assert s1[0] == status[i]
+
     @pytest.mark.parametrize("edit,code", [
         (np.zeros_like, solver.SINGULAR),
         (lambda J: np.full_like(J, np.nan), solver.NONFINITE_STEP),
@@ -660,6 +693,24 @@ class TestLineSearch:
         depth = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
         assert np.array_equal(depth >= 0, ref[0])
         assert (depth == -1).any() and (depth > 3).any() and (depth == 0).any()
+
+    @pytest.mark.parametrize("name,kind", MULTISTART_SYSTEMS)
+    def test_single_rows_match_exhaustive_search(self, name, kind):
+        # One row, as in refine: each stage is one call.  Over the six
+        # systems the rows accept in each of the three stages, or never.
+        d = builtin(name)
+        system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
+        x = _starts(system, 16, seed=3)
+        F = system.residual_vector(x)
+        fnorm = solver._norms(F)
+        step = solver._steps(system.jacobian(x), F)[0]
+        step *= (10.0 ** make_rng(71).uniform(-1, 4, len(x)))[:, None]
+        step[::8] *= -1e-3
+        ref = _exhaustive_line_search(system, x, step, fnorm)
+        for i in range(len(x)):
+            got = solver._line_search(system, x[i:i + 1], step[i:i + 1], fnorm[i:i + 1])
+            for a, b in zip(got, ref):
+                assert a.tobytes() == b[i:i + 1].tobytes()
 
     def test_residual_rows_on_multistart_systems(self, monkeypatch):
         # The six systems at 12 restarts, seeds 0-4: the exhaustive search
