@@ -328,10 +328,13 @@ class EquationSystem:
         per point one packed row [w, 1/w, 1 | base, 1/base, 1 | t | exp(mu_k)],
         t the atom values with base = is_1m + t (_Products.views).
 
-        Rows at a zero variable or at a monomial value in {0, 1} get a nan
-        exp(mu_k); a single point raises EvaluationError instead.  Floating
-        point errors are left to the caller's np.errstate.  The gathers use
-        ndarray.take, which copies what indexing copies at less cost per call.
+        Rows with a non-finite entry in [w, 1/w, 1 | base, 1/base, 1] (a
+        zero or non-finite variable, a monomial value in {0, 1} or at
+        infinity) get a nan exp(mu_k); a single point raises EvaluationError
+        naming the cause instead, also where only exp(mu_k) is not finite.
+        Floating point errors are left to the caller's np.errstate.  The
+        gathers use ndarray.take, which copies what indexing copies at less
+        cost per call.
         """
         k = self._products
         nv = self.size + 1
@@ -348,13 +351,14 @@ class EquationSystem:
         np.divide(1.0, ab[..., :na], out=ab[..., na:-1])
         ab[..., -1] = 1.0
         np.multiply.reduceat(ab.take(k.prod_gather, -1), k.prod_starts, axis=-1, out=F)
-        # A zero variable or base shows up as an infinite reciprocal.
-        ok = np.isfinite(np.add.reduce(wb, axis=-1) * np.add.reduce(ab, axis=-1))
+        # A zero variable or base shows up as an infinite reciprocal.  The
+        # sums are finite exactly when every entry is (up to an overflow of
+        # the sum itself, near 1e308); their product would overflow at
+        # finite entries of about 1e154.
+        ok = np.isfinite(np.add.reduce(wb, axis=-1) + np.add.reduce(ab, axis=-1))
         if x.ndim == 1:
-            if not ok:
-                if np.any(wb[:nv] == 0.0):
-                    raise EvaluationError("zero variable value")
-                raise EvaluationError("non-essential point: monomial value in {0, 1}")
+            if not (ok and np.logical_and.reduce(np.isfinite(F))):
+                raise EvaluationError(_degeneracy(wb[:nv], ab[:na]))
         elif not np.logical_and.reduce(ok, axis=None):
             F[~ok] = np.nan
         return state
@@ -549,6 +553,18 @@ def _compile_flip_table(system: EquationSystem) -> _FlipTable:
         gather_eps=nv + var,
         gather_swapped=np.where(gather < nv, gather + nv, np.where(gather < 2 * nv, var, gather)),
     )
+
+
+def _degeneracy(w: np.ndarray, base: np.ndarray) -> str:
+    """Why the kernel is not finite at one point with variables w and atom
+    bases base."""
+    if not np.logical_and.reduce(np.isfinite(w)):
+        return "non-finite variable value"
+    if np.logical_or.reduce(w == 0.0):
+        return "zero variable value"
+    if np.logical_or.reduce(base == 0.0):
+        return "non-essential point: monomial value in {0, 1}"
+    return "non-finite value: a monomial value or exp(mu_k) overflows"
 
 
 def row_sums(x: np.ndarray) -> np.ndarray:

@@ -46,12 +46,27 @@ solve() keeps every converged row with an essential point
 and infinity, at least ESSENTIAL_TOL), with no dedup: the solution sets
 are positive-dimensional, so restarts land on distinct points.
 Every row's arithmetic is independent of the other rows in the block, so
-the same seed gives the same solutions.
+the same seed gives the same solutions (to the bit on one numpy build and
+CPU: numpy's SIMD loops may round differently from its scalar ones).
+
+That is also what lets solve() split its rows across processes
+(optlim._pool).  Once the process has spent POOL_AFTER_S (0.1 s, about
+one worker's start-up time) in serial solves of more than one row, the
+next such solve starts one worker process per usable CPU after the first
+(os.sched_getaffinity, so `taskset` restricts them) in the background
+and still runs serially.  Once every worker has reported ready, each
+solve cuts its rows into contiguous chunks, one per usable CPU, runs the
+first here and the others in the workers, and joins the results in row
+order: the same bytes as one _newton over all rows.  So a process that
+solves once, such as one `optlim solve`, starts no worker; refine(),
+_newton() and solves of one row never split.  Each worker is a fresh
+interpreter of 31-37 MB resident, killed at exit.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from functools import partial
 
@@ -104,6 +119,11 @@ START_RADII = (0.1, 10.0)
 # earlier length.  Over the multistart systems 60% of rows accept t = 1
 # and 30% one of 1/2 .. 1/8, so most line searches end after one call.
 _STAGES = (0.5 ** np.arange(0, 4), 0.5 ** np.arange(4, 8), 0.5 ** np.arange(8, 30))
+
+# Seconds of serial solves of more than one row after which solve() starts
+# worker processes, about one worker's start-up time (module docstring).
+POOL_AFTER_S = 0.1
+_serial_s = 0.0             # seconds of such solves since the last pool was dropped
 
 # Exit status of a Newton row.
 (RUNNING, CONVERGED, LEFT_DOMAIN, SINGULAR, NONFINITE_STEP, STALLED,
@@ -401,6 +421,24 @@ def _sample(rng: np.random.Generator, size: int) -> np.ndarray:
     return radius * np.exp(1j * angle)
 
 
+def _solve_rows(system: EquationSystem, X0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_newton over the rows of X0, split with worker processes once this
+    process has spent POOL_AFTER_S in serial solves of more than one row and
+    the workers are ready (optlim._pool); the same bytes either way."""
+    global _serial_s
+    if len(X0) == 1:
+        return _newton(system, X0)
+    if _serial_s >= POOL_AFTER_S:
+        from . import _pool
+        out = _pool.newton(system, X0)
+        if out is not None:
+            return out
+    t0 = time.perf_counter()
+    out = _newton(system, X0)
+    _serial_s += time.perf_counter() - t0
+    return out
+
+
 def solve(system: EquationSystem, cfg: SolveConfig | None = None) -> list[Solution]:
     """Multistart search; every converged essential restart, sorted by
     residual, then by coordinates rounded to 6 decimals.
@@ -414,7 +452,7 @@ def solve(system: EquationSystem, cfg: SolveConfig | None = None) -> list[Soluti
         return []
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     X0 = np.array([_sample(np.random.default_rng(s), system.size) for s in seeds])
-    X, fnorm, status = _newton(system, X0)
+    X, fnorm, status = _solve_rows(system, X0)
 
     rows = np.flatnonzero(status == CONVERGED)
     points = np.concatenate((X[rows], np.ones((len(rows), 1))), axis=1)

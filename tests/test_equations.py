@@ -12,6 +12,7 @@ from optlim import twistknot
 from optlim.equations import EvaluationError, mu_integer_multipliers
 from optlim.numerics import shape_double_prime, shape_prime
 from optlim.potential import Potential
+from optlim.solver import SolveError, refine
 
 from conftest import (coefficients_term_by_term, compiled_coefficients, make_rng, mu_oracle,
                       random_essential_assignment)
@@ -209,6 +210,43 @@ class TestResidual:
         system = build_system(assemble_W(fig8))
         with pytest.raises(EvaluationError, match="non-essential"):
             system.residual_vector([1.0] * system.size)
+
+    @pytest.mark.parametrize("value,cause", [(0.0, "zero variable value"),
+                                             (math.inf, "non-finite variable value"),
+                                             (complex(math.nan, 0.0), "non-finite variable value")])
+    def test_degenerate_variable_names_its_cause(self, fig8, value, cause):
+        system = build_system(assemble_W(fig8))
+        x = np.array([0.7 + 0.3j, 1.3 - 0.2j, value, 0.9 + 0.5j, 1.1 + 0.1j])
+        with pytest.raises(EvaluationError, match=f"^{cause}$"):
+            system.residual_vector(x)
+        with np.errstate(all="ignore"):
+            assert np.isnan(system.residual_state(x[None])[0]).all()
+
+    # Every [w, 1/w, 1] and [base, 1/base, 1] entry of the kernel is finite
+    # at these 4_1 W points, though the products of their sums overflow.
+    FAR = (0.7 + 0.3j, 1.3 - 0.2j, 0.9 + 0.5j, 1.1 + 0.1j)
+
+    def test_far_point_is_evaluated(self, fig8):
+        # exp(mu_k) is finite at 1e-156 too: the residual is a number.
+        system = build_system(assemble_W(fig8))
+        x = np.array([1e-156, *self.FAR])
+        res = system.residual_vector(x)
+        assert np.isfinite(res).all()
+        assert res.tobytes() == system.residual_vector(x[None])[0].tobytes()
+
+    def test_overflow_names_its_cause(self, fig8):
+        # At 1e160 the first exp(mu_k) product overflows, and only that one.
+        system = build_system(assemble_W(fig8))
+        x = np.array([1e160, *self.FAR])
+        with pytest.raises(EvaluationError, match=r"^non-finite value: a monomial value "
+                                                  r"or exp\(mu_k\) overflows$"):
+            system.residual_vector(x)
+        with np.errstate(all="ignore"):
+            row = system.residual_state(x[None])[0][0]
+        assert np.isfinite(row).tolist() == [False, True, True, True, True]
+        with pytest.raises(SolveError, match="^iterate left the essential domain: "
+                                             "non-finite value"):
+            refine(system, system.assignment_from_vector(x))
 
     def test_local_linearization(self):
         d = builtin("T1")

@@ -348,6 +348,20 @@ class TestLockstepNewton:
             assert np.array_equal(f1[0], fnorm[i], equal_nan=True)
             assert s1[0] == status[i]
 
+    @pytest.mark.parametrize("rows", [12, 64])
+    @pytest.mark.parametrize("name,kind", MULTISTART_SYSTEMS)
+    def test_row_partitions_join_bitwise(self, name, kind, rows):
+        # What lets solve() split its rows across worker processes: _newton
+        # over contiguous chunks, joined in row order, is _newton over all.
+        d = builtin(name)
+        system = build_system(assemble_W(d) if kind == "W" else assemble_V(d))
+        X0 = _starts(system, rows, seed=rows)
+        whole = solver._newton(system, X0)
+        for cuts in ([0, rows // 3, rows], [0, 1, rows // 2 + 1, rows]):
+            parts = [solver._newton(system, X0[a:b]) for a, b in zip(cuts, cuts[1:])]
+            for joined, ref in zip(zip(*parts), whole):
+                assert np.concatenate(joined).tobytes() == ref.tobytes()
+
     def test_singular_matrix_kills_only_its_row(self):
         rng = make_rng(43)
         J = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
