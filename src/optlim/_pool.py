@@ -1,33 +1,29 @@
-"""Worker processes that run solver._newton on chunks of solve()'s rows.
+"""Worker processes that run solver._newton on chunks of solve()'s rows;
+when and how many, and why the bytes match, are in solver's docstring.
 
-solver.solve() imports this module only after the process has spent
-solver.POOL_AFTER_S in serial solves of more than one row; importing
-optlim never does.  newton() then starts one worker per usable CPU after
-the first (os.sched_getaffinity) in the background and returns None, so
-the caller solves serially, until every worker has reported ready.  From
-then on it splits the rows of each solve into contiguous chunks, one per
-usable CPU: the caller runs _newton on the first, the workers on the
-others, and the results are joined in row order.  Row arithmetic does not
-depend on the other rows of the block (solver), so the joined arrays are
-byte-identical to one _newton over all rows.
+A worker is a fresh interpreter, `python -I -c`, whose sys.path and
+bytecode setting are the caller's when the pool starts; it imports this
+module and runs serve(), so no caller's __main__ module is run again.  Requests and
+replies are pickles over the worker's stdin and stdout.  A worker's first
+message names its numpy version and the files of numpy and of this
+module; the pool is used only when they are the caller's.  A request is
+(the pickled system, a chunk of rows), so a worker keeps no system
+between requests.  A reply is _newton's (X, fnorm, status) for the
+chunk, or None when the worker's _newton raised or warned (warnings are
+errors in a worker).  The caller recomputes the chunk of a worker that
+replied None or died, so errors and warnings surface where they would in
+a serial solve.  A system that cannot be pickled is solved serially.
 
-Each worker is a fresh interpreter, `python -c` importing this module and
-running serve(), so no caller's __main__ module is run again in a worker,
-guarded or not (multiprocessing's spawn start method re-runs an unguarded
-one).  Requests and replies are pickles over the worker's stdin and
-stdout.  A request is (the pickled system, a chunk of rows), sent with
-every chunk, so a worker keeps no system between requests.  A reply is
-_newton's (X, fnorm, status) for the chunk, or None when the worker's
-_newton raised or warned (warnings are errors in a worker); the caller
-then recomputes the chunk itself, so errors and warnings surface where
-they would in a serial solve.  A worker that dies, or a split that does
-not finish (an exception in the caller's chunk, KeyboardInterrupt), drops
-the pool: its workers are killed and a later solve never reads a stale
-reply; a new pool starts after another POOL_AFTER_S of serial solves.
-Workers are killed and reaped at exit, also while still starting, and a
-worker whose caller is gone exits at the end of its stdin.  One split at
-a time uses the pool: a solve in another thread meanwhile runs serially.
-A forked child neither uses nor kills its parent's workers.
+Workers that exit before they are ready, run other code, reply None or
+die turn the pool off for good (_off): the process solves serially from
+then on.  A split that does not finish (an exception in the caller's
+chunk, KeyboardInterrupt) drops the pool, so a later solve never reads a
+stale reply; a new pool starts after another POOL_AFTER_S of serial
+solves.  Workers are killed and reaped at exit, also while still
+starting, and a worker whose caller is gone exits at the end of its
+stdin.  One split at a time uses the pool: a solve in another thread
+meanwhile runs serially.  A forked child neither uses nor kills its
+parent's workers.
 """
 
 from __future__ import annotations
@@ -46,12 +42,17 @@ import numpy as np
 from . import solver
 from .equations import EquationSystem
 
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SERVE = f"import sys; sys.path.insert(0, {_ROOT!r}); from optlim._pool import serve; serve()"
-_READY = "ready"
-
 _current: Pool | None = None
+_off = False                        # set for good when workers cannot serve this process
 _lock = threading.Lock()            # one split at a time uses the pool's pipes
+
+
+class Unusable(Exception):
+    """A worker exited before it was ready, or runs other code than the caller."""
+
+
+def _identity() -> tuple[str, str, str]:
+    return np.__version__, os.path.realpath(np.__file__), os.path.realpath(__file__)
 
 
 class Pool:
@@ -60,12 +61,15 @@ class Pool:
     def __init__(self, workers: int):
         self.owner = os.getpid()    # a forked child must not use or kill its parent's workers
         self._procs: list[subprocess.Popen] = []
+        path = [p for p in sys.path if isinstance(p, str)]
+        serve_code = f"import sys; sys.path[:] = {path!r}; from optlim._pool import serve; serve()"
+        flags = ["-B"] if sys.dont_write_bytecode else []   # -I ignores PYTHONDONTWRITEBYTECODE
         atexit.register(self.close)
         try:
             for _ in range(workers):
                 # A session of its own: a Ctrl-C at the terminal reaches only the caller.
                 self._procs.append(subprocess.Popen(
-                    [sys.executable, "-c", _SERVE], stdin=subprocess.PIPE,
+                    [sys.executable, "-I", *flags, "-c", serve_code], stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, start_new_session=True))
         except BaseException:
             self.close()
@@ -74,26 +78,34 @@ class Pool:
 
     def ready(self) -> bool:
         """Whether every worker has reported ready, without waiting.  Raises
-        EOFError when a worker exited before it was ready."""
+        Unusable when a worker exited first or runs other code."""
         if self._starting:
             readable = select.select([p.stdout for p in self._starting], [], [], 0)[0]
             for f in readable:
-                if pickle.load(f) != _READY:
-                    raise EOFError("worker sent no ready message")
+                try:
+                    identity = pickle.load(f)
+                except (EOFError, OSError, pickle.UnpicklingError) as e:
+                    raise Unusable("a worker exited before it was ready") from e
+                if identity != _identity():
+                    raise Unusable(f"a worker runs {identity}, not {_identity()}")
             self._starting = [p for p in self._starting if p.stdout not in readable]
         return not self._starting
 
     def newton(self, system: EquationSystem, X0: np.ndarray
-               ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], bool]:
-        """solver._newton over X0 (rows, n) split into contiguous chunks, the
-        first run here and each other one by a worker; returns the joined
-        (X, fnorm, status) and whether every worker answered.  The chunk of
-        a worker that fails or dies is recomputed here."""
-        parts = min(len(self._procs) + 1, len(X0))
+               ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], bool] | None:
+        """solver._newton over X0 (rows, n) split into contiguous chunks of at
+        least solver.CHUNK_MIN_ROWS rows, the first run here and each other
+        one by a worker; returns the joined (X, fnorm, status) and whether
+        every worker answered, or None when the system cannot be pickled.
+        The chunk of a worker that fails or dies is recomputed here."""
+        try:
+            job = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            return None
+        parts = max(1, min(len(self._procs) + 1, len(X0) // solver.CHUNK_MIN_ROWS))
         cuts = [len(X0) * i // parts for i in range(parts + 1)]
         chunks = [X0[a:b] for a, b in zip(cuts, cuts[1:])]
         procs = self._procs[:parts - 1]
-        job = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
         sent = []
         for p, chunk in zip(procs, chunks[1:]):
             try:
@@ -110,8 +122,8 @@ class Pool:
                 try:
                     reply = pickle.load(p.stdout)
                 except (EOFError, OSError, pickle.UnpicklingError):
-                    ok = False
-            answered = answered and ok
+                    pass
+            answered = answered and reply is not None
             results.append(reply if reply is not None else solver._newton(system, chunk))
         return tuple(np.concatenate(r) for r in zip(*results)), answered
 
@@ -135,9 +147,9 @@ class Pool:
 def newton(system: EquationSystem, X0: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """solver._newton over X0 split with the process's pool, or None when
-    no pool is ready or another thread's split is using it; the first call
-    starts the pool in the background."""
-    if not _lock.acquire(blocking=False):
+    no pool is ready, the pool is off or another thread's split is using
+    it; the first call starts the pool in the background."""
+    if _off or not _lock.acquire(blocking=False):
         return None
     try:
         return _split(system, X0)
@@ -151,37 +163,47 @@ def _split(system: EquationSystem, X0: np.ndarray
     if _current is not None and _current.owner != os.getpid():
         _current = None             # inherited through fork: the parent's workers
     if _current is None:
-        workers = len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0
-        if workers > 0:
-            try:
-                _current = Pool(workers)
-            except OSError:
-                drop()
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        workers = min(usable - 1, solver.POOL_WORKERS)
+        if getattr(sys, "frozen", False) or not sys.executable or workers < 1:
+            drop(for_good=True)     # `-c` would start a frozen app again
+            return None
+        try:
+            _current = Pool(workers)
+        except OSError:
+            drop(for_good=True)
         return None
     try:
         if not _current.ready():
             return None
-    except (EOFError, OSError, pickle.UnpicklingError):
-        drop()
+    except Unusable:
+        drop(for_good=True)
         return None
     try:
-        out, answered = _current.newton(system, X0)
+        split = _current.newton(system, X0)
     except BaseException:
         drop()
         raise
+    if split is None:
+        return None
+    out, answered = split
     if not answered:
-        drop()
+        drop(for_good=True)
     return out
 
 
-def drop() -> None:
-    """Close the pool, if any, and restart the serial clock: a new pool
-    starts after another solver.POOL_AFTER_S of serial solves."""
-    global _current
+def drop(for_good: bool = False) -> None:
+    """Close the pool, if any.  Then restart the serial clock, so a new pool
+    starts after another solver.POOL_AFTER_S of serial solves, or, for good,
+    turn the pool off: the process solves serially from then on."""
+    global _current, _off
     if _current is not None:
         _current.close()
         _current = None
-    solver._serial_s = 0.0
+    if for_good:
+        _off = True
+    else:
+        solver._serial_s = 0.0
 
 
 def serve() -> None:
@@ -189,7 +211,7 @@ def serve() -> None:
     requests, replies = sys.stdin.buffer, os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)                   # stray output must not reach the replies
     warnings.simplefilter("error")
-    _write(replies, _READY)
+    _write(replies, _identity())
     while True:
         try:
             job, X0 = pickle.load(requests)

@@ -1,6 +1,7 @@
 """solve()'s worker processes (optlim._pool): a split gives the serial bytes,
-a failing or dying worker's chunk is recomputed in the caller, an
-interrupted split drops the pool, and no worker outlives its caller.
+a failing or dying worker's chunk is recomputed in the caller and turns
+the pool off, an interrupted split drops the pool, and no worker outlives
+its caller.
 
 Each test starts at most one worker, through the private Pool and
 _pool._current; none sets an option.  Run them also under
@@ -43,6 +44,14 @@ def _ready_pool() -> _pool.Pool:
             pytest.fail("the worker did not report ready in 60 s")
         time.sleep(0.005)
     return pool
+
+
+@pytest.fixture(autouse=True)
+def pool_on(monkeypatch):
+    """Each test starts with the pool allowed and leaves no pool behind."""
+    monkeypatch.setattr(_pool, "_off", False)
+    yield
+    _pool.drop()
 
 
 @pytest.fixture
@@ -166,7 +175,8 @@ def test_killed_worker_chunk_is_recomputed(pool, monkeypatch, when):
 
         monkeypatch.setattr(solver, "_newton", killing)
     assert _same(_pool.newton(system, X0), ref)
-    assert _pool._current is None and solver._serial_s == 0.0
+    assert _pool._current is None and _pool._off
+    assert _pool.newton(system, X0) is None and _pool._current is None
 
 
 def test_interrupted_split_drops_the_pool(pool, monkeypatch):
@@ -214,14 +224,104 @@ class WarnsAtRow:
 
 
 def test_failing_worker_chunk_warns_in_the_caller(pool):
+    # A worker that cannot solve what the caller can would fail every
+    # split: the pool is turned off after the first.
     system = _system("5_2", "W")
     X0 = _starts(system, 12, seed=9)
     with pytest.warns(RowWarning):
-        got, answered = pool.newton(WarnsAtRow(system, X0[-1]), X0)
+        got = _pool.newton(WarnsAtRow(system, X0[-1]), X0)
+    assert _same(got, solver._newton(system, X0))
+    assert _pool._current is None and _pool._off and pool._procs == []
+    assert _pool.newton(system, X0) is None and _pool._current is None
+
+
+def test_unpicklable_system_is_solved_serially(pool, split_calls):
+    class Local:                    # a local class cannot be pickled
+        def __init__(self, system):
+            self.system = system
+
+        def __getattr__(self, name):
+            return getattr(self.system, name)
+
+    system = _system("T3", "W")
+    cfg = SolveConfig(restarts=12, seed=6)
+    assert solve(Local(system), cfg) == solve(system, cfg)
+    assert split_calls == [12, 12] and _pool._current is pool and not _pool._off
+
+
+def test_small_solves_never_split(pool, split_calls):
+    system = _system("4_1", "W")
+    for rows in (2, 3):
+        solve(system, SolveConfig(restarts=rows, seed=1))
+    assert split_calls == []
+    for rows, seed in ((4, 0), (5, 1)):
+        X0 = _starts(system, rows, seed=seed)
+        got, answered = pool.newton(system, X0)
+        assert answered and _same(got, solver._newton(system, X0))
+    X0 = _starts(system, 3, seed=2)
+    got, answered = pool.newton(system, X0)         # one chunk, no worker
     assert answered and _same(got, solver._newton(system, X0))
-    assert pool._procs[0].poll() is None        # still serving
-    got, answered = pool.newton(system, X0)
-    assert answered and _same(got, solver._newton(system, X0))
+
+
+def test_workers_share_the_callers_path_and_bytecode_setting(tmp_path, monkeypatch):
+    # A module importable only through an entry the caller added at run time.
+    (tmp_path / "caller_only.py").write_text(
+        "class Wrapped:\n"
+        "    def __init__(self, system):\n"
+        "        self.system = system\n"
+        "    def residual_state(self, x):\n"
+        "        return self.system.residual_state(x)\n"
+        "    def jacobian_at(self, state):\n"
+        "        return self.system.jacobian_at(state)\n"
+        "    def margin_at(self, state):\n"
+        "        return self.system.margin_at(state)\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import caller_only
+    pool = _pool._current = _ready_pool()
+    system = _system("T3", "W")
+    X0 = _starts(system, 12, seed=8)
+    ref = solver._newton(system, X0)
+    chunks = []                     # the rows solved here, not in the worker
+    newton = solver._newton
+
+    def counting(system, X0):
+        chunks.append(len(X0))
+        return newton(system, X0)
+
+    monkeypatch.setattr(solver, "_newton", counting)
+    got, answered = pool.newton(caller_only.Wrapped(system), X0)
+    assert answered and chunks == [6] and _same(got, ref)
+    assert not (tmp_path / "__pycache__").exists()    # neither process wrote bytecode
+
+
+def test_worker_running_other_code_turns_the_pool_off(monkeypatch):
+    # A worker whose numpy or optlim differs from the caller's is never
+    # used, and no other worker is started.
+    monkeypatch.setattr(_pool, "_identity", lambda: ("another numpy", "", ""))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(solver, "_serial_s", math.inf)
+    system = _system("T3", "W")
+    X0 = _starts(system, 12, seed=3)
+    assert _pool.newton(system, X0) is None
+    worker = _pool._current._procs[0]
+    deadline = time.monotonic() + 60
+    while not _pool._off:
+        assert time.monotonic() < deadline, "the worker did not report in 60 s"
+        assert _pool.newton(system, X0) is None
+        time.sleep(0.005)
+    assert _pool._current is None and worker.returncode is not None
+    assert solver._serial_s == math.inf
+    assert _pool.newton(system, X0) is None and _pool._current is None
+
+
+def test_frozen_app_starts_no_worker(monkeypatch):
+    monkeypatch.setattr(sys, "frozen", True, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(solver, "_serial_s", math.inf)
+    system = _system("T3", "W")
+    assert _pool.newton(system, _starts(system, 12, seed=3)) is None
+    assert _pool._current is None and _pool._off
 
 
 def test_threads_share_the_pool(pool, split_calls):
