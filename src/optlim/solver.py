@@ -49,24 +49,21 @@ Every row's arithmetic is independent of the other rows in the block, so
 the same seed gives the same solutions (to the bit on one numpy build and
 CPU: numpy's SIMD loops may round differently from its scalar ones).
 
-That is also what lets solve() split its rows across processes
+That is also what lets solve() split its rows with a worker process
 (optlim._pool).  Once the process has spent POOL_AFTER_S (0.1 s, about
-one worker's start-up time) in serial solves of at least
-2 * CHUNK_MIN_ROWS rows, the next such solve starts the workers in the
-background and still runs serially: one per usable CPU after the first
-(os.sched_getaffinity, so `taskset` restricts them), at most
-POOL_WORKERS.  Once every worker has reported ready, each such solve
-cuts its rows into contiguous chunks of at least CHUNK_MIN_ROWS rows, at
-most one per worker and one for the caller, runs the first here and the
-others in the workers, and joins the results in row order: the same
-bytes as one _newton over all rows.  So a process that solves once, such
-as one `optlim solve`, starts no worker; refine(), _newton() and solves
-of fewer rows never split.  Each worker is a fresh interpreter of
-31-37 MB resident, killed at exit.  Both limits are measured on 2 CPUs
-with BLAS pinned to one thread: one worker, and 1-row chunks, which were
-slower than a serial solve (split/serial 1.06 at 2 and 3 rows, 0.95 at
-4).  More workers, and BLAS thread pools of the default size in them,
-are unmeasured.
+the worker's start-up time) in serial solves of at least SPLIT_MIN_ROWS
+rows, the next such solve starts one worker in the background, when
+os.sched_getaffinity lists at least 2 CPUs (so `taskset` can rule it
+out), and still runs serially.  Once the worker has reported ready, each
+such solve runs its first len // 2 rows here and the others in the
+worker, and joins the halves in row order: the same bytes as one _newton
+over all rows.  So a process that solves once, such as one `optlim
+solve`, starts no worker; refine(), _newton() and solves of fewer rows
+never split.  The worker is a fresh interpreter of 31-37 MB resident,
+killed at exit.  Both limits are measured on 2 CPUs: split/serial time
+was 1.06 at 2 and 3 rows and 0.95 at 4 with BLAS pinned to one thread,
+and about 0.85 at 12 rows and 0.54 at 512 with BLAS pinned or at its
+default thread count.  A second worker is unmeasured.
 """
 
 from __future__ import annotations
@@ -126,13 +123,12 @@ START_RADII = (0.1, 10.0)
 # and 30% one of 1/2 .. 1/8, so most line searches end after one call.
 _STAGES = (0.5 ** np.arange(0, 4), 0.5 ** np.arange(4, 8), 0.5 ** np.arange(8, 30))
 
-# solve()'s worker processes (module docstring): seconds of serial solves
-# of at least 2 * CHUNK_MIN_ROWS rows before they start, about one worker's
-# start-up time; the most workers; the fewest rows in a chunk.
+# solve()'s worker process (module docstring): seconds of serial solves
+# of at least SPLIT_MIN_ROWS rows before it starts, about its start-up
+# time; the fewest rows of a split solve, the measured crossover.
 POOL_AFTER_S = 0.1
-POOL_WORKERS = 1
-CHUNK_MIN_ROWS = 2
-_serial_s = 0.0             # seconds of such solves since the last pool was dropped
+SPLIT_MIN_ROWS = 4
+_serial_s = 0.0             # seconds of such solves in this process
 
 # Exit status of a Newton row.
 (RUNNING, CONVERGED, LEFT_DOMAIN, SINGULAR, NONFINITE_STEP, STALLED,
@@ -431,12 +427,12 @@ def _sample(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def _solve_rows(system: EquationSystem, X0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_newton over the rows of X0, split with worker processes once this
+    """_newton over the rows of X0, split with a worker process once this
     process has spent POOL_AFTER_S in serial solves of at least
-    2 * CHUNK_MIN_ROWS rows and the workers are ready (optlim._pool); the
-    same bytes either way."""
+    SPLIT_MIN_ROWS rows and the worker is ready (optlim._pool); the same
+    bytes either way."""
     global _serial_s
-    if len(X0) < 2 * CHUNK_MIN_ROWS:
+    if len(X0) < SPLIT_MIN_ROWS:
         return _newton(system, X0)
     if _serial_s >= POOL_AFTER_S:
         from . import _pool

@@ -19,9 +19,9 @@ from optlim import _pool
 
 print("body", os.getpid(), flush=True)
 # One worker, forced: solve() splits from the first solve it finds it ready.
-_pool._current = _pool.Pool(1)
+_pool._current = _pool.Worker()
 solver._serial_s = float("inf")
-print("worker", *(p.pid for p in _pool._current._procs), flush=True)
+print("worker", _pool._current._proc.pid, flush=True)
 if sys.argv[1] == "split":
     deadline = time.monotonic() + 60
     while not _pool._current.ready():

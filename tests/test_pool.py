@@ -1,9 +1,9 @@
-"""solve()'s worker processes (optlim._pool): a split gives the serial bytes,
-a failing or dying worker's chunk is recomputed in the caller and turns
-the pool off, an interrupted split drops the pool, and no worker outlives
-its caller.
+"""solve()'s worker process (optlim._pool): a split gives the serial bytes,
+a failing or dying worker's half is recomputed in the caller and turns
+splitting off, an interrupted split closes the worker, and no worker
+outlives its caller.
 
-Each test starts at most one worker, through the private Pool and
+Each test starts at most one worker, through the private Worker and
 _pool._current; none sets an option.  Run them also under
 `python -X dev -W error::ResourceWarning`, which fails on an unclosed
 pipe or an unreaped worker.
@@ -35,20 +35,21 @@ def _system(name, kind):
     return build_system(assemble_W(d) if kind == "W" else assemble_V(d))
 
 
-def _ready_pool() -> _pool.Pool:
-    pool = _pool.Pool(1)
+def _ready_worker(worker: _pool.Worker | None = None) -> _pool.Worker:
+    """worker, or a new one, once it has reported ready."""
+    worker = worker or _pool.Worker()
     deadline = time.monotonic() + 60
-    while not pool.ready():
+    while not worker.ready():
         if time.monotonic() > deadline:
-            pool.close()
+            worker.close()
             pytest.fail("the worker did not report ready in 60 s")
         time.sleep(0.005)
-    return pool
+    return worker
 
 
 @pytest.fixture(autouse=True)
 def pool_on(monkeypatch):
-    """Each test starts with the pool allowed and leaves no pool behind."""
+    """Each test starts with splitting allowed and leaves no worker behind."""
     monkeypatch.setattr(_pool, "_off", False)
     yield
     _pool.drop()
@@ -58,7 +59,7 @@ def pool_on(monkeypatch):
 def pool(monkeypatch):
     """One ready worker, which solve() splits with from its first solve."""
     _pool.drop()
-    _pool._current = _ready_pool()
+    _pool._current = _ready_worker()
     monkeypatch.setattr(solver, "_serial_s", math.inf)
     yield _pool._current
     _pool.drop()
@@ -66,15 +67,15 @@ def pool(monkeypatch):
 
 @pytest.fixture
 def split_calls(monkeypatch):
-    """The row counts of the splits that Pool.newton runs."""
+    """The row counts of the splits that Worker.newton runs."""
     calls = []
-    newton = _pool.Pool.newton
+    newton = _pool.Worker.newton
 
     def counting(self, system, X0):
         calls.append(len(X0))
         return newton(self, system, X0)
 
-    monkeypatch.setattr(_pool.Pool, "newton", counting)
+    monkeypatch.setattr(_pool.Worker, "newton", counting)
     return calls
 
 
@@ -140,7 +141,7 @@ def test_one_shot_cli_solve_starts_no_worker():
 @pytest.mark.parametrize("name,kind", MULTISTART_SYSTEMS)
 def test_split_matches_serial(pool, name, kind):
     system = _system(name, kind)
-    for rows, seed in ((12, 0), (12, 1), (64, 0)):
+    for rows, seed in ((5, 0), (12, 0), (12, 1), (13, 2), (64, 0)):
         X0 = _starts(system, rows, seed=seed)
         got, answered = pool.newton(system, X0)
         assert answered and _same(got, solver._newton(system, X0))
@@ -160,14 +161,14 @@ def test_killed_worker_chunk_is_recomputed(pool, monkeypatch, when):
     system = _system("T3", "W")
     X0 = _starts(system, 24, seed=5)
     ref = solver._newton(system, X0)
-    worker = pool._procs[0]
+    worker = pool._proc
     if when == "before":
         worker.kill()
         worker.wait()
     else:
         newton = solver._newton
 
-        def killing(system, X0):        # the caller's chunk, after the worker's was sent
+        def killing(system, X0):        # the caller's half, after the worker's was sent
             if worker.returncode is None:
                 worker.kill()
                 worker.wait()
@@ -179,7 +180,7 @@ def test_killed_worker_chunk_is_recomputed(pool, monkeypatch, when):
     assert _pool.newton(system, X0) is None and _pool._current is None
 
 
-def test_interrupted_split_drops_the_pool(pool, monkeypatch):
+def test_interrupted_split_drops_the_pool(pool, monkeypatch, split_calls):
     system = _system("4_1", "W")
     cfg = SolveConfig(restarts=24, seed=7)
     with monkeypatch.context() as m:
@@ -189,14 +190,17 @@ def test_interrupted_split_drops_the_pool(pool, monkeypatch):
         m.setattr(solver, "_newton", interrupted)
         with pytest.raises(KeyboardInterrupt):
             solve(system, cfg)
-    assert _pool._current is None
-    assert pool._procs == [] and solver._serial_s == 0.0
-    serial = solve(system, cfg)
-    # A fresh pool never reads the interrupted split's reply.
-    _pool._current = _ready_pool()
-    solver._serial_s = math.inf
+    assert split_calls == [24] and _pool._current is None and pool._proc is None
+    # Only the worker is closed: the serial clock is the solver's, and
+    # splitting stays on.
+    assert solver._serial_s == math.inf and not _pool._off
+    serial = solve(system, cfg)     # starts a fresh worker, solves serially meanwhile
+    fresh = _pool._current
+    assert split_calls == [24] and fresh is not None and fresh is not pool
+    # The fresh worker never reads the interrupted split's reply.
+    _ready_worker(fresh)
     assert solve(system, cfg) == serial
-    assert _pool._current is not None
+    assert split_calls == [24, 24] and _pool._current is fresh
 
 
 class RowWarning(UserWarning):
@@ -225,13 +229,13 @@ class WarnsAtRow:
 
 def test_failing_worker_chunk_warns_in_the_caller(pool):
     # A worker that cannot solve what the caller can would fail every
-    # split: the pool is turned off after the first.
+    # split: splitting is turned off after the first.
     system = _system("5_2", "W")
     X0 = _starts(system, 12, seed=9)
     with pytest.warns(RowWarning):
         got = _pool.newton(WarnsAtRow(system, X0[-1]), X0)
     assert _same(got, solver._newton(system, X0))
-    assert _pool._current is None and _pool._off and pool._procs == []
+    assert _pool._current is None and _pool._off and pool._proc is None
     assert _pool.newton(system, X0) is None and _pool._current is None
 
 
@@ -251,16 +255,13 @@ def test_unpicklable_system_is_solved_serially(pool, split_calls):
 
 def test_small_solves_never_split(pool, split_calls):
     system = _system("4_1", "W")
-    for rows in (2, 3):
+    for rows in (2, 3, 4):
         solve(system, SolveConfig(restarts=rows, seed=1))
-    assert split_calls == []
-    for rows, seed in ((4, 0), (5, 1)):
+    assert split_calls == [4]
+    for rows, seed in ((3, 2), (4, 0), (5, 1)):     # a 1- or 2-row half here
         X0 = _starts(system, rows, seed=seed)
         got, answered = pool.newton(system, X0)
         assert answered and _same(got, solver._newton(system, X0))
-    X0 = _starts(system, 3, seed=2)
-    got, answered = pool.newton(system, X0)         # one chunk, no worker
-    assert answered and _same(got, solver._newton(system, X0))
 
 
 def test_workers_share_the_callers_path_and_bytecode_setting(tmp_path, monkeypatch):
@@ -278,7 +279,7 @@ def test_workers_share_the_callers_path_and_bytecode_setting(tmp_path, monkeypat
     monkeypatch.syspath_prepend(str(tmp_path))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     import caller_only
-    pool = _pool._current = _ready_pool()
+    pool = _pool._current = _ready_worker()
     system = _system("T3", "W")
     X0 = _starts(system, 12, seed=8)
     ref = solver._newton(system, X0)
@@ -304,7 +305,7 @@ def test_worker_running_other_code_turns_the_pool_off(monkeypatch):
     system = _system("T3", "W")
     X0 = _starts(system, 12, seed=3)
     assert _pool.newton(system, X0) is None
-    worker = _pool._current._procs[0]
+    worker = _pool._current._proc
     deadline = time.monotonic() + 60
     while not _pool._off:
         assert time.monotonic() < deadline, "the worker did not report in 60 s"
@@ -324,8 +325,16 @@ def test_frozen_app_starts_no_worker(monkeypatch):
     assert _pool._current is None and _pool._off
 
 
+def test_one_usable_cpu_starts_no_worker(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(solver, "_serial_s", math.inf)
+    system = _system("T3", "W")
+    assert _pool.newton(system, _starts(system, 12, seed=3)) is None
+    assert _pool._current is None and _pool._off
+
+
 def test_threads_share_the_pool(pool, split_calls):
-    # More solving threads than CPUs: a split holds the pool, and a solve
+    # More solving threads than CPUs: a split holds the worker, and a solve
     # that finds it busy runs serially.
     system = _system("5_2", "V")
     cfgs = [SolveConfig(restarts=24, seed=seed) for seed in range(8)]
@@ -356,7 +365,7 @@ def test_forked_child_leaves_the_parent_workers(pool):
     system = _system("T3", "W")
     X0 = _starts(system, 12, seed=4)
     pid = os.fork()
-    if pid == 0:                    # the child's exit would close the pool it inherited
+    if pid == 0:                    # the child's exit would close the worker it inherited
         try:
             pool.close()
         finally:
