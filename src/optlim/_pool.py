@@ -6,13 +6,26 @@ bytecode setting are the caller's when it starts; it imports this module
 and runs serve(), so no caller's __main__ module is run again.  Requests
 and replies are pickles over its stdin and stdout.  Its first message
 names its numpy version and the files of numpy and of this module; it is
-used only when they are the caller's.  A request is (the pickled system,
-the second half of the rows), so the worker keeps no system between
-requests.  A reply is _newton's (X, fnorm, status) for those rows, or
-None when the worker's _newton raised or warned (warnings are errors in
-the worker).  The caller recomputes the half of a worker that replied
-None or died, so errors and warnings surface where they would in a
-serial solve.  A system that cannot be pickled is solved serially.
+used only when they are the caller's.
+
+A request is (token, the pickled system or None, released tokens, the
+second half of the rows).  The caller gives each system a token the
+first time it sends it, and sends the system pickled only then; later
+requests carry the token and None, so a process that rotates a few
+systems pickles each once.  The worker keeps a token -> system table.  A
+weakref.finalize on each sent system forgets its id and queues its token
+when the caller's system is collected (before the id can name another
+object), and the next request carries the queued tokens, which the
+worker drops from its table first: so the worker holds each of the
+caller's live systems once, and no others.  A finalizer may run in any
+thread at any point, so the queue is a deque that finalizers only append
+to and that only the split holding the worker drains; close() detaches
+the finalizers.  A reply is _newton's (X, fnorm, status) for those rows,
+or None when the worker could not unpickle the system, or its _newton
+raised or warned (warnings are errors in the worker).  The caller
+recomputes the half of a worker that replied None or died, so errors and
+warnings surface where they would in a serial solve.  A system that
+cannot be pickled or weakly referenced is solved serially.
 
 A worker that exits before it is ready, runs other code, replies None or
 dies turns splitting off for good (_off): the process solves serially
@@ -30,6 +43,8 @@ kills its parent's worker.
 from __future__ import annotations
 
 import atexit
+import collections
+import itertools
 import os
 import pickle
 import select
@@ -37,6 +52,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 
@@ -69,6 +85,11 @@ class Worker:
             [sys.executable, "-I", *flags, "-c", serve_code], stdin=subprocess.PIPE,
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, start_new_session=True)
         self._starting = True
+        # id of each live system sent -> (its token, its finalizer), and
+        # the tokens of collected ones not yet reported.
+        self._sent: dict[int, tuple[int, weakref.finalize]] = {}
+        self._released: collections.deque[int] = collections.deque()
+        self._tokens = itertools.count()
         atexit.register(self.close)
 
     def ready(self) -> bool:
@@ -89,15 +110,25 @@ class Worker:
         """solver._newton over X0 (rows, n), the first len(X0) // 2 rows run
         here and the others by the worker; returns the joined (X, fnorm,
         status) and whether the worker answered, or None when the system
-        cannot be pickled.  The worker's half is recomputed here when the
-        worker fails or dies."""
-        try:
-            job = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return None
+        cannot be pickled or weakly referenced.  The worker's half is
+        recomputed here when the worker fails or dies."""
+        key, job = id(system), None
+        if key in self._sent:
+            token = self._sent[key][0]
+        else:
+            try:
+                job = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
+                token = next(self._tokens)
+                finalizer = weakref.finalize(system, _release, self._sent, self._released,
+                                             key, token)
+            except Exception:
+                return None
+            finalizer.atexit = False
+            self._sent[key] = token, finalizer
+        released = [self._released.popleft() for _ in range(len(self._released))]
         cut = len(X0) // 2
         try:
-            _write(self._proc.stdin, (job, X0[cut:]))
+            _write(self._proc.stdin, (token, job, released, X0[cut:]))
             sent = True
         except OSError:             # the worker is gone
             sent = False
@@ -112,8 +143,12 @@ class Worker:
         return tuple(np.concatenate(r) for r in zip(here, there)), reply is not None
 
     def close(self) -> None:
-        """Kill and reap the worker, ready or still starting."""
+        """Kill and reap the worker, ready or still starting, and stop
+        tracking the systems sent to it."""
         atexit.unregister(self.close)
+        for _, finalizer in list(self._sent.values()):
+            finalizer.detach()
+        self._sent.clear()
         p, self._proc = self._proc, None
         if p is None or os.getpid() != self.owner:
             return
@@ -171,6 +206,13 @@ def _split(system: EquationSystem, X0: np.ndarray
     return out
 
 
+def _release(sent: dict[int, tuple[int, weakref.finalize]], released: collections.deque[int],
+             key: int, token: int) -> None:
+    """A sent system was collected: forget it, and queue its token."""
+    sent.pop(key, None)
+    released.append(token)
+
+
 def drop() -> None:
     """Close the worker, if any; the next solve that would split starts a new one."""
     global _current
@@ -185,13 +227,18 @@ def serve() -> None:
     os.dup2(2, 1)                   # stray output must not reach the replies
     warnings.simplefilter("error")
     _write(replies, _identity())
+    systems: dict[int, EquationSystem] = {}
     while True:
         try:
-            job, X0 = pickle.load(requests)
+            token, job, released, X0 = pickle.load(requests)
         except EOFError:
             return
+        for t in released:
+            systems.pop(t, None)
         try:
-            reply = solver._newton(pickle.loads(job), X0)
+            if job is not None:
+                systems[token] = pickle.loads(job)
+            reply = solver._newton(systems[token], X0)
         except Exception:
             reply = None
         _write(replies, reply)

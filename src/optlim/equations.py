@@ -143,19 +143,23 @@ def _term_table(potential: Potential) -> tuple[list[Monomial], np.ndarray, _Term
 @dataclass(frozen=True)
 class _Products:
     """Index arrays of the product kernel over the distinct atoms a of the
-    unknowns' equations, exp(mu_k) = prod_a base_a ** C[k, a]."""
+    unknowns' equations, exp(mu_k) = prod_a base_a ** C[k, a].  The
+    factors are stored complex: numpy would cast them to complex on every
+    call, to the same values."""
 
     mono_gather: np.ndarray      # indices into [w, 1/w, 1], w in potential.variables order
     mono_starts: np.ndarray      # (natoms,) reduceat boundaries of mono_gather
     atom_coeff: np.ndarray       # (natoms,) -coeff(m) for (1-m) atoms, coeff(m) for m
-    atom_is_1m: np.ndarray       # (natoms,) bool
+    atom_is_1m: np.ndarray       # (natoms,) 1 for (1-m) atoms, 0 for m atoms
     prod_gather: np.ndarray      # indices into [base, 1/base, 1]
     prod_starts: np.ndarray      # (nunknowns,) reduceat boundaries of prod_gather
-    jac_atom: np.ndarray         # atom of each nonzero C[k, a] * deg_v(m_a), by (k, v)
+    jac_gather: np.ndarray       # indices into [g, 1, 0] of each term C[k, a] * deg_v(m_a)
     jac_coeff: np.ndarray        # that product
-    jac_starts: np.ndarray       # reduceat boundaries, one segment per Jacobian entry
-    jac_entry: np.ndarray        # flat index k * nunknowns + v of each segment
-    views: tuple[slice, ...]     # [w, 1/w, 1], [base, 1/base, 1], t, exp(mu_k) in a state row
+    jac_starts: np.ndarray       # (nunknowns**2,) reduceat boundaries, entry k * nunknowns + v
+    wb: slice                    # [w, 1/w, 1] in a state row
+    ab: slice                    # [base, 1/base, 1]
+    t: slice                     # the atom values
+    F: slice                     # exp(mu_k)
 
 
 @dataclass(frozen=True)
@@ -326,7 +330,7 @@ class EquationSystem:
     def _kernel(self, x: np.ndarray) -> np.ndarray:
         """The kernel state at unknowns x (..., n) with the pin at 1:
         per point one packed row [w, 1/w, 1 | base, 1/base, 1 | t | exp(mu_k)],
-        t the atom values with base = is_1m + t (_Products.views).
+        t the atom values with base = is_1m + t (the slices of _Products).
 
         Rows with a non-finite entry in [w, 1/w, 1 | base, 1/base, 1] (a
         zero or non-finite variable, a monomial value in {0, 1} or at
@@ -338,12 +342,11 @@ class EquationSystem:
         """
         k = self._products
         nv = self.size + 1
-        state = np.empty(x.shape[:-1] + (k.views[-1].stop,), dtype=complex)
-        wb, ab, t, F = (state[..., v] for v in k.views)
+        state = np.empty(x.shape[:-1] + (k.F.stop,), dtype=complex)
+        wb, ab, t, F = state[..., k.wb], state[..., k.ab], state[..., k.t], state[..., k.F]
         na = t.shape[-1]
         wb[..., :nv - 1] = x
-        wb[..., nv - 1] = 1.0           # the pin
-        wb[..., -1] = 1.0
+        wb[..., nv - 1::nv + 1] = 1.0   # the pin and the trailing 1
         np.divide(1.0, wb[..., :nv], out=wb[..., nv:-1])
         np.multiply.reduceat(wb.take(k.mono_gather, -1), k.mono_starts, axis=-1, out=t)
         np.multiply(k.atom_coeff, t, out=t)
@@ -352,10 +355,11 @@ class EquationSystem:
         ab[..., -1] = 1.0
         np.multiply.reduceat(ab.take(k.prod_gather, -1), k.prod_starts, axis=-1, out=F)
         # A zero variable or base shows up as an infinite reciprocal.  The
-        # sums are finite exactly when every entry is (up to an overflow of
-        # the sum itself, near 1e308); their product would overflow at
-        # finite entries of about 1e154.
-        ok = np.isfinite(np.add.reduce(wb, axis=-1) + np.add.reduce(ab, axis=-1))
+        # sum over [w, 1/w, 1 | base, 1/base, 1], contiguous in the state,
+        # is finite exactly when every entry is (up to an overflow of the
+        # sum itself, near 1e308); a product would overflow at finite
+        # entries of about 1e154.
+        ok = np.isfinite(np.add.reduce(state[..., :k.t.start], axis=-1))
         if x.ndim == 1:
             if not (ok and np.logical_and.reduce(np.isfinite(F))):
                 raise EvaluationError(_degeneracy(wb[:nv], ab[:na]))
@@ -373,7 +377,7 @@ class EquationSystem:
             empty = np.empty(x.shape[:-1] + (0,), dtype=complex)
             return empty, empty
         state = self._kernel(x)
-        return state[..., self._products.views[3]] - 1.0, state
+        return state[..., self._products.F] - 1.0, state
 
     def jacobian_at(self, state: np.ndarray) -> np.ndarray:
         """Analytic Jacobian of the residual vector from the kernel state of
@@ -384,16 +388,17 @@ class EquationSystem:
         if nu == 0:
             return np.empty(state.shape[:-1] + (0, 0), dtype=complex)
         k = self._products
-        wb, ab, t, F = (state[..., v] for v in k.views)
-        na = t.shape[-1]
-        # g = -m/(1-m) = t/base for (1-m) atoms, exactly 1 for m atoms.
-        g = np.where(k.atom_is_1m, t * ab[..., na:-1], 1.0)
-        entries = np.add.reduceat(g.take(k.jac_atom, -1) * k.jac_coeff, k.jac_starts, axis=-1)
-        J = np.zeros(state.shape[:-1] + (nu * nu,), dtype=complex)
-        J[..., k.jac_entry] = entries
-        J = J.reshape(state.shape[:-1] + (nu, nu))
-        J *= F[..., :, None]
-        J *= wb[..., None, nu + 1:2 * nu + 1]
+        na = k.t.stop - k.t.start
+        # [g, 1, 0], g = -m/(1-m) = t/base for (1-m) atoms: the terms of m
+        # atoms read the exact 1, and each entry without a term the 0.
+        g = np.empty(state.shape[:-1] + (na + 2,), dtype=complex)
+        np.multiply(state[..., k.t], state[..., k.ab.start + na:k.ab.stop - 1], out=g[..., :na])
+        g[..., na:] = _ONE_ZERO
+        terms = g.take(k.jac_gather, -1)
+        terms *= k.jac_coeff
+        J = np.add.reduceat(terms, k.jac_starts, axis=-1).reshape(state.shape[:-1] + (nu, nu))
+        J *= state[..., k.F, None]
+        J *= state[..., None, nu + 1:2 * nu + 1]       # 1/w of the unknowns
         return J
 
     def margin_at(self, state: np.ndarray) -> np.ndarray:
@@ -410,7 +415,7 @@ class EquationSystem:
         part of each state row.
         """
         k = self._products
-        return np.minimum.reduce(np.abs(state[..., k.views[1].start:k.views[2].stop]), axis=-1)
+        return np.minimum.reduce(np.abs(state[..., k.ab.start:k.t.stop]), axis=-1)
 
     @np.errstate(all="ignore")
     def residual_vector(self, x: Sequence[complex]) -> np.ndarray:
@@ -466,6 +471,9 @@ class EquationSystem:
 
 # The coefficient sign of a flipped monomial, by its tau parity.
 _PARITY_SIGN = np.array([1.0, -1.0])
+
+# The last two slots of jacobian_at's [g, 1, 0].
+_ONE_ZERO = np.array([1.0, 0.0], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -646,25 +654,30 @@ def _compile_products(system: EquationSystem) -> _Products:
     E = system._exps[atom_mono]
     mono_gather, mono_starts = _gather(E)
     prod_gather, prod_starts = _gather(C)
-    # Jacobian terms C[k, a] * deg_v(m_a), grouped by entry (k, v).
-    terms = C[:, None, :] * E[:, :nu].T[None, :, :]
-    k, v, a = np.nonzero(terms)
-    entry = k * nu + v
-    jac_starts = np.flatnonzero(np.diff(entry, prepend=-1))
+    # Jacobian terms C[k, a] * deg_v(m_a), one reduceat segment per entry
+    # (k, v) in row-major order, its terms in atom order.  A term reads g_a
+    # from [g, 1, 0], or the 1 for an m atom; an entry with no term gets
+    # one term of coefficient 1 that reads the 0.
+    na = len(used)
+    terms = (C[:, None, :] * E[:, :nu].T[None, :, :]).reshape(nu * nu, na)
+    terms = np.column_stack((terms, ~terms.any(axis=1)))
+    entry, col = np.nonzero(terms)
+    reads = np.append(np.where(atom_is_1m, np.arange(na), na), na + 1)
     # State row: [w, 1/w, 1] over all variables, [base, 1/base, 1], t, exp(mu_k).
-    bounds = np.cumsum([0, 2 * nu + 3, 2 * len(used) + 1, len(used), nu])
+    bounds = np.cumsum([0, 2 * nu + 3, 2 * na + 1, na, nu]).tolist()
+    wb, ab, t, F = (slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
     return _Products(
         mono_gather=mono_gather,
         mono_starts=mono_starts,
-        atom_coeff=np.where(atom_is_1m, -1.0, 1.0) * system._mono_coeff[atom_mono],
-        atom_is_1m=atom_is_1m,
+        atom_coeff=(np.where(atom_is_1m, -1.0, 1.0)
+                    * system._mono_coeff[atom_mono]).astype(complex),
+        atom_is_1m=atom_is_1m.astype(complex),
         prod_gather=prod_gather,
         prod_starts=prod_starts,
-        jac_atom=a,
-        jac_coeff=terms[k, v, a].astype(float),
-        jac_starts=jac_starts,
-        jac_entry=entry[jac_starts],
-        views=tuple(slice(a, b) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())),
+        jac_gather=reads[col],
+        jac_coeff=terms[entry, col].astype(complex),
+        jac_starts=np.flatnonzero(np.diff(entry, prepend=-1)),
+        wb=wb, ab=ab, t=t, F=F,
     )
 
 

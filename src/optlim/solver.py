@@ -16,8 +16,10 @@ in one call up to BLOCK_ROWS // 4 rows, then 1/16 .. 1/128 and
 trial point costs one kernel pass (EquationSystem.residual_state), and
 the next Jacobian is formed from the accepted point's kernel state
 (EquationSystem.jacobian_at), with no second pass.  The step cap and the
-status rules are screened by a few reductions over the live rows, and
-the loop returns once a screen retires every live row (refine()'s end).
+status rules are screened by a few reductions over the live rows (the
+kernel margins only while some row's residual norm is below 1e-2, the
+only rows the boundary rule retires), and the loop returns once a screen
+retires every live row (refine()'s end).
 
 The step is the Tikhonov-regularised Gauss-Newton step
 -(J^H J + lam I)^-1 J^H F with lam = REGULARISATION * ||J||_F^2, not the
@@ -57,13 +59,16 @@ os.sched_getaffinity lists at least 2 CPUs (so `taskset` can rule it
 out), and still runs serially.  Once the worker has reported ready, each
 such solve runs its first len // 2 rows here and the others in the
 worker, and joins the halves in row order: the same bytes as one _newton
-over all rows.  So a process that solves once, such as one `optlim
-solve`, starts no worker; refine(), _newton() and solves of fewer rows
-never split.  The worker is a fresh interpreter of 31-37 MB resident,
-killed at exit.  Both limits are measured on 2 CPUs: split/serial time
-was 1.06 at 2 and 3 rows and 0.95 at 4 with BLAS pinned to one thread,
-and about 0.85 at 12 rows and 0.54 at 512 with BLAS pinned or at its
-default thread count.  A second worker is unmeasured.
+over all rows.  Each system is sent to the worker once, and the worker
+keeps it while the caller's system lives, so a split request carries
+only a token and the rows.  So a process that solves once, such as one
+`optlim solve`, starts no worker; refine(), _newton() and solves of
+fewer rows never split.  The worker is a fresh interpreter of 31-37 MB
+resident, killed at exit.  Both limits are measured on 2 CPUs:
+split/serial time was 1.06 at 2 and 3 rows and 0.95 at 4 with BLAS
+pinned to one thread, and about 0.85 at 12 rows and 0.54 at 512 with
+BLAS pinned or at its default thread count.  A second worker is
+unmeasured.
 """
 
 from __future__ import annotations
@@ -116,12 +121,14 @@ BOUNDARY_TOL = 1e-8
 # Inner and outer radius of the annulus the starting points are drawn
 # from, log-uniformly in the radius.
 START_RADII = (0.1, 10.0)
+_LOG_RADII = tuple(np.log(START_RADII).tolist())
 
 # Line-search step lengths, in stages: t = 1 .. 1/8 for every row, then
 # 1/16 .. 1/128, then 2^-8 .. 2^-29 for the rows that rejected every
 # earlier length.  Over the multistart systems 60% of rows accept t = 1
 # and 30% one of 1/2 .. 1/8, so most line searches end after one call.
-_STAGES = (0.5 ** np.arange(0, 4), 0.5 ** np.arange(4, 8), 0.5 ** np.arange(8, 30))
+# Each stage is a column (lengths, 1), ready to scale a row's step.
+_STAGES = tuple(0.5 ** np.arange(a, b)[:, None] for a, b in ((0, 4), (4, 8), (8, 30)))
 
 # solve()'s worker process (module docstring): seconds of serial solves
 # of at least SPLIT_MIN_ROWS rows before it starts, about its start-up
@@ -216,7 +223,7 @@ def _trials(system: EquationSystem, lengths: np.ndarray, x: np.ndarray, step: np
     norm below fnorm, all lengths in one kernel call: (found, x + t*step,
     F, norm, state), at the first length for a row that accepts none.
     (take and compress copy what indexing copies, at less cost per call.)"""
-    shorter = (x[:, None, :] + lengths[:, None] * step[:, None, :]).reshape(-1, x.shape[1])
+    shorter = (x[:, None, :] + lengths * step[:, None, :]).reshape(-1, x.shape[1])
     F, state = system.residual_state(shorter)
     norms = _norms(F)
     ok = norms.reshape(len(x), -1) < fnorm[:, None]
@@ -246,11 +253,12 @@ def _line_search(system: EquationSystem, x: np.ndarray, step: np.ndarray, fnorm:
         if not i:
             accepted, *out = _blocks(trials, x, step, fnorm, rows=per_call)
         else:
-            found, *values = _blocks(trials, x[rows], step[rows], fnorm[rows], rows=per_call)
-            rows = rows[found]
+            found, *values = _blocks(trials, x.take(rows, 0), step.take(rows, 0),
+                                     fnorm.take(rows, 0), rows=per_call)
+            rows = rows.compress(found)
             accepted[rows] = True
             for dest, v in zip(out, values):
-                dest[rows] = v[found]
+                dest[rows] = v.compress(found, 0)
         if np.logical_and.reduce(accepted):
             break
         rows = np.flatnonzero(~accepted)
@@ -326,10 +334,13 @@ def _newton(system: EquationSystem, X0: np.ndarray) -> tuple[np.ndarray, np.ndar
         # restart is wandering and is cheaper to abandon than to ride out.
         slow = (slow + 1) * (fx / fn > 0.9)
         x, fn = x_new, fx
-        ax, margin = np.abs(x), system.margin_at(state)
+        ax, low = np.abs(x), np.minimum.reduce(fn)
         # fn only falls, and slow rises by at most 1 per iteration: no live
         # row is above 1e12 after the first screen, nor at 20 before the 20th.
-        if not (np.minimum.reduce(fn) > RESIDUAL_TOL and np.minimum.reduce(margin) >= BOUNDARY_TOL
+        # No row can leave the domain while every residual norm is at least
+        # 1e-2, so the margins are read only when one is below.
+        if not (low > RESIDUAL_TOL
+                and (low >= 1e-2 or np.minimum.reduce(system.margin_at(state)) >= BOUNDARY_TOL)
                 and (i < 19 or np.maximum.reduce(slow) < 20)
                 and (i > 0 or np.maximum.reduce(fn) <= 1e12)
                 and np.maximum.reduce(ax, axis=None) <= 1e12
@@ -342,7 +353,7 @@ def _newton(system: EquationSystem, X0: np.ndarray) -> tuple[np.ndarray, np.ndar
             # diverged, so refine() still tells a converged non-essential
             # row apart; RESIDUAL_TOL < 1e-6, so a stagnant row is never a
             # converged one.
-            left = (margin < BOUNDARY_TOL) & (fn < 1e-2)
+            left = (system.margin_at(state) < BOUNDARY_TOL) & (fn < 1e-2)
             stagnant = (slow >= 20) & (fn > 1e-6)
             diverged = (fn > 1e12) | np.logical_or.reduce((ax > 1e12) | (ax < 1e-12), axis=-1)
             done = converged | left | stagnant | diverged
@@ -421,7 +432,7 @@ def refine(system: EquationSystem, a: Assignment) -> Solution:
 
 
 def _sample(rng: np.random.Generator, size: int) -> np.ndarray:
-    radius = np.exp(rng.uniform(*np.log(START_RADII), size))
+    radius = np.exp(rng.uniform(*_LOG_RADII, size))
     angle = rng.uniform(-np.pi, np.pi, size)
     return radius * np.exp(1j * angle)
 

@@ -425,3 +425,52 @@ class TestBatchedKernel:
             state = system.residual_state(X)[1]
             J = system.jacobian_at(state[rows])
         assert J.tobytes() == system.jacobian(X[rows]).tobytes()
+
+
+def _dense_jacobian(system, state):
+    """jacobian_at's Jacobian built entry by entry from the compiled
+    coefficient and exponent matrices: J[k, v] = sum_a C[k, a] deg_v(m_a) g_a
+    over the atoms a in order, times exp(mu_k), times 1/w_v, with g = t/base
+    for (1 - m) atoms and 1 for m atoms.  Each entry's terms are summed as
+    one reduceat segment of their own: numpy's reduceat adds a segment's
+    first term to the pairwise sum of the others, which neither a Python
+    loop nor np.add.reduce reproduces."""
+    nu = system.size
+    k = system._products
+    used = np.flatnonzero(system._coeffs[:nu].any(axis=0))
+    C = system._coeffs[:nu, used]
+    E = system._exps[system._terms.atom_mono[used]]
+    na = len(used)
+    t, inv_base = state[..., k.t], state[..., k.ab][..., na:2 * na]
+    g = np.where(system._terms.atom_is_1m[used], t * inv_base, 1.0)
+    entries = np.zeros(state.shape[:-1] + (nu, nu), dtype=complex)
+    for row in range(nu):
+        for v in range(nu):
+            atoms = np.flatnonzero(C[row] * E[:, v])
+            if atoms.size:
+                terms = g[..., atoms] * (C[row, atoms] * E[atoms, v]).astype(float)
+                entries[..., row, v] = np.add.reduceat(terms, [0], axis=-1)[..., 0]
+    entries *= state[..., k.F][..., :, None]
+    entries *= state[..., None, nu + 1:2 * nu + 1]      # 1/w of the unknowns
+    return entries
+
+
+@pytest.mark.parametrize("name,kind", [("4_1", "W"), ("5_2", "W"), ("5_2", "V"), ("T3", "W"),
+                                       ("T5", "W"), ("T5", "V")])
+def test_jacobian_at_is_the_dense_reference_bitwise(name, kind):
+    # The Newton iteration's bits rest on jacobian_at, and the sequential
+    # oracle of test_solver forms its Jacobians with jacobian_at too: this
+    # pins them to a reference built entry by entry.
+    system = _builtin_system(name, kind)
+    _, X = _pinned_points(system, make_rng(61), 8)
+    starts = np.random.default_rng(5).standard_normal((8, system.size, 2)) @ [1, 1j]
+    X = np.concatenate((X, starts, np.ones((1, system.size))))   # the last row is degenerate
+    with np.errstate(all="ignore"):
+        state = system.residual_state(X)[1]
+        J = system.jacobian_at(state)
+        ref = _dense_jacobian(system, state)
+    assert not np.isfinite(J[-1]).any()
+    assert J.tobytes() == ref.tobytes()
+    for i in range(len(X)):         # also one row at a time
+        with np.errstate(all="ignore"):
+            assert system.jacobian_at(state[i]).tobytes() == ref[i].tobytes()

@@ -1,7 +1,8 @@
 """solve()'s worker process (optlim._pool): a split gives the serial bytes,
-a failing or dying worker's half is recomputed in the caller and turns
-splitting off, an interrupted split closes the worker, and no worker
-outlives its caller.
+each system is sent to a worker once and released when the caller's is
+collected, a failing or dying worker's half is recomputed in the caller
+and turns splitting off, an interrupted split closes the worker, and no
+worker outlives its caller.
 
 Each test starts at most one worker, through the private Worker and
 _pool._current; none sets an option.  Run them also under
@@ -9,6 +10,7 @@ _pool._current; none sets an option.  Run them also under
 pipe or an unreaped worker.
 """
 
+import gc
 import math
 import os
 import subprocess
@@ -20,10 +22,11 @@ import warnings
 import numpy as np
 import pytest
 
-from optlim import (SolveConfig, assemble_V, assemble_W, build_system, builtin, refine, solve,
-                    twistknot)
+from optlim import (SolveConfig, assemble_V, assemble_W, build_diagram, build_system, builtin,
+                    parse_pd, refine, solve, twistknot)
 from optlim import _pool, solver
 
+from conftest import FIG8_PD
 from test_solver import MULTISTART_SYSTEMS, _starts
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -77,6 +80,22 @@ def split_calls(monkeypatch):
 
     monkeypatch.setattr(_pool.Worker, "newton", counting)
     return calls
+
+
+@pytest.fixture
+def requests(monkeypatch):
+    """(token, whether the system was sent, released tokens) of each request
+    written to a worker."""
+    sent = []
+    write = _pool._write
+
+    def recording(f, message):
+        token, job, released, _ = message
+        sent.append((token, job is not None, released))
+        write(f, message)
+
+    monkeypatch.setattr(_pool, "_write", recording)
+    return sent
 
 
 def _same(got, ref) -> bool:
@@ -145,6 +164,50 @@ def test_split_matches_serial(pool, name, kind):
         X0 = _starts(system, rows, seed=seed)
         got, answered = pool.newton(system, X0)
         assert answered and _same(got, solver._newton(system, X0))
+
+
+def test_each_system_is_sent_once(pool, requests):
+    # The multistart workload rotates its systems: each is pickled for the
+    # first request only, and every split still gives the serial bytes.
+    systems = [_system(name, kind) for name, kind in (("4_1", "W"), ("5_2", "V"), ("T3", "W"))]
+    for seed in range(3):
+        for system in systems:
+            X0 = _starts(system, 12, seed=seed)
+            got, answered = pool.newton(system, X0)
+            assert answered and _same(got, solver._newton(system, X0))
+    assert requests == [(token, seed == 0, []) for seed in range(3) for token in range(3)]
+
+
+def test_collected_system_is_released(pool, requests):
+    pd_system = build_system(assemble_W(build_diagram(parse_pd(FIG8_PD))))
+    X0 = _starts(pd_system, 12, seed=1)
+    got, answered = pool.newton(pd_system, X0)
+    assert answered and _same(got, solver._newton(pd_system, X0))
+    assert len(pool._sent) == 1
+    del pd_system                   # its potential refers back to it: only gc frees it
+    gc.collect()
+    assert not pool._sent
+    system = _system("4_1", "W")
+    X0 = _starts(system, 12, seed=2)
+    got, answered = pool.newton(system, X0)
+    assert answered and _same(got, solver._newton(system, X0))
+    assert requests == [(0, True, []), (1, True, [0])]
+    pool.newton(system, X0)         # a token is released once
+    assert requests[-1] == (1, False, [])
+
+
+def test_new_worker_gets_full_systems(pool, requests):
+    system = _system("T3", "W")
+    X0 = _starts(system, 12, seed=4)
+    for _ in range(2):
+        pool.newton(system, X0)
+    finalizers = [f for _, f in pool._sent.values()]
+    _pool.drop()
+    assert finalizers and not any(f.alive for f in finalizers) and not pool._sent
+    fresh = _pool._current = _ready_worker()
+    got, answered = fresh.newton(system, X0)
+    assert answered and _same(got, solver._newton(system, X0))
+    assert requests == [(0, True, []), (0, False, []), (0, True, [])]
 
 
 def test_solve_splits_with_the_pool(pool, split_calls):
@@ -392,4 +455,12 @@ def test_unguarded_script_runs_its_body_once():
 def test_no_worker_outlives_a_caller_exiting_while_it_starts():
     lines = _script("starting")
     assert [line.split()[0] for line in lines] == ["body", "worker"]
+    assert _gone(int(lines[1].split()[1]))
+
+
+def test_split_cli_solves_print_the_one_shot_bytes():
+    lines = _script("stable")
+    words = [line.split()[0] for line in lines]
+    assert words[:3] == ["body", "worker", "split"] and set(words[3:]) == {"same"}, lines
+    assert len(words) == 3 + int(lines[2].split()[1])
     assert _gone(int(lines[1].split()[1]))

@@ -500,7 +500,7 @@ def _boundary_at(system, x):
     return OnBoundary
 
 
-LENGTHS = np.concatenate(solver._STAGES)
+LENGTHS = np.concatenate(solver._STAGES)[:, 0]
 
 
 def _sequential_newton(system, x0):
