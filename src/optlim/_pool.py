@@ -116,12 +116,12 @@ class Worker:
         if key in self._sent:
             token = self._sent[key][0]
         else:
+            token = next(self._tokens)
             try:
                 job = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
-                token = next(self._tokens)
                 finalizer = weakref.finalize(system, _release, self._sent, self._released,
                                              key, token)
-            except Exception:
+            except Exception:       # it cannot be pickled, or weakly referenced
                 return None
             finalizer.atexit = False
             self._sent[key] = token, finalizer

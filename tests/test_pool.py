@@ -424,6 +424,40 @@ def test_threads_share_the_pool(pool, split_calls):
     assert got == serial and split_calls and _pool._current is pool
 
 
+def test_threads_release_collected_systems(pool, requests):
+    # Threads build, split and drop systems while the collector runs in
+    # any of them: every sent token is released exactly once, and the
+    # worker is left with the one live system.
+    def run(i):
+        for j in range(4):
+            pd_system = build_system(assemble_W(build_diagram(parse_pd(FIG8_PD))))
+            solve(pd_system, SolveConfig(restarts=12, seed=4 * i + j))
+            del pd_system
+            if j % 2:
+                gc.collect()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    gc.collect()
+    system = _system("T3", "W")
+    X0 = _starts(system, 12, seed=1)
+    got, answered = pool.newton(system, X0)
+    assert answered and _same(got, solver._newton(system, X0))
+    sent = [token for token, full, _ in requests if full]
+    released = [token for _, _, tokens in requests for token in tokens]
+    assert len(sent) > 2 and sorted(released) == sent[:-1] and sent[-1] == requests[-1][0]
+    assert list(pool._sent) == [id(system)]
+
+
 def test_forked_child_leaves_the_parent_workers(pool):
     system = _system("T3", "W")
     X0 = _starts(system, 12, seed=4)
