@@ -62,18 +62,18 @@ elif sys.argv[1] == "stable":
         return newton(self, system, X0)
 
     _pool.Worker.newton = counting
-    worker, split = _pool._current, []
+    worker, results = _pool._current, []
     for argv in STABLE_COMMANDS:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(argv)
-        split.append((code, out.getvalue()))
+        results.append((code, out.getvalue()))
     if _pool._current is not worker or len(splits) != len(STABLE_COMMANDS):
         sys.exit(f"{len(splits)} of {len(STABLE_COMMANDS)} solves split")
     print("split", len(splits), flush=True)
     _pool.drop()
     failed = False
-    for argv, (code, out) in zip(STABLE_COMMANDS, split):
+    for argv, (code, out) in zip(STABLE_COMMANDS, results):
         one_shot = subprocess.run([sys.executable, "-m", "optlim.cli", *argv],
                                   capture_output=True, text=True)
         same = (one_shot.returncode, one_shot.stdout) == (code, out)
