@@ -1,31 +1,44 @@
-"""The worker process that runs solver._newton on half of solve()'s rows;
-when a solve splits, and why the bytes match, are in solver's docstring.
+"""solve()'s worker process, which runs solver._newton on half of a
+solve's rows with the same bytes as one serial _newton.
 
-The worker is a fresh interpreter, `python -I -c`, whose sys.path and
-bytecode setting are the caller's when it starts; it imports this module
-and runs serve(), so no caller's __main__ module is run again.  Requests
-and replies are pickles over its stdin and stdout.  Its first message
-names its numpy version and the files of numpy and of this module; it is
-used only when they are the caller's.
+solver._solve_rows times the serial solves of at least SPLIT_MIN_ROWS
+rows; once they add up to POOL_AFTER_S (about the worker's start-up
+time), the next one starts the worker in the background, when
+os.sched_getaffinity lists at least 2 CPUs (so `taskset` can rule it
+out), and still runs serially.  Once the worker is ready, each such solve
+runs its first len // 2 rows here and the others in the worker, and joins
+the halves in row order: no row's arithmetic depends on the other rows
+of its block, so the bytes are those of one _newton over all rows.  A
+process that solves once, such as one `optlim solve`, starts no worker;
+refine() and smaller solves never split.  On 2 CPUs split/serial time
+was 1.06 at 2 and 3 rows and 0.95 at 4 with BLAS pinned to one thread,
+and about 0.85 at 12 rows and 0.54 at 512 with BLAS pinned or at its
+default thread count; a second worker is unmeasured.
+
+The worker is a fresh interpreter of 31-37 MB resident, `python -I -c`,
+whose sys.path and bytecode setting are the caller's when it starts; it
+imports this module and runs serve(), so no caller's __main__ module is
+run again.  Requests and replies are pickles over its stdin and stdout.
+Its first message names its numpy version and the files of numpy and of
+this module; it is used only when they are the caller's.
 
 A request is (token, the pickled system or None, released tokens, the
-second half of the rows).  The caller gives each system a token the
-first time it sends it, and sends the system pickled only then; later
-requests carry the token and None, so a process that rotates a few
-systems pickles each once.  The worker keeps a token -> system table.  A
-weakref.finalize on each sent system forgets its id and queues its token
-when the caller's system is collected (before the id can name another
-object), and the next request carries the queued tokens, which the
-worker drops from its table first: so the worker holds each of the
-caller's live systems once, and no others.  A finalizer may run in any
-thread at any point, so the queue is a deque that finalizers only append
-to and that only the split holding the worker drains; close() detaches
-the finalizers.  A reply is _newton's (X, fnorm, status) for those rows,
-or None when the worker could not unpickle the system, or its _newton
-raised or warned (warnings are errors in the worker).  The caller
-recomputes the half of a worker that replied None or died, so errors and
-warnings surface where they would in a serial solve.  A system that
-cannot be pickled or weakly referenced is solved serially.
+second half of the rows).  Each system gets a token the first time it is
+sent, and is pickled only then; later requests carry its token and None,
+so a process that rotates a few systems pickles each once.  The worker
+keeps a token -> system table.  The caller keeps a WeakKeyDictionary
+from each sent system (an EquationSystem hashes by identity) to its
+token, which a collected system leaves, and the set of tokens the worker
+holds; each request releases, sorted, the held tokens that are no longer
+the map's values, and the worker drops them first.  So the worker holds
+each live system sent once, and no others.  Only the split holding the
+worker reads or writes them; close() empties the map.  A reply is
+_newton's (X, fnorm, status) for those rows, or None when the worker
+could not unpickle the system, or its _newton raised or warned (warnings
+are errors in the worker).  The caller recomputes the half of a worker
+that replied None or died, so errors and warnings surface where they
+would in a serial solve.  A system that cannot be weakly referenced,
+hashed or pickled is solved serially.
 
 A worker that exits before it is ready, runs other code, replies None or
 dies turns splitting off for good (_off): the process solves serially
@@ -43,7 +56,6 @@ kills its parent's worker.
 from __future__ import annotations
 
 import atexit
-import collections
 import itertools
 import os
 import pickle
@@ -85,10 +97,9 @@ class Worker:
             [sys.executable, "-I", *flags, "-c", serve_code], stdin=subprocess.PIPE,
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, start_new_session=True)
         self._starting = True
-        # id of each live system sent -> (its token, its finalizer), and
-        # the tokens of collected ones not yet reported.
-        self._sent: dict[int, tuple[int, weakref.finalize]] = {}
-        self._released: collections.deque[int] = collections.deque()
+        # Each live system sent -> its token, and the tokens the worker holds.
+        self._sent: weakref.WeakKeyDictionary[EquationSystem, int] = weakref.WeakKeyDictionary()
+        self._held: set[int] = set()
         self._tokens = itertools.count()
         atexit.register(self.close)
 
@@ -110,22 +121,18 @@ class Worker:
         """solver._newton over X0 (rows, n), the first len(X0) // 2 rows run
         here and the others by the worker; returns the joined (X, fnorm,
         status) and whether the worker answered, or None when the system
-        cannot be pickled or weakly referenced.  The worker's half is
-        recomputed here when the worker fails or dies."""
-        key, job = id(system), None
-        if key in self._sent:
-            token = self._sent[key][0]
-        else:
-            token = next(self._tokens)
-            try:
+        cannot be weakly referenced, hashed or pickled.  The worker's half
+        is recomputed here when the worker fails or dies."""
+        job = None
+        try:
+            token = self._sent.get(system)
+            if token is None:
                 job = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
-                finalizer = weakref.finalize(system, _release, self._sent, self._released,
-                                             key, token)
-            except Exception:       # it cannot be pickled, or weakly referenced
-                return None
-            finalizer.atexit = False
-            self._sent[key] = token, finalizer
-        released = [self._released.popleft() for _ in range(len(self._released))]
+                token = self._sent[system] = next(self._tokens)
+        except Exception:           # it cannot be weakly referenced, hashed or pickled
+            return None
+        live = set(self._sent.values())
+        released, self._held = sorted(self._held - live), live
         cut = len(X0) // 2
         try:
             _write(self._proc.stdin, (token, job, released, X0[cut:]))
@@ -146,8 +153,6 @@ class Worker:
         """Kill and reap the worker, ready or still starting, and stop
         tracking the systems sent to it."""
         atexit.unregister(self.close)
-        for _, finalizer in list(self._sent.values()):
-            finalizer.detach()
         self._sent.clear()
         p, self._proc = self._proc, None
         if p is None or os.getpid() != self.owner:
@@ -204,13 +209,6 @@ def _split(system: EquationSystem, X0: np.ndarray
         _off = True
         drop()
     return out
-
-
-def _release(sent: dict[int, tuple[int, weakref.finalize]], released: collections.deque[int],
-             key: int, token: int) -> None:
-    """A sent system was collected: forget it, and queue its token."""
-    sent.pop(key, None)
-    released.append(token)
 
 
 def drop() -> None:

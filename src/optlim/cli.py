@@ -160,6 +160,7 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
     d, rep = _load_diagram(args)
+    assemble_V(d)                       # a kinked diagram has no side potential to verify against
     cfg = _solve_config(args)
     potential = assemble_W(d)
     solutions = solver.solve(build_system(potential), cfg)

@@ -162,7 +162,7 @@ class _Products:
     F: slice                     # exp(mu_k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquationSystem:
     """Compiled log-derivatives of a potential, the integer matrix C with
     one row per variable in potential.variables order, so the pin's
@@ -172,7 +172,8 @@ class EquationSystem:
     mu() and corrected_value() read every row of C.  The product kernel of
     the unknowns' equations, which residual_state() evaluates and
     jacobian_at() differentiates, is compiled from the other rows on first
-    use, so a system built only for W0 never pays for it.
+    use, so a system built only for W0 never pays for it.  A system
+    compares and hashes by identity, so a weak map can key on it.
     """
 
     potential: Potential

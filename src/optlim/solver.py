@@ -51,24 +51,8 @@ Every row's arithmetic is independent of the other rows in the block, so
 the same seed gives the same solutions (to the bit on one numpy build and
 CPU: numpy's SIMD loops may round differently from its scalar ones).
 
-That is also what lets solve() split its rows with a worker process
-(optlim._pool).  Once the process has spent POOL_AFTER_S (0.1 s, about
-the worker's start-up time) in serial solves of at least SPLIT_MIN_ROWS
-rows, the next such solve starts one worker in the background, when
-os.sched_getaffinity lists at least 2 CPUs (so `taskset` can rule it
-out), and still runs serially.  Once the worker has reported ready, each
-such solve runs its first len // 2 rows here and the others in the
-worker, and joins the halves in row order: the same bytes as one _newton
-over all rows.  Each system is sent to the worker once, and the worker
-keeps it while the caller's system lives, so a split request carries
-only a token and the rows.  So a process that solves once, such as one
-`optlim solve`, starts no worker; refine(), _newton() and solves of
-fewer rows never split.  The worker is a fresh interpreter of 31-37 MB
-resident, killed at exit.  Both limits are measured on 2 CPUs:
-split/serial time was 1.06 at 2 and 3 rows and 0.95 at 4 with BLAS
-pinned to one thread, and about 0.85 at 12 rows and 0.54 at 512 with
-BLAS pinned or at its default thread count.  A second worker is
-unmeasured.
+That is also what lets solve() split its rows with a worker process in a
+process that keeps solving; optlim._pool's docstring says when, and how.
 """
 
 from __future__ import annotations
@@ -130,7 +114,7 @@ _LOG_RADII = tuple(np.log(START_RADII).tolist())
 # Each stage is a column (lengths, 1), ready to scale a row's step.
 _STAGES = tuple(0.5 ** np.arange(a, b)[:, None] for a, b in ((0, 4), (4, 8), (8, 30)))
 
-# solve()'s worker process (module docstring): seconds of serial solves
+# solve()'s worker process (optlim._pool): seconds of serial solves
 # of at least SPLIT_MIN_ROWS rows before it starts, about its start-up
 # time; the fewest rows of a split solve, the measured crossover.
 POOL_AFTER_S = 0.1

@@ -16,6 +16,9 @@ FIG8_PD = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
 WHITEHEAD_PD = "X(6,1,7,2) X(10,7,5,8) X(4,5,1,6) X(2,10,3,9) X(8,4,9,3)"
 BORROMEAN_PD = "X(6,1,7,2) X(12,8,9,7) X(4,12,1,11) X(10,5,11,6) X(8,4,5,3) X(2,9,3,10)"
 
+# A trefoil with one kink, at crossing 3: a region potential but no side one.
+KINKED_TREFOIL_PD = "X(1,5,2,4) X(3,1,4,8) X(5,3,6,2) X(6,7,7,8)"
+
 # Printed region potential of the figure-eight diagram: the four crossing
 # blocks in region labels 1..6 (sign; j, k, l, m).
 FIG8_CROSSINGS = [

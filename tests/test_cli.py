@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from optlim import assemble_W, build_system, builtin, cli, solver
+from optlim import CorrespondenceError, assemble_W, build_system, builtin, cli, solver
 from optlim.cli import main
 
-from conftest import BORROMEAN_PD, WHITEHEAD_PD, clear_diagram_caches
+from conftest import BORROMEAN_PD, KINKED_TREFOIL_PD, WHITEHEAD_PD, clear_diagram_caches
 from oracles import to_json_dict
 
 
@@ -366,6 +366,37 @@ class TestVerify:
         checked = [r for r in doc["solutions"] if r["status"] == "ok"]
         assert checked and doc["congruences_pass"] == doc["congruences_checked"]
         assert all(r["sign_flip_passes"] == 0 and r["sign_flip_trials"] == 3 for r in checked)
+
+    def test_kinked_diagram_exits_1_before_solving(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("solved a kinked diagram")
+
+        monkeypatch.setattr(cli.solver, "solve", never)
+        code, out, err = run_cli(capsys, "--stable", "verify", "--pd", KINKED_TREFOIL_PD,
+                                 "--restarts", "32", "--seed", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: diagram has kinks at crossings [3]; remove them first\n"
+
+    def test_bridge_error_is_a_point_record(self, capsys, monkeypatch):
+        def failing(d, sol):
+            raise CorrespondenceError("converted side values violate the side system")
+
+        monkeypatch.setattr(cli.correspondence, "verify_bridge", failing)
+        _, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "4_1",
+                            "--restarts", "64", "--seed", "0")
+        doc = json.loads(out)
+        errors = [r for r in doc["solutions"] if r["status"] == "error"]
+        assert errors and doc["congruences_checked"] == 0
+        for rec in errors:
+            assert set(rec) == {"residual", "status", "detail"}
+            assert rec["detail"] == "converted side values violate the side system"
+
+    def test_empty_solution_set_exits_2(self, capsys):
+        code, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "T5",
+                               "--restarts", "64", "--seed", "0")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["solutions"] == [] and doc["congruences_checked"] == 0
 
     def test_all_degenerate_reports_skips(self, capsys):
         pd = "X(1,7,2,6) X(5,3,6,2) X(4,8,5,7) X(3,8,4,1)"

@@ -9,17 +9,17 @@ import numpy as np
 import pytest
 
 from optlim import (ALT_NEG_LOG, CorrespondenceError, SolveConfig, assemble_V,
-                    assemble_W, build_system, builtin, check_w_nondegenerate,
+                    assemble_W, build_diagram, build_system, builtin, check_w_nondegenerate,
                     check_z_nondegenerate, check_octahedron_identities, mod_eq,
-                    sign_flip, sign_flip_point, solve, verify_bridge, w0,
+                    parse_pd, sign_flip, sign_flip_point, solve, verify_bridge, w0,
                     w_to_z, z_to_w)
 from optlim import twistknot
 from optlim.correspondence import region_ratios_from_z, side_ratios_from_w
 from optlim.numerics import PI2
 from optlim.potential import Monomial, Potential, Term
 
-from conftest import (coefficients_term_by_term, compiled_coefficients, make_rng, mu_oracle,
-                      random_essential_assignment)
+from conftest import (KINKED_TREFOIL_PD, coefficients_term_by_term, compiled_coefficients,
+                      make_rng, mu_oracle, random_essential_assignment)
 from oracles import twist_potential
 
 FOUR_PI2 = 4 * PI2
@@ -94,6 +94,20 @@ class TestRatios:
             for (num, den), val in pairs:
                 assert abs(a[num] / a[den] - val) < 1e-9 * max(1.0, abs(val))
 
+    def test_zero_region_value_rejected(self):
+        cr = builtin("T2").crossings[0]
+        a = dict(twist_assignment(2).assignment)
+        a[cr.regions[2]] = 0j
+        with pytest.raises(CorrespondenceError, match="^zero region value$"):
+            side_ratios_from_w(cr, a)
+
+    def test_zero_side_value_rejected(self):
+        cr = builtin("T2").crossings[0]
+        a = dict(twist_assignment(2).assignment)
+        a[cr.sides[1]] = 0j
+        with pytest.raises(CorrespondenceError, match="^zero side value$"):
+            region_ratios_from_z(cr, a)
+
 
 class TestWToZ:
     def test_projective_match_with_parametrization(self):
@@ -141,6 +155,14 @@ class TestWToZ:
         a[l] = a[k] + a[m] - a[j]
         with pytest.raises(CorrespondenceError, match="degenerate"):
             w_to_z(fig8, a)
+
+    def test_kinked_diagram_rejected(self):
+        d = build_diagram(parse_pd(KINKED_TREFOIL_PD))
+        assert d.kinked_crossings() == [3]
+        a = {r: complex(i + 2, 0.3 * i) for i, r in enumerate(d.regions)}
+        with pytest.raises(CorrespondenceError,
+                           match="^diagram has kinks; no side potential exists$"):
+            w_to_z(d, a)
 
     def test_non_solution_rejected(self, fig8):
         p = assemble_W(fig8)

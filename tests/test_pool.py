@@ -201,9 +201,9 @@ def test_new_worker_gets_full_systems(pool, requests):
     X0 = _starts(system, 12, seed=4)
     for _ in range(2):
         pool.newton(system, X0)
-    finalizers = [f for _, f in pool._sent.values()]
+    sent = list(pool._sent.items())
     _pool.drop()
-    assert finalizers and not any(f.alive for f in finalizers) and not pool._sent
+    assert sent == [(system, 0)] and not pool._sent
     fresh = _pool._current = _ready_worker()
     got, answered = fresh.newton(system, X0)
     assert answered and _same(got, solver._newton(system, X0))
@@ -455,7 +455,7 @@ def test_threads_release_collected_systems(pool, requests):
     sent = [token for token, full, _ in requests if full]
     released = [token for _, _, tokens in requests for token in tokens]
     assert len(sent) > 2 and sorted(released) == sent[:-1] and sent[-1] == requests[-1][0]
-    assert list(pool._sent) == [id(system)]
+    assert list(pool._sent) == [system]
 
 
 def test_forked_child_leaves_the_parent_workers(pool):

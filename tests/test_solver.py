@@ -297,6 +297,18 @@ class TestRefine:
         assert float(found[1]) < 2 * solver.BOUNDARY_TOL
         assert found[2] == f"{fnorm[i]:.3e}" and fnorm[i] < 1e-2
 
+    def test_non_essential_limit_raises(self):
+        # A 4_1 W restart that converges, but onto a point below the
+        # essential cut, and above the boundary rule's.
+        system = build_system(assemble_W(builtin("4_1")))
+        start = _starts(system, 64)[6]
+        X, fnorm, status = solver._newton(system, start[None])
+        margin = solver.essential_margin(system, np.append(X[0], 1.0))
+        assert status[0] == solver.CONVERGED and 2 * solver.BOUNDARY_TOL < margin
+        assert margin < solver.ESSENTIAL_TOL
+        with pytest.raises(SolveError, match="^converged to a non-essential point$"):
+            refine(system, system.assignment_from_vector(start))
+
     def test_degenerate_start_left_the_domain(self, fig8):
         system = build_system(assemble_W(fig8))
         with pytest.raises(SolveError, match="^iterate left the essential domain: "

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from optlim import assemble_V, assemble_W, build_system, builtin, evaluate
-from optlim.twistknot import (TwistError, defining_poly, fixtures_json, parametrize,
-                              poly_roots, reproduce_reference_table)
+from optlim.twistknot import (REFERENCE_TOL, TwistError, defining_poly, fixtures_json,
+                              match_reference_row, parametrize, poly_roots,
+                              reproduce_reference_table)
 
 from oracles import (eval_poly, recurrence_closure, reference_rows, region_closed_form,
                      twist_potential)
@@ -131,6 +132,19 @@ class TestParametrize:
         with pytest.raises(TwistError):
             parametrize(1, 3.0)
 
+    def test_x1_denominator_rejected(self):
+        # t^2 - 4t + 8 vanishes at t = 2 + 2i
+        with pytest.raises(TwistError, match="^denominator of x1 vanishes$"):
+            parametrize(1, 2 + 2j)
+
+    def test_vanishing_side_value_rejected(self):
+        # t = -2 makes x1 = 0: at n = 1 the side value vanishes, at n = 2
+        # the recurrence's -x0 + x1 + y1 does first
+        with pytest.raises(TwistError, match="^side value vanished at step 1$"):
+            parametrize(1, -2.0)
+        with pytest.raises(TwistError, match="^recurrence denominator vanished at step 1$"):
+            parametrize(2, -2.0)
+
 
 class TestTwistPotential:
     def test_matches_diagram_assembly(self):
@@ -168,6 +182,12 @@ class TestReferenceTable:
             rows = reproduce_reference_table(n)
             assert len(rows) == len(reference_rows(n))
             assert all(r["pass"] for r in rows)
+
+    def test_unmatched_t_has_no_row(self):
+        t = poly_roots(defining_poly(5))[0]
+        assert match_reference_row(5, t) is not None
+        assert match_reference_row(5, t + 2 * REFERENCE_TOL) is None
+        assert match_reference_row(5, 100.0 + 0j) is None
 
     def test_specific_values(self):
         rows = {complex(round(r["t"].real, 4), round(r["t"].imag, 4)): r
