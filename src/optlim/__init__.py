@@ -17,8 +17,7 @@ from .solver import SolveConfig, Solution, SolveError, refine, solve
 from .optimistic import OptimisticResult, bw_volume, mod_eq, w0
 from .correspondence import (BridgeReport, CorrespondenceError,
                              check_w_nondegenerate, check_z_nondegenerate,
-                             check_octahedron_identities, sign_flip, sign_flip_point,
-                             verify_bridge, w_to_z, z_to_w)
+                             sign_flip, sign_flip_point, verify_bridge, w_to_z, z_to_w)
 from . import twistknot
 
 __version__ = "0.1.0"
@@ -30,7 +29,7 @@ __all__ = [
     "Solution", "Term", "ValidationReport", "assemble_V", "assemble_W",
     "bloch_wigner", "build_diagram", "build_system", "builtin", "bw_volume",
     "check_w_nondegenerate", "check_z_nondegenerate", "evaluate",
-    "from_json", "check_octahedron_identities", "li2", "mod_eq", "parse_pd",
+    "from_json", "li2", "mod_eq", "parse_pd",
     "plog", "refine", "sign_flip", "sign_flip_point", "solve",
     "twist_diagram", "twistknot", "validate", "verify_bridge", "w0",
     "w_to_z", "z_to_w",

@@ -2,10 +2,10 @@
 the region/side correspondence.
 
 Exit codes: 0 success, 1 usage, input or validation error, 2 empty solution set.
-A verify whose congruence or any sign-flip trial fails exits 1 after its
-report.  Reports are emitted as JSON on stdout with floats at 15 significant
-digits; --stable drops the timing field so identical seeds give
-byte-identical output.
+A verify exits 1 after its report when a point's bridge raises, its
+congruence fails or any of its sign-flip trials fails.  Reports are emitted
+as JSON on stdout with floats at 15 significant digits; --stable drops the
+timing field so identical seeds give byte-identical output.
 """
 
 from __future__ import annotations
@@ -208,8 +208,10 @@ def cmd_verify(args) -> int:
     _emit(report, args.stable)
     if not solutions:
         return EXIT_EMPTY
-    if any(r["status"] == "ok" and (not r["congruent_mod_4pi2"] or
-           r.get("sign_flip_passes") != r.get("sign_flip_trials")) for r in records):
+    if any(r["status"] == "error"
+           or (r["status"] == "ok" and (not r["congruent_mod_4pi2"] or
+                                        r.get("sign_flip_passes") != r.get("sign_flip_trials")))
+           for r in records):
         return EXIT_INPUT
     return EXIT_OK
 

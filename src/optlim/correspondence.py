@@ -34,7 +34,7 @@ import numpy as np
 
 from .diagram import Crossing, Label, LinkDiagram
 from .equations import build_system
-from .numerics import PI2, PI2_OVER_6, bloch_wigner, li2, plog, shape_double_prime, shape_prime
+from .numerics import PI2, shape_double_prime, shape_prime
 from .optimistic import OptimisticResult, mod_eq, w0
 from .potential import Assignment, Potential, assemble_V, assemble_W
 from .solver import Solution, _norms
@@ -296,80 +296,3 @@ def sign_flip_point(potential: Potential, taus, epsilons, a: Assignment) -> dict
     taus = _normalize_signs(potential, taus)
     epsilons = _normalize_signs(potential, epsilons)
     return {v: t * complex(a[v]) ** e for v, t, e in zip(potential.variables, taus, epsilons)}
-
-
-# ---------------------------------------------------------------------------
-# Octahedron shape identities
-
-
-@dataclass(frozen=True)
-class OctahedronReport:
-    u: tuple[complex, complex, complex, complex, complex]
-    identity1_defect: float      # distance of identity 1 from 0 mod 4 pi^2
-    identity2_defect: float
-    volume_defect: float         # D additivity defect
-
-
-def _mod4pi2_defect(delta: complex) -> float:
-    shift = delta.real / (4.0 * PI2)
-    return abs(delta.imag) + abs(shift - round(shift)) * 4.0 * PI2
-
-
-def check_octahedron_identities(t1: complex, t2: complex, t3: complex, t4: complex,
-                           tol_degenerate: float = 1e-8) -> OctahedronReport:
-    """Check the two dilogarithm identities tying the four-term and
-    five-term shape parameters of one octahedron, and the volume additivity
-    D(t1)+..+D(t4) = D(u1)+..+D(u5).
-
-    The horizontal shapes must satisfy t1*t2*t3*t4 = 1 (closure around the
-    central axis); all nine shapes must avoid {0, 1}.
-    """
-    t = tuple(complex(x) for x in (t1, t2, t3, t4))
-    prod = t[0] * t[1] * t[2] * t[3]
-    if abs(prod - 1.0) > 1e-8:
-        raise CorrespondenceError(f"t1*t2*t3*t4 = {prod}, expected 1: not an octahedron")
-    p, pp = shape_prime, shape_double_prime
-    t1, t2, t3, t4 = t
-    for x in t:
-        if abs(x) < tol_degenerate or abs(x - 1.0) < tol_degenerate:
-            raise CorrespondenceError(f"degenerate horizontal shape {x}")
-    u1 = p(t1) * pp(t4)
-    u2 = p(t1) * pp(t2)
-    u3 = p(t3) * pp(t2)
-    u4 = p(t3) * pp(t4)
-    u5 = 1.0 / (p(t1) * pp(t2) * p(t3) * pp(t4))
-    for x in (u1, u2, u3, u4, u5):
-        if abs(x) < tol_degenerate or abs(x - 1.0) < tol_degenerate:
-            raise CorrespondenceError(f"degenerate derived shape {x}")
-
-    L, L1 = plog, lambda zz: plog(1.0 - zz)
-    lhs = li2(t1) - li2(1.0 / t2) + li2(t3) - li2(1.0 / t4)
-    a14 = -L1(t1) + L1(1.0 / t4)
-    a12 = -L1(t1) + L1(1.0 / t2)
-    a32 = -L1(t3) + L1(1.0 / t2)
-    a34 = -L1(t3) + L1(1.0 / t4)
-    tele = L1(t1) - L1(1.0 / t2) + L1(t3) - L1(1.0 / t4)
-
-    rhs1 = (li2(u1) + li2(u2) - li2(1.0 / u3) - li2(1.0 / u4) + li2(u5)
-            - PI2_OVER_6 + L(u1) * L(u2)
-            - a14 * L(u2) - a12 * L(u1)
-            + a14 * L1(u1) + a12 * L1(u2)
-            + a32 * L1(1.0 / u3) + a34 * L1(1.0 / u4)
-            + tele * L1(u5))
-    rhs2 = (li2(u1) - li2(1.0 / u2) - li2(1.0 / u3) + li2(u4) - li2(1.0 / u5)
-            + PI2_OVER_6 - L(u2) * L(u3)
-            + a32 * L(u2) + a12 * L(u3)
-            + a14 * L1(u1) + a12 * L1(1.0 / u2)
-            + a32 * L1(1.0 / u3) + a34 * L1(u4)
-            + tele * L1(1.0 / u5))
-
-    vol_defect = abs(
-        sum(bloch_wigner(x) for x in t)
-        - sum(bloch_wigner(x) for x in (u1, u2, u3, u4, u5))
-    )
-    return OctahedronReport(
-        u=(u1, u2, u3, u4, u5),
-        identity1_defect=_mod4pi2_defect(lhs - rhs1),
-        identity2_defect=_mod4pi2_defect(lhs - rhs2),
-        volume_defect=vol_defect,
-    )

@@ -11,14 +11,14 @@ import time
 import numpy as np
 
 from optlim import (ALT_NEG_LOG, assemble_V, assemble_W, build_system, builtin,
-                    check_w_nondegenerate, check_octahedron_identities, mod_eq,
+                    check_w_nondegenerate, mod_eq,
                     sign_flip, sign_flip_point, verify_bridge, w0, w_to_z, z_to_w)
 from optlim import twistknot
 from optlim.correspondence import BRIDGE_TOL, CorrespondenceError
 from optlim.numerics import PI2, bloch_wigner, li2, plog
 
 from conftest import make_rng, random_essential_assignment
-from oracles import region_closed_form, twist_potential
+from oracles import check_octahedron_identities, region_closed_form, twist_potential
 from test_equations import mu_fd
 
 FOUR_PI2 = 4 * PI2

@@ -382,14 +382,35 @@ class TestVerify:
             raise CorrespondenceError("converted side values violate the side system")
 
         monkeypatch.setattr(cli.correspondence, "verify_bridge", failing)
-        _, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "4_1",
-                            "--restarts", "64", "--seed", "0")
+        code, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "4_1",
+                               "--restarts", "64", "--seed", "0")
+        assert code == 1
         doc = json.loads(out)
         errors = [r for r in doc["solutions"] if r["status"] == "error"]
         assert errors and doc["congruences_checked"] == 0
         for rec in errors:
             assert set(rec) == {"residual", "status", "detail"}
             assert rec["detail"] == "converted side values violate the side system"
+
+    def test_one_bridge_error_exits_1(self, capsys, monkeypatch):
+        original = cli.correspondence.verify_bridge
+        calls = []
+
+        def first_fails(d, sol):
+            calls.append(sol)
+            if len(calls) == 1:
+                raise CorrespondenceError("converted side values violate the side system")
+            return original(d, sol)
+
+        monkeypatch.setattr(cli.correspondence, "verify_bridge", first_fails)
+        code, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "4_1",
+                               "--restarts", "64", "--seed", "0")
+        assert code == 1
+        doc = json.loads(out)
+        statuses = [r["status"] for r in doc["solutions"] if r["status"] != "skipped-degenerate"]
+        assert len(statuses) == len(calls) > 1
+        assert statuses[0] == "error" and set(statuses[1:]) == {"ok"}
+        assert doc["congruences_pass"] == doc["congruences_checked"] == len(statuses) - 1
 
     def test_empty_solution_set_exits_2(self, capsys):
         code, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "T5",

@@ -10,9 +10,8 @@ import pytest
 
 from optlim import (ALT_NEG_LOG, CorrespondenceError, SolveConfig, assemble_V,
                     assemble_W, build_diagram, build_system, builtin, check_w_nondegenerate,
-                    check_z_nondegenerate, check_octahedron_identities, mod_eq,
-                    parse_pd, sign_flip, sign_flip_point, solve, verify_bridge, w0,
-                    w_to_z, z_to_w)
+                    check_z_nondegenerate, mod_eq, parse_pd, sign_flip, sign_flip_point,
+                    solve, verify_bridge, w0, w_to_z, z_to_w)
 from optlim import twistknot
 from optlim.correspondence import region_ratios_from_z, side_ratios_from_w
 from optlim.numerics import PI2
@@ -20,7 +19,7 @@ from optlim.potential import Monomial, Potential, Term
 
 from conftest import (KINKED_TREFOIL_PD, coefficients_term_by_term, compiled_coefficients,
                       make_rng, mu_oracle, random_essential_assignment)
-from oracles import twist_potential
+from oracles import check_octahedron_identities, twist_potential
 
 FOUR_PI2 = 4 * PI2
 TWO_PI2 = 2 * PI2
