@@ -22,6 +22,11 @@ the side (resp. region) adjacency graph; non-tree constraints are checked,
 so inconsistent inputs are rejected rather than silently projected.  The
 converted point, scaled so that the pin is 1, must then satisfy the other
 potential's system: its residual_vector, the solver's residual.
+
+The breadth-first order of the propagation depends only on the labels and
+edges, so it is compiled once per diagram object and kind into a plan of
+tree steps and non-tree checks, kept on the diagram as its potentials are;
+each call walks it with its own ratios, in a fresh search's order.
 """
 
 from __future__ import annotations
@@ -34,15 +39,17 @@ import numpy as np
 
 from .diagram import Crossing, Label, LinkDiagram
 from .equations import build_system
-from .numerics import PI2, shape_double_prime, shape_prime
+from .numerics import PI2
 from .optimistic import OptimisticResult, mod_eq, w0
-from .potential import Assignment, Potential, assemble_V, assemble_W
+from .potential import Assignment, EvaluationError, Potential, assemble_V, assemble_W
 from .solver import Solution, _norms
 
 
-# The bridge's one tolerance: the non-tree ratio constraints and 4-corner
-# ratios are checked to it relatively, the converted point's residual and the
-# W0 = V0 mod 4 pi^2 congruence absolutely.
+# The bridge's tolerance: the non-tree ratio constraints and 4-corner ratios
+# are checked to it relatively, the converted point's residual and the
+# W0 = V0 mod 4 pi^2 congruence absolutely.  Two more checks have their own
+# fixed 1e-10: w_to_z's cyclic ratio product at each crossing (absolutely),
+# and check_w_nondegenerate / check_z_nondegenerate (relatively).
 BRIDGE_TOL = 1e-9
 
 
@@ -51,7 +58,10 @@ class CorrespondenceError(ValueError):
 
 
 def _values(a: Assignment, labels) -> tuple[complex, ...]:
-    return tuple(complex(a[x]) for x in labels)
+    try:
+        return tuple(map(complex, map(a.__getitem__, labels)))
+    except KeyError as exc:
+        raise EvaluationError(f"variable {exc.args[0]!r} not assigned") from None
 
 
 # ---------------------------------------------------------------------------
@@ -87,22 +97,17 @@ def side_ratios_from_w(crossing: Crossing, a: Assignment) -> tuple[complex, comp
     wj, wk, wl, wm = _values(a, crossing.regions)
     if 0 in (wj, wk, wl, wm):
         raise CorrespondenceError("zero region value")
-    p, pp = shape_prime, shape_double_prime
+    # u' = 1/(1-u), u'' = 1 - 1/u; a negative crossing exchanges their roles.
     if crossing.sign > 0:
-        q = wj * wl / (wk * wm)
-        return (
-            pp(wm / wj) * pp(wk / wj) * p(q),
-            p(wk / wj) * p(wk / wl) * pp(q),
-            pp(wk / wl) * pp(wm / wl) * p(q),
-            p(wm / wl) * p(wm / wj) * pp(q),
-        )
-    q = wk * wm / (wj * wl)
-    return (
-        p(wj / wm) * p(wj / wk) * pp(q),
-        pp(wj / wk) * pp(wl / wk) * p(q),
-        p(wl / wk) * p(wl / wm) * pp(q),
-        pp(wl / wm) * pp(wj / wm) * p(q),
-    )
+        u = (wm / wj, wk / wj, wk / wl, wm / wl, wj * wl / (wk * wm))
+    else:
+        u = (wj / wm, wj / wk, wl / wk, wl / wm, wk * wm / (wj * wl))
+    p = [1.0 / (1.0 - x) for x in u]
+    pp = [1.0 - 1.0 / x for x in u]
+    if crossing.sign < 0:
+        p, pp = pp, p
+    return (pp[0] * pp[1] * p[4], p[1] * p[2] * pp[4],
+            pp[2] * pp[3] * p[4], p[3] * p[0] * pp[4])
 
 
 def region_ratios_from_z(crossing: Crossing, a: Assignment):
@@ -116,23 +121,21 @@ def region_ratios_from_z(crossing: Crossing, a: Assignment):
     j, k, l, m = crossing.regions
     if 0 in (za, zb, zc, zd):
         raise CorrespondenceError("zero side value")
-    p, pp = shape_prime, shape_double_prime
+    # u' = 1/(1-u) and u'' = 1 - 1/u of the side ratios each relation reads.
     if crossing.sign > 0:
-        pairs = [
-            ((m, j), p(zb / za) * pp(za / zd)),
-            ((k, j), p(zb / za) * pp(zc / zb)),
-            ((k, l), p(zd / zc) * pp(zc / zb)),
-            ((m, l), p(zd / zc) * pp(za / zd)),
-        ]
-        quad = pp(za / zb) * p(zb / zc) * pp(zc / zd) * p(zd / za)
+        p_ba, p_dc = 1.0 / (1.0 - zb / za), 1.0 / (1.0 - zd / zc)
+        pp_cb, pp_ad = 1.0 - 1.0 / (zc / zb), 1.0 - 1.0 / (za / zd)
+        pairs = [((m, j), p_ba * pp_ad), ((k, j), p_ba * pp_cb),
+                 ((k, l), p_dc * pp_cb), ((m, l), p_dc * pp_ad)]
+        quad = ((1.0 - 1.0 / (za / zb)) * (1.0 / (1.0 - zb / zc))
+                * (1.0 - 1.0 / (zc / zd)) * (1.0 / (1.0 - zd / za)))
     else:
-        pairs = [
-            ((j, m), p(za / zd) * pp(zb / za)),
-            ((j, k), p(zc / zb) * pp(zb / za)),
-            ((l, k), p(zc / zb) * pp(zd / zc)),
-            ((l, m), p(za / zd) * pp(zd / zc)),
-        ]
-        quad = p(za / zb) * pp(zb / zc) * p(zc / zd) * pp(zd / za)
+        p_ad, p_cb = 1.0 / (1.0 - za / zd), 1.0 / (1.0 - zc / zb)
+        pp_ba, pp_dc = 1.0 - 1.0 / (zb / za), 1.0 - 1.0 / (zd / zc)
+        pairs = [((j, m), p_ad * pp_ba), ((j, k), p_cb * pp_ba),
+                 ((l, k), p_cb * pp_dc), ((l, m), p_ad * pp_dc)]
+        quad = ((1.0 / (1.0 - za / zb)) * (1.0 - 1.0 / (zb / zc))
+                * (1.0 / (1.0 - zc / zd)) * (1.0 - 1.0 / (zd / za)))
     return pairs, quad
 
 
@@ -140,37 +143,61 @@ def region_ratios_from_z(crossing: Crossing, a: Assignment):
 # Ratio-graph propagation
 
 
-def _propagate(labels, edges, what: str) -> dict[Label, complex]:
-    """Assign values from ratio constraints value[v] = r * value[u].
+def _plan(diagram: LinkDiagram, what: str, labels, pairs):
+    """The breadth-first search from the lowest label over the edges pairs() =
+    [(u, v), ...], compiled once per diagram object and kind: the labels in
+    the order they get values, the tree steps (src, ratio) in that order (a
+    root's is (-1, -1)) and the non-tree checks (src, dst, ratio) in search
+    order; ratio e is edge e forwards, e + len(edges) inverted.  A check
+    changes no value, so checking after the tree steps meets the search's
+    first failure."""
+    plan = diagram._plans.get(what)
+    if plan is None:
+        edges = pairs()
+        adj: dict[Label, list[tuple[Label, int]]] = {lab: [] for lab in labels}
+        for e, (u, v) in enumerate(edges):
+            adj[u].append((v, e))
+            adj[v].append((u, e + len(edges)))
+        pos: dict[Label, int] = {}
+        tree, checks = [], []
+        for root in sorted(labels, key=str):
+            if root in pos:
+                continue
+            pos[root] = len(pos)
+            tree.append((-1, -1))
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                for v, e in adj[u]:
+                    if v in pos:
+                        checks.append((pos[u], pos[v], e))
+                    else:
+                        pos[v] = len(pos)
+                        tree.append((pos[u], e))
+                        queue.append(v)
+        plan = diagram._plans[what] = (tuple(pos), tuple(tree), tuple(checks))
+    return plan
 
-    Breadth-first from the lowest label with base value 1; every non-tree
-    edge is verified to BRIDGE_TOL, relative.
-    """
-    adj: dict[Label, list[tuple[Label, complex]]] = {lab: [] for lab in labels}
-    for u, v, r in edges:
+
+def _propagate(plan, ratios: list[complex], what: str) -> dict[Label, complex]:
+    """Assign values from ratio constraints value[v] = r * value[u], one r per
+    edge of the plan: each component's first label gets 1, and every non-tree
+    edge is verified to BRIDGE_TOL, relative."""
+    for r in ratios:
         if r == 0 or not (math.isfinite(r.real) and math.isfinite(r.imag)):
             raise CorrespondenceError(f"degenerate {what} ratio {r!r}")
-        adj[u].append((v, r))
-        adj[v].append((u, 1.0 / r))
-    order = sorted(labels, key=str)
-    values: dict[Label, complex] = {}
-    for root in order:
-        if root in values:
-            continue
-        values[root] = 1.0 + 0.0j
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, r in adj[u]:
-                want = values[u] * r
-                if v not in values:
-                    values[v] = want
-                    queue.append(v)
-                elif abs(values[v] - want) > BRIDGE_TOL * max(1.0, abs(want)):
-                    raise CorrespondenceError(
-                        f"inconsistent {what} constraint at {v!r}: "
-                        f"{values[v]} vs {want} (input is not a true solution)")
-    return values
+    labels, tree, checks = plan
+    ratios = ratios + [1.0 / r for r in ratios]
+    values: list[complex] = []
+    for src, e in tree:
+        values.append(values[src] * ratios[e] if src >= 0 else 1.0 + 0.0j)
+    for src, dst, e in checks:
+        want = values[src] * ratios[e]
+        if abs(values[dst] - want) > BRIDGE_TOL * max(1.0, abs(want)):
+            raise CorrespondenceError(
+                f"inconsistent {what} constraint at {labels[dst]!r}: "
+                f"{values[dst]} vs {want} (input is not a true solution)")
+    return dict(zip(labels, values))
 
 
 def _checked(potential: Potential, values: dict[Label, complex], what: str) -> Solution:
@@ -195,15 +222,16 @@ def w_to_z(diagram: LinkDiagram, w: Solution | Assignment) -> Solution:
         raise CorrespondenceError("diagram has kinks; no side potential exists")
     if not check_w_nondegenerate(diagram, a):
         raise CorrespondenceError("degenerate crossing: wj + wl = wk + wm")
-    edges = []
+    ratios: list[complex] = []
     for cr in diagram.crossings:
-        sa, sb, sc, sd = cr.sides
-        r_ba, r_cb, r_dc, r_ad = side_ratios_from_w(cr, a)
-        cyc = r_ba * r_cb * r_dc * r_ad
+        r = side_ratios_from_w(cr, a)
+        cyc = r[0] * r[1] * r[2] * r[3]
         if abs(cyc - 1.0) > 1e-10:
             raise CorrespondenceError(f"cyclic ratio product {cyc} != 1 at crossing {cr.sides}")
-        edges.extend([(sa, sb, r_ba), (sb, sc, r_cb), (sc, sd, r_dc), (sd, sa, r_ad)])
-    return _checked(assemble_V(diagram), _propagate(diagram.sides, edges, "side"), "side")
+        ratios.extend(r)
+    plan = _plan(diagram, "side", diagram.sides, lambda: [
+        p for cr in diagram.crossings for p in zip(cr.sides, cr.sides[1:] + cr.sides[:1])])
+    return _checked(assemble_V(diagram), _propagate(plan, ratios, "side"), "side")
 
 
 def z_to_w(diagram: LinkDiagram, z: Solution | Assignment) -> Solution:
@@ -211,15 +239,14 @@ def z_to_w(diagram: LinkDiagram, z: Solution | Assignment) -> Solution:
     a = z.assignment if isinstance(z, Solution) else z
     if not check_z_nondegenerate(diagram, a):
         raise CorrespondenceError("degenerate crossing: za = zc or zb = zd")
-    edges = []
-    quads = []
+    edges, quads = [], []
     for cr in diagram.crossings:
         pairs, quad = region_ratios_from_z(cr, a)
-        for (num, den), val in pairs:
-            edges.append((den, num, val))
-        quads.append((cr, quad))
-    values = _propagate(diagram.regions, edges, "region")
-    for cr, quad in quads:
+        edges.extend(pairs)
+        quads.append(quad)
+    plan = _plan(diagram, "region", diagram.regions, lambda: [(den, num) for (num, den), _ in edges])
+    values = _propagate(plan, [val for _, val in edges], "region")
+    for cr, quad in zip(diagram.crossings, quads):
         wj, wk, wl, wm = _values(values, cr.regions)
         want = wj * wl / (wk * wm) if cr.sign > 0 else wk * wm / (wj * wl)
         if abs(want - quad) > BRIDGE_TOL * max(1.0, abs(quad)):
@@ -295,4 +322,7 @@ def sign_flip_point(potential: Potential, taus, epsilons, a: Assignment) -> dict
     """The transformed solution (tau_k w_k^(eps_k)) matching sign_flip."""
     taus = _normalize_signs(potential, taus)
     epsilons = _normalize_signs(potential, epsilons)
-    return {v: t * complex(a[v]) ** e for v, t, e in zip(potential.variables, taus, epsilons)}
+    try:
+        return {v: t * complex(a[v]) ** e for v, t, e in zip(potential.variables, taus, epsilons)}
+    except KeyError as exc:
+        raise EvaluationError(f"variable {exc.args[0]!r} not assigned") from None

@@ -65,7 +65,8 @@ from typing import Sequence
 import numpy as np
 
 from .diagram import Label
-from .numerics import PI2_OVER_6, TWO_PI, _bloch_wigner, li2, plog
+from . import numerics
+from .numerics import _C0, _C1, PI2_OVER_6, TWO_PI, _bloch_wigner, li2
 from .potential import Assignment, EvaluationError, Monomial, Potential, Term
 
 # Largest distance of a solution's mu_k from 2 pi i Z; each mu_k is snapped
@@ -83,9 +84,9 @@ class _Terms:
     """
 
     dilog_mono: np.ndarray       # (ndilog,) monomial index of each Li2 argument
-    dilog_sign: np.ndarray       # (ndilog,) its sign, as float
+    dilog_sign: np.ndarray       # (ndilog,) its sign, as complex
     logprod_atom: np.ndarray     # (nlogprod, 2) the log atoms of each log product
-    logprod_sign: np.ndarray     # (nlogprod,) its sign, as float
+    logprod_sign: np.ndarray     # (nlogprod,) its sign, as complex
     const: int                   # net sign count of the pi^2/6 constants
     atom_mono: np.ndarray        # (natoms,) monomial index (row of _exps)
     atom_is_1m: np.ndarray       # (natoms,) bool: base 1 - m vs m
@@ -132,9 +133,9 @@ def _term_table(potential: Potential) -> tuple[list[Monomial], np.ndarray, _Term
     keep = CT.any(axis=1)
     keep[2 * logprod[:, :2]] = True
     atoms = np.flatnonzero(keep)
-    terms = _Terms(dilog_mono=dilog[:, 0], dilog_sign=dilog[:, 1].astype(float),
+    terms = _Terms(dilog_mono=dilog[:, 0], dilog_sign=dilog[:, 1].astype(complex),
                    logprod_atom=np.searchsorted(atoms, 2 * logprod[:, :2]),
-                   logprod_sign=logprod[:, 2].astype(float), const=const,
+                   logprod_sign=logprod[:, 2].astype(complex), const=const,
                    atom_mono=atoms // 2, atom_is_1m=atoms % 2 == 1,
                    term_mono=np.array(term_mono, dtype=np.intp).reshape(-1, 2))
     return list(monomials), exps, terms, CT[atoms].T
@@ -181,6 +182,7 @@ class EquationSystem:
     unknowns: tuple[Label, ...]          # all variables except pin
 
     _coeffs: np.ndarray                  # (nvars, natoms) C, columns the atoms of _terms
+    _mu_matrix: np.ndarray               # C.T as complex; a flip, used once, keeps a view
     _exps: np.ndarray                    # (nmono, nvars) exponents of every distinct term monomial
     _terms: _Terms                       # shared by sign flips
     _mono_coeff: np.ndarray              # (nmono,) coefficients, as float
@@ -246,7 +248,7 @@ class EquationSystem:
         """The Li2 arguments among the monomial values; EvaluationError when
         one equals 0 or 1."""
         arg = mv.take(self._terms.dilog_mono, -1)
-        bad = (arg == 0.0) | (arg == 1.0)
+        bad = (arg == _C0) | (arg == _C1)
         if np.count_nonzero(bad):
             raise EvaluationError(
                 f"non-essential assignment: dilog argument equals {arg[bad][0]}")
@@ -254,12 +256,12 @@ class EquationSystem:
 
     def _logs(self, w: np.ndarray, mv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Principal logs of the log atoms' bases and of the variables, from
-        one plog call."""
+        one plog kernel call over one validated array."""
         t = self._terms
         v = mv.take(t.atom_mono, -1)
-        base = np.where(t.atom_is_1m, 1.0 - v, v)
+        base = np.where(t.atom_is_1m, _C1 - v, v)
         try:
-            logs = plog(np.concatenate((base, w), axis=-1))
+            logs = numerics._plog(numerics._as_complex(np.concatenate((base, w), axis=-1)))
         except ValueError as exc:
             raise EvaluationError(f"degenerate monomial value in a log-derivative: {exc}") from None
         return logs[..., :len(t.atom_mono)], logs[..., len(t.atom_mono):]
@@ -290,7 +292,7 @@ class EquationSystem:
         products can move it across.
         """
         w = self.point_from_assignment(a)
-        return self._logs(w, self.monomial_values(w))[0] @ self._coeffs.T
+        return self._logs(w, self.monomial_values(w))[0] @ self._mu_matrix
 
     def corrected_value(self, w: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -298,10 +300,14 @@ class EquationSystem:
 
         The monomial values are gathered once and logged in one plog call;
         W, the mu_k, their snapping to 2 pi i Z and the correction are all
-        formed from them.  Returns the raw values (...), the mu integers
-        (..., nvars) in potential.variables order and, for a region
-        potential, the Bloch-Wigner sum (bloch_wigner_volume) from the Li2
-        arguments and li2 values of W itself, else None.  Raises
+        formed from them.  It calls the kernels behind plog and li2 on
+        arrays validated once each, and reads complex term signs and C
+        transposed, so numpy casts only a flip's C, which serves one pass;
+        errors and bits are those of plog and li2.  Returns the raw values
+        (...), the mu integers (..., nvars) in potential.variables order
+        and, for a region potential, the Bloch-Wigner sum
+        (bloch_wigner_volume) from the Li2 arguments and li2 values of W
+        itself, else None.  Raises
         EvaluationError when some mu_k is more than MU_TOL from 2 pi i Z,
         that is at a non-solution.
         """
@@ -309,15 +315,15 @@ class EquationSystem:
         mv = self.monomial_values(w)
         arg = self._essential_arguments(mv)
         atom_logs, log_w = self._logs(w, mv)
-        k = _snap(atom_logs @ self._coeffs.T, MU_TOL, self.potential.variables)
-        values = li2(arg)
+        k = _snap(atom_logs @ self._mu_matrix, MU_TOL, self.potential.variables)
+        values = numerics._li2(numerics._as_complex(arg))
         raw = self._potential_value(values, atom_logs) - row_sums(2j * math.pi * k * log_w)
         bw = self._bloch_wigner_sum(arg, values) if self.potential.kind == "W" else None
         return raw, k, bw
 
     def _bloch_wigner_sum(self, arg: np.ndarray, li2_arg: np.ndarray) -> np.ndarray:
         """sum_t s_t D(m_t) over the Li2 terms from their arguments and li2 values."""
-        return row_sums(_bloch_wigner(arg, li2_arg) * self._terms.dilog_sign)
+        return row_sums(_bloch_wigner(arg, li2_arg) * self._terms.dilog_sign.real)
 
     def bloch_wigner_volume(self, w: np.ndarray) -> np.ndarray:
         """sum_t s_t D(m_t) over the Li2 terms s_t Li2(m_t) at points w
@@ -460,8 +466,8 @@ class EquationSystem:
             terms = table.flipped_terms(self, term_keys, (counts[:nmono] & table.mono_mask).tolist(),
                                         exps, coeff)
         potential = Potential(tuple(terms), self.potential.variables, self.potential.kind)
-        system = EquationSystem(potential, self.pin, self.unknowns,
-                                _coeffs=self._coeffs * eps[:, None],
+        C = self._coeffs * eps[:, None]
+        system = EquationSystem(potential, self.pin, self.unknowns, _coeffs=C, _mu_matrix=C.T,
                                 _exps=exps, _terms=self._terms, _mono_coeff=coeff,
                                 _value_gather=np.where(neg[table.gather_eps], table.gather_swapped,
                                                        self._value_gather),
@@ -637,6 +643,7 @@ def _compile_system(potential: Potential) -> EquationSystem:
         pin=variables[-1],
         unknowns=variables[:-1],
         _coeffs=C,
+        _mu_matrix=C.T.astype(complex),
         _exps=exps,
         _terms=terms,
         _mono_coeff=np.array([m.coeff for m in monomials], dtype=float),

@@ -11,6 +11,11 @@ each: they take a scalar or an array of any shape and work elementwise,
 and a scalar call returns a numpy scalar equal, bit for bit, to the
 matching element of an array call.  Li2(0) = 0 and Li2(1) = pi^2/6;
 log(0), D(0), D(1) and any non-finite element raise ValueError.
+
+Every constant that meets a complex array is made complex once, at import:
+numpy would cast a float constant on every call, to the same value, at the
+cost of the arithmetic on a W0 pass's short arrays; each operation keeps
+its bits.  The W0 pass calls the kernels _plog and _li2 directly.
 """
 
 from __future__ import annotations
@@ -52,8 +57,12 @@ _LI2_TERMS = 10
 # The coefficients of P, ascending in u^2, split into even and odd powers:
 # P is evaluated by Horner in u^4 over the pair values c_2i + c_2i+1 u^2,
 # which takes fewer array operations than Horner in u^2.
-_LI2_EVEN, _LI2_ODD = (np.array(_bernoulli_series_coeffs(2 * _LI2_TERMS)[2::2])
+_LI2_EVEN, _LI2_ODD = (np.array(_bernoulli_series_coeffs(2 * _LI2_TERMS)[2::2], dtype=complex)
                        .reshape(-1, 2).T[..., None].copy())
+# 0-d complex constants, and li2's sign +-1 and shift 0 or pi^2/6 read by mask.
+_C0, _C1, _CHALF, _CQUARTER = (np.array(c, dtype=complex) for c in (0.0, 1.0, 0.5, 0.25))
+_SIGN = np.array([1.0, -1.0], dtype=complex)
+_SHIFT = np.array([0.0, PI2_OVER_6], dtype=complex)
 
 
 def _as_complex(z) -> np.ndarray:
@@ -64,7 +73,7 @@ def _as_complex(z) -> np.ndarray:
     values with its scalar routines, which can round differently from the
     array loops, and a scalar call must equal the matching array element.
     """
-    z = np.array(z, dtype=complex, ndmin=1, copy=None) + 0.0
+    z = np.array(z, dtype=complex, ndmin=1, copy=None) + _C0
     if np.count_nonzero(np.isfinite(z)) != z.size:
         raise ValueError(f"non-finite complex value in {z!r}")
     return z
@@ -77,10 +86,14 @@ def _shaped(out: np.ndarray, z):
 
 def plog(z):
     """Principal logarithm, arg in (-pi, pi], elementwise."""
-    v = _as_complex(z)
+    return _shaped(_plog(_as_complex(z)), z)
+
+
+def _plog(v: np.ndarray) -> np.ndarray:
+    """plog of a complex array as _as_complex returns it."""
     if np.count_nonzero(v) != v.size:
         raise ValueError("log of zero")
-    return _shaped(np.log(v), z)
+    return np.log(v)
 
 
 def li2(z):
@@ -98,25 +111,26 @@ def _li2(z: np.ndarray) -> np.ndarray:
     """li2 of a complex array as _as_complex returns it."""
     # Inversion for |z| > 1: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2.
     inv = np.abs(z) > 1.0
-    y = np.divide(1.0, z, out=z.copy(), where=inv)
+    y = np.divide(_C1, z, out=z.copy(), where=inv)
     # Reflection for Re y > 1/2: Li2(y) = pi^2/6 - log(y) log(1 - y) - Li2(1 - y).
     refl = y.real > 0.5
-    s = np.subtract(1.0, y, out=y.copy(), where=refl)
+    s = np.subtract(_C1, y, out=y.copy(), where=refl)
     # The logs of both reductions, 0 where a reduction does not apply; at
     # s = 1 - y = 0 log(s) is taken as 0, the log product being 0 there.
-    lg = np.log(-z + 0.0, out=np.zeros(z.shape, complex), where=inv)
+    lg = np.log(-z + _C0, out=np.zeros(z.shape, complex), where=inv)
     ly = np.log(y, out=np.zeros(z.shape, complex), where=refl)
-    ls = np.log(s, out=np.zeros(z.shape, complex), where=refl & (s != 0.0))
-    sign = np.where(inv, -1.0, 1.0)
-    shift = sign * (PI2_OVER_6 * refl - ly * ls) - PI2_OVER_6 * inv - 0.5 * lg * lg
-    sign = np.where(refl, -sign, sign)
+    ls = np.log(s, out=np.zeros(z.shape, complex), where=refl & (s != _C0))
+    shift = (_SIGN.take(inv) * (_SHIFT.take(refl) - ly * ls) - _SHIFT.take(inv)
+             - _CHALF * lg * lg)
+    # The series' sign: -1 under exactly one of the two reductions.
+    sign = _SIGN.take(inv ^ refl)
     # The series on |s| <= 1, Re s <= 1/2.  u = -log(1 - s) is formed as
     # s * log(w) / (w - 1) with w = 1 - s (the log1p correction), so tiny
     # |s| keeps its relative accuracy; where w - 1 rounds to 0 the ratio
     # log(w) / (w - 1) is 1.
-    w = 1.0 - s
-    d = w - 1.0
-    u = s * np.divide(np.log(w), d, out=np.ones(z.shape, complex), where=d != 0.0)
+    w = _C1 - s
+    d = w - _C1
+    u = s * np.divide(np.log(w), d, out=np.ones(z.shape, complex), where=d != _C0)
     x = u * u
     # The pair values as contiguous (pairs, n) rows, Horner in place on the
     # last row: the same operations, in the same order, for every element.
@@ -127,7 +141,7 @@ def _li2(z: np.ndarray) -> np.ndarray:
     for row in pairs[-2::-1]:
         p *= x2
         p += row
-    return shift + sign * (u + x * (u * p.reshape(x.shape) - 0.25))
+    return shift + sign * (u + x * (u * p.reshape(x.shape) - _CQUARTER))
 
 
 def bloch_wigner(z):
@@ -152,7 +166,7 @@ def _bloch_wigner(v: np.ndarray, li2_v: np.ndarray) -> np.ndarray:
     """D at v, as _bw_argument returns it, from li2 at v: the one formula
     for D, behind bloch_wigner and the Bloch-Wigner volumes that share
     W's li2 call."""
-    one_minus = (1.0 - v) + 0.0
+    one_minus = (_C1 - v) + _C0
     return li2_v.imag + np.log(np.abs(v)) * np.arctan2(one_minus.imag, one_minus.real)
 
 

@@ -8,10 +8,11 @@ its printed block structure
 closed forms in t and the recurrence extended by one step (against
 twistknot.parametrize), a PD code rendered from a diagram with a
 relabeling-invariant comparison of diagrams (against build_diagram),
-a diagram written as a JSON crossing list (against from_json_dict), and
+a diagram written as a JSON crossing list (against from_json_dict),
 the two dilogarithm identities and the volume additivity of one crossing
 octahedron's four-term and five-term shapes (against li2, plog and
-bloch_wigner).
+bloch_wigner), and the array dilogarithm with float constants, which numpy
+casts to complex on every call (against numerics._li2, bit for bit).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from optlim.correspondence import CorrespondenceError
 from optlim.diagram import Crossing, Label, LinkDiagram, _strand_components
-from optlim.numerics import (PI2, PI2_OVER_6, bloch_wigner, li2, plog, shape_double_prime,
-                             shape_prime)
+from optlim.numerics import (_LI2_TERMS, PI2, PI2_OVER_6, _bernoulli_series_coeffs,
+                             bloch_wigner, li2, plog, shape_double_prime, shape_prime)
 from optlim.potential import (DEFAULT, Assignment, EvaluationError, Monomial, Potential,
                               WNVariant, region_terms_W)
 from optlim.twistknot import REFERENCE_ROWS, TwistError, _check_index, parametrize
@@ -298,3 +299,51 @@ def check_octahedron_identities(t1: complex, t2: complex, t3: complex, t4: compl
         identity2_defect=_mod4pi2_defect(lhs - rhs2),
         volume_defect=vol_defect,
     )
+
+
+# ---------------------------------------------------------------------------
+# The array dilogarithm with float constants
+
+# The series coefficients as float, split into even and odd powers as
+# numerics splits them.
+_LI2_EVEN, _LI2_ODD = (np.array(_bernoulli_series_coeffs(2 * _LI2_TERMS)[2::2])
+                       .reshape(-1, 2).T[..., None].copy())
+
+
+def li2_float_constants(z: np.ndarray) -> np.ndarray:
+    """numerics._li2 as written with float constants and float sign and
+    shift arrays, on a complex array of at least one dimension whose -0.0
+    parts are made +0.0.  numpy casts each float operand to the complex
+    value that numerics builds once at import, so the two agree bit for bit."""
+    # Inversion for |z| > 1: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2.
+    inv = np.abs(z) > 1.0
+    y = np.divide(1.0, z, out=z.copy(), where=inv)
+    # Reflection for Re y > 1/2: Li2(y) = pi^2/6 - log(y) log(1 - y) - Li2(1 - y).
+    refl = y.real > 0.5
+    s = np.subtract(1.0, y, out=y.copy(), where=refl)
+    # The logs of both reductions, 0 where a reduction does not apply; at
+    # s = 1 - y = 0 log(s) is taken as 0, the log product being 0 there.
+    lg = np.log(-z + 0.0, out=np.zeros(z.shape, complex), where=inv)
+    ly = np.log(y, out=np.zeros(z.shape, complex), where=refl)
+    ls = np.log(s, out=np.zeros(z.shape, complex), where=refl & (s != 0.0))
+    sign = np.where(inv, -1.0, 1.0)
+    shift = sign * (PI2_OVER_6 * refl - ly * ls) - PI2_OVER_6 * inv - 0.5 * lg * lg
+    sign = np.where(refl, -sign, sign)
+    # The series on |s| <= 1, Re s <= 1/2.  u = -log(1 - s) is formed as
+    # s * log(w) / (w - 1) with w = 1 - s (the log1p correction), so tiny
+    # |s| keeps its relative accuracy; where w - 1 rounds to 0 the ratio
+    # log(w) / (w - 1) is 1.
+    w = 1.0 - s
+    d = w - 1.0
+    u = s * np.divide(np.log(w), d, out=np.ones(z.shape, complex), where=d != 0.0)
+    x = u * u
+    # The pair values as contiguous (pairs, n) rows, Horner in place on the
+    # last row: the same operations, in the same order, for every element.
+    pairs = _LI2_ODD * x.reshape(1, -1)
+    pairs += _LI2_EVEN
+    x2 = (x * x).reshape(-1)
+    p = pairs[-1]
+    for row in pairs[-2::-1]:
+        p *= x2
+        p += row
+    return shift + sign * (u + x * (u * p.reshape(x.shape) - 0.25))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from optlim import CorrespondenceError, assemble_W, build_system, builtin, cli, solver
+from optlim import CorrespondenceError, assemble_W, build_system, builtin, cli, solver, twistknot
 from optlim.cli import main
 
 from conftest import BORROMEAN_PD, KINKED_TREFOIL_PD, WHITEHEAD_PD, clear_diagram_caches
@@ -452,6 +452,26 @@ def test_stable_output_independent_of_hash_seed(argv):
         outputs.append((proc.returncode, proc.stdout))
     assert outputs[0] == outputs[1]
     assert outputs[0][1].startswith("{")
+
+
+@pytest.mark.parametrize("argv", [
+    ("twist", "--all"),
+    ("verify", "--builtin", "T2", "--sign-flip", "--trials", "5", "--restarts", "64", "--seed", "0"),
+], ids=["twist-all", "verify-T2-sign-flip"])
+def test_repeated_runs_print_the_one_shot_bytes(capsys, argv):
+    # The twist roots and points, the bridge's propagation plans and the
+    # compiled systems kept from a first run change nothing in a second one,
+    # which prints the bytes of a fresh process.
+    clear_diagram_caches()
+    twistknot._reference_points.cache_clear()
+    runs = [run_cli(capsys, "--stable", *argv) for _ in range(2)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "optlim.cli", "--stable", *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert runs[0] == runs[1] == (proc.returncode, proc.stdout, proc.stderr)
+    assert runs[0][0] == 0 and runs[0][1].startswith("{")
 
 
 class TestFloats:

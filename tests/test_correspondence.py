@@ -3,22 +3,23 @@
 import gc
 import math
 import weakref
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 
 from optlim import (ALT_NEG_LOG, CorrespondenceError, SolveConfig, assemble_V,
                     assemble_W, build_diagram, build_system, builtin, check_w_nondegenerate,
-                    check_z_nondegenerate, mod_eq, parse_pd, sign_flip, sign_flip_point,
+                    check_z_nondegenerate, mod_eq, parse_pd, refine, sign_flip, sign_flip_point,
                     solve, verify_bridge, w0, w_to_z, z_to_w)
 from optlim import twistknot
-from optlim.correspondence import region_ratios_from_z, side_ratios_from_w
+from optlim.correspondence import (BRIDGE_TOL, _checked, region_ratios_from_z,
+                                   side_ratios_from_w)
 from optlim.numerics import PI2
-from optlim.potential import Monomial, Potential, Term
+from optlim.potential import EvaluationError, Monomial, Potential, Term
 
-from conftest import (KINKED_TREFOIL_PD, coefficients_term_by_term, compiled_coefficients,
-                      make_rng, mu_oracle, random_essential_assignment)
+from conftest import (KINKED_TREFOIL_PD, clear_diagram_caches, coefficients_term_by_term,
+                      compiled_coefficients, make_rng, mu_oracle, random_essential_assignment)
 from oracles import check_octahedron_identities, twist_potential
 
 FOUR_PI2 = 4 * PI2
@@ -259,6 +260,179 @@ class TestBridge:
             assert verify_bridge(knot52, s).congruent_mod_4pi2
             checked += 1
         assert checked >= 2
+
+
+class TestMissingVariables:
+    """A missing variable raises the EvaluationError that w0 and refine
+    raise, naming it, at every entry point that reads the values."""
+
+    MISSING = "^variable 'c' not assigned$"
+
+    def test_region_values_without_c(self):
+        d = builtin("T2")
+        a = {r: v for r, v in twist_assignment(2).regions.items() if r != "c"}
+        system = build_system(assemble_W(d))
+        for f in (lambda: verify_bridge(d, a), lambda: w_to_z(d, a),
+                  lambda: check_w_nondegenerate(d, a), lambda: w0(assemble_W(d), a),
+                  lambda: refine(system, a)):
+            with pytest.raises(EvaluationError, match=self.MISSING):
+                f()
+
+    def test_side_values_missing(self):
+        d = builtin("T2")
+        with pytest.raises(EvaluationError, match="^variable 'a' not assigned$"):
+            z_to_w(d, {})
+        sides = dict(twist_assignment(2).sides)
+        del sides["y1"]
+        with pytest.raises(EvaluationError, match="^variable 'y1' not assigned$"):
+            z_to_w(d, sides)
+
+    def test_sign_flip_point(self):
+        p = assemble_W(builtin("T2"))
+        a = {r: v for r, v in twist_assignment(2).regions.items() if r != "c"}
+        signs = [1] * len(p.variables)
+        with pytest.raises(EvaluationError, match=self.MISSING):
+            sign_flip_point(p, signs, signs, a)
+
+
+def plain_bfs(labels, edges, what):
+    """The ratio-graph propagation as a breadth-first search run afresh on
+    every call, edges (u, v, r) meaning value[v] = r * value[u]: the
+    reference for the plan the bridge compiles once per diagram."""
+    adj = {lab: [] for lab in labels}
+    for u, v, r in edges:
+        if r == 0 or not (math.isfinite(r.real) and math.isfinite(r.imag)):
+            raise CorrespondenceError(f"degenerate {what} ratio {r!r}")
+        adj[u].append((v, r))
+        adj[v].append((u, 1.0 / r))
+    values = {}
+    for root in sorted(labels, key=str):
+        if root in values:
+            continue
+        values[root] = 1.0 + 0.0j
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, r in adj[u]:
+                want = values[u] * r
+                if v not in values:
+                    values[v] = want
+                    queue.append(v)
+                elif abs(values[v] - want) > BRIDGE_TOL * max(1.0, abs(want)):
+                    raise CorrespondenceError(
+                        f"inconsistent {what} constraint at {v!r}: "
+                        f"{values[v]} vs {want} (input is not a true solution)")
+    return values
+
+
+def plain_w_to_z(d, a):
+    """w_to_z with the plain search: the same checks in the same order."""
+    if d.kinked_crossings():
+        raise CorrespondenceError("diagram has kinks; no side potential exists")
+    if not check_w_nondegenerate(d, a):
+        raise CorrespondenceError("degenerate crossing: wj + wl = wk + wm")
+    edges = []
+    for cr in d.crossings:
+        sa, sb, sc, sd = cr.sides
+        r_ba, r_cb, r_dc, r_ad = side_ratios_from_w(cr, a)
+        cyc = r_ba * r_cb * r_dc * r_ad
+        if abs(cyc - 1.0) > 1e-10:
+            raise CorrespondenceError(f"cyclic ratio product {cyc} != 1 at crossing {cr.sides}")
+        edges.extend([(sa, sb, r_ba), (sb, sc, r_cb), (sc, sd, r_dc), (sd, sa, r_ad)])
+    return _checked(assemble_V(d), plain_bfs(d.sides, edges, "side"), "side")
+
+
+def plain_z_to_w(d, a):
+    """z_to_w with the plain search: the same checks in the same order."""
+    if not check_z_nondegenerate(d, a):
+        raise CorrespondenceError("degenerate crossing: za = zc or zb = zd")
+    edges, quads = [], []
+    for cr in d.crossings:
+        pairs, quad = region_ratios_from_z(cr, a)
+        edges.extend((den, num, val) for (num, den), val in pairs)
+        quads.append((cr, quad))
+    values = plain_bfs(d.regions, edges, "region")
+    for cr, quad in quads:
+        wj, wk, wl, wm = (values[r] for r in cr.regions)
+        want = wj * wl / (wk * wm) if cr.sign > 0 else wk * wm / (wj * wl)
+        if abs(want - quad) > BRIDGE_TOL * max(1.0, abs(quad)):
+            raise CorrespondenceError("inconsistent 4-corner ratio (input is not a true solution)")
+    return _checked(assemble_W(d), values, "region")
+
+
+def outcome(convert, d, a):
+    """The converted values and residual norm, exactly (repr keeps every
+    bit and the item order), or the error raised."""
+    try:
+        sol = convert(d, a)
+    except CorrespondenceError as exc:
+        return "error", str(exc)
+    return repr(list(sol.assignment.items())), repr(sol.residual_norm)
+
+
+class TestCompiledPropagation:
+    """w_to_z and z_to_w walk a plan compiled once per diagram; a plain
+    breadth-first search on every call gives the same values, residual
+    norms and first error."""
+
+    @staticmethod
+    def closed_form_points():
+        for n in range(1, 6):
+            for t in twistknot.poly_roots(twistknot.defining_poly(n)):
+                yield builtin(f"T{n}"), twistknot.parametrize(n, t)
+
+    def test_closed_form_points(self):
+        for d, par in self.closed_form_points():
+            got = outcome(w_to_z, d, par.regions)
+            assert got[0] != "error"
+            assert got == outcome(plain_w_to_z, d, par.regions)
+            got = outcome(z_to_w, d, par.sides)
+            assert got[0] != "error"
+            assert got == outcome(plain_z_to_w, d, par.sides)
+
+    def test_solver_solutions(self, fig8, fig8_w_solutions, knot52, knot52_w_solutions,
+                              knot52_v_solutions):
+        converted = 0
+        for d, sols in ((fig8, fig8_w_solutions), (knot52, knot52_w_solutions)):
+            for s in sols:
+                got = outcome(w_to_z, d, s.assignment)
+                assert got == outcome(plain_w_to_z, d, s.assignment)
+                if got[0] != "error":
+                    converted += 1
+                    z = w_to_z(d, s).assignment
+                    assert outcome(z_to_w, d, z) == outcome(plain_z_to_w, d, z)
+        for s in knot52_v_solutions:
+            assert outcome(z_to_w, knot52, s.assignment) == outcome(plain_z_to_w, knot52,
+                                                                    s.assignment)
+        assert converted >= 10
+
+    def test_corrupted_inputs_raise_the_same_first_error(self):
+        rng = make_rng(71)
+        for d, par in self.closed_form_points():
+            for values, convert, plain in ((par.regions, w_to_z, plain_w_to_z),
+                                           (par.sides, z_to_w, plain_z_to_w)):
+                a = dict(values)
+                label = list(a)[rng.integers(len(a))]
+                a[label] *= 1.0 + 1e-3 * complex(*rng.standard_normal(2))
+                got = outcome(convert, d, a)
+                assert got[0] == "error" and "inconsistent" in got[1]
+                assert got == outcome(plain, d, a)
+
+    def test_a_fresh_diagram_compiles_its_own_plan(self):
+        par = twist_assignment(3)
+        first = builtin("T3")
+        w_to_z(first, par.regions)
+        z_to_w(first, par.sides)
+        plans = dict(first._plans)
+        assert set(plans) == {"side", "region"}
+        clear_diagram_caches()
+        fresh = builtin("T3")
+        assert fresh is not first and fresh._plans == {}
+        w_to_z(fresh, par.regions)
+        z_to_w(fresh, par.sides)
+        for kind, plan in plans.items():
+            assert fresh._plans[kind] is not plan
+            assert fresh._plans[kind] == plan
 
 
 def substituted_terms(potential, taus, eps):

@@ -11,6 +11,8 @@ from optlim import numerics
 from optlim.numerics import (PI2, PI2_OVER_6, bloch_wigner, li2, plog,
                              reduce_centered, shape_double_prime, shape_prime)
 
+from oracles import li2_float_constants
+
 RNG = np.random.default_rng(20240817)
 
 
@@ -220,6 +222,39 @@ class TestArrayContract:
         xs = np.array([-1e6, -3.0, -1.0, -1e-9, 1e-9, 0.2, 0.999, 1.001, 5.0, 1e6])
         assert np.all(np.abs(bloch_wigner(xs)) < 1e-12)
         assert np.all(np.abs(bloch_wigner(np.conj(xs + 0.0j))) < 1e-12)
+
+
+class TestLi2FloatConstantOracle:
+    """li2, whose constants are complex arrays built once, equals byte for
+    byte the same operations on float constants, which numpy casts to
+    complex on every call."""
+
+    @staticmethod
+    def points() -> np.ndarray:
+        rng = np.random.default_rng(20261020)
+        n = 20_000
+        edges = [0.0, 1.0, -1.0, 0.5, 2.0,
+                 cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 3)]
+        reals = [x.real for x in edges] + rng.standard_normal(100).tolist()
+        return np.concatenate([
+            10.0 ** rng.uniform(-13, 13, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n)),
+            rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            1.0 + 1e-6 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)),
+            np.exp(1j * rng.uniform(-math.pi, math.pi, n)),
+            0.5 + 1j * rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n),
+            edges,
+            [complex(x, sign) for x in reals for sign in (0.0, -0.0)],
+        ])
+
+    def test_array_call_bitwise(self):
+        z = self.points()
+        assert np.signbit(z.imag).any()
+        assert li2(z).tobytes() == li2_float_constants(z + 0.0).tobytes()
+
+    def test_scalar_calls_bitwise(self):
+        z = self.points()[-5000:]          # every edge and signed-zero value, and more
+        got = np.array([li2(x) for x in z.tolist()])
+        assert got.tobytes() == li2_float_constants(z + 0.0).tobytes()
 
 
 class TestLi2Identities:
