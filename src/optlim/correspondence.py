@@ -21,12 +21,8 @@ double-primed roles exchanged.  Values propagate along a spanning tree of
 the side (resp. region) adjacency graph; non-tree constraints are checked,
 so inconsistent inputs are rejected rather than silently projected.  The
 converted point, scaled so that the pin is 1, must then satisfy the other
-potential's system: its residual_vector, the solver's residual.
-
-The breadth-first order of the propagation depends only on the labels and
-edges, so it is compiled once per diagram object and kind into a plan of
-tree steps and non-tree checks, kept on the diagram as its potentials are;
-each call walks it with its own ratios, in a fresh search's order.
+potential's system: its residual_vector, the solver's residual.  A
+crossing whose ratios make some u' or u'' undefined (u = 1) is rejected.
 """
 
 from __future__ import annotations
@@ -98,12 +94,16 @@ def side_ratios_from_w(crossing: Crossing, a: Assignment) -> tuple[complex, comp
     if 0 in (wj, wk, wl, wm):
         raise CorrespondenceError("zero region value")
     # u' = 1/(1-u), u'' = 1 - 1/u; a negative crossing exchanges their roles.
-    if crossing.sign > 0:
-        u = (wm / wj, wk / wj, wk / wl, wm / wl, wj * wl / (wk * wm))
-    else:
-        u = (wj / wm, wj / wk, wl / wk, wl / wm, wk * wm / (wj * wl))
-    p = [1.0 / (1.0 - x) for x in u]
-    pp = [1.0 - 1.0 / x for x in u]
+    try:
+        if crossing.sign > 0:
+            u = (wm / wj, wk / wj, wk / wl, wm / wl, wj * wl / (wk * wm))
+        else:
+            u = (wj / wm, wj / wk, wl / wk, wl / wm, wk * wm / (wj * wl))
+        p = [1.0 / (1.0 - x) for x in u]
+        pp = [1.0 - 1.0 / x for x in u]
+    except ZeroDivisionError:
+        raise CorrespondenceError(
+            f"degenerate crossing {crossing.regions}: a region ratio equals 1") from None
     if crossing.sign < 0:
         p, pp = pp, p
     return (pp[0] * pp[1] * p[4], p[1] * p[2] * pp[4],
@@ -122,20 +122,24 @@ def region_ratios_from_z(crossing: Crossing, a: Assignment):
     if 0 in (za, zb, zc, zd):
         raise CorrespondenceError("zero side value")
     # u' = 1/(1-u) and u'' = 1 - 1/u of the side ratios each relation reads.
-    if crossing.sign > 0:
-        p_ba, p_dc = 1.0 / (1.0 - zb / za), 1.0 / (1.0 - zd / zc)
-        pp_cb, pp_ad = 1.0 - 1.0 / (zc / zb), 1.0 - 1.0 / (za / zd)
-        pairs = [((m, j), p_ba * pp_ad), ((k, j), p_ba * pp_cb),
-                 ((k, l), p_dc * pp_cb), ((m, l), p_dc * pp_ad)]
-        quad = ((1.0 - 1.0 / (za / zb)) * (1.0 / (1.0 - zb / zc))
-                * (1.0 - 1.0 / (zc / zd)) * (1.0 / (1.0 - zd / za)))
-    else:
-        p_ad, p_cb = 1.0 / (1.0 - za / zd), 1.0 / (1.0 - zc / zb)
-        pp_ba, pp_dc = 1.0 - 1.0 / (zb / za), 1.0 - 1.0 / (zd / zc)
-        pairs = [((j, m), p_ad * pp_ba), ((j, k), p_cb * pp_ba),
-                 ((l, k), p_cb * pp_dc), ((l, m), p_ad * pp_dc)]
-        quad = ((1.0 / (1.0 - za / zb)) * (1.0 - 1.0 / (zb / zc))
-                * (1.0 / (1.0 - zc / zd)) * (1.0 - 1.0 / (zd / za)))
+    try:
+        if crossing.sign > 0:
+            p_ba, p_dc = 1.0 / (1.0 - zb / za), 1.0 / (1.0 - zd / zc)
+            pp_cb, pp_ad = 1.0 - 1.0 / (zc / zb), 1.0 - 1.0 / (za / zd)
+            pairs = [((m, j), p_ba * pp_ad), ((k, j), p_ba * pp_cb),
+                     ((k, l), p_dc * pp_cb), ((m, l), p_dc * pp_ad)]
+            quad = ((1.0 - 1.0 / (za / zb)) * (1.0 / (1.0 - zb / zc))
+                    * (1.0 - 1.0 / (zc / zd)) * (1.0 / (1.0 - zd / za)))
+        else:
+            p_ad, p_cb = 1.0 / (1.0 - za / zd), 1.0 / (1.0 - zc / zb)
+            pp_ba, pp_dc = 1.0 - 1.0 / (zb / za), 1.0 - 1.0 / (zd / zc)
+            pairs = [((j, m), p_ad * pp_ba), ((j, k), p_cb * pp_ba),
+                     ((l, k), p_cb * pp_dc), ((l, m), p_ad * pp_dc)]
+            quad = ((1.0 / (1.0 - za / zb)) * (1.0 - 1.0 / (zb / zc))
+                    * (1.0 / (1.0 - zc / zd)) * (1.0 - 1.0 / (zd / za)))
+    except ZeroDivisionError:
+        raise CorrespondenceError(
+            f"degenerate crossing {crossing.sides}: a side ratio equals 1") from None
     return pairs, quad
 
 
@@ -143,61 +147,36 @@ def region_ratios_from_z(crossing: Crossing, a: Assignment):
 # Ratio-graph propagation
 
 
-def _plan(diagram: LinkDiagram, what: str, labels, pairs):
-    """The breadth-first search from the lowest label over the edges pairs() =
-    [(u, v), ...], compiled once per diagram object and kind: the labels in
-    the order they get values, the tree steps (src, ratio) in that order (a
-    root's is (-1, -1)) and the non-tree checks (src, dst, ratio) in search
-    order; ratio e is edge e forwards, e + len(edges) inverted.  A check
-    changes no value, so checking after the tree steps meets the search's
-    first failure."""
-    plan = diagram._plans.get(what)
-    if plan is None:
-        edges = pairs()
-        adj: dict[Label, list[tuple[Label, int]]] = {lab: [] for lab in labels}
-        for e, (u, v) in enumerate(edges):
-            adj[u].append((v, e))
-            adj[v].append((u, e + len(edges)))
-        pos: dict[Label, int] = {}
-        tree, checks = [], []
-        for root in sorted(labels, key=str):
-            if root in pos:
-                continue
-            pos[root] = len(pos)
-            tree.append((-1, -1))
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for v, e in adj[u]:
-                    if v in pos:
-                        checks.append((pos[u], pos[v], e))
-                    else:
-                        pos[v] = len(pos)
-                        tree.append((pos[u], e))
-                        queue.append(v)
-        plan = diagram._plans[what] = (tuple(pos), tuple(tree), tuple(checks))
-    return plan
-
-
-def _propagate(plan, ratios: list[complex], what: str) -> dict[Label, complex]:
-    """Assign values from ratio constraints value[v] = r * value[u], one r per
-    edge of the plan: each component's first label gets 1, and every non-tree
-    edge is verified to BRIDGE_TOL, relative."""
-    for r in ratios:
+def _propagate(labels, edges, what: str) -> dict[Label, complex]:
+    """Assign values from ratio constraints value[v] = r * value[u], edges
+    [(u, v, r), ...], by breadth-first search: every ratio is validated
+    first, each component's lowest label (by str) gets 1, neighbours are
+    taken in edge order, and every non-tree edge is verified to BRIDGE_TOL,
+    relative, when the search reaches it."""
+    adj: dict[Label, list[tuple[Label, complex]]] = {lab: [] for lab in labels}
+    for u, v, r in edges:
         if r == 0 or not (math.isfinite(r.real) and math.isfinite(r.imag)):
             raise CorrespondenceError(f"degenerate {what} ratio {r!r}")
-    labels, tree, checks = plan
-    ratios = ratios + [1.0 / r for r in ratios]
-    values: list[complex] = []
-    for src, e in tree:
-        values.append(values[src] * ratios[e] if src >= 0 else 1.0 + 0.0j)
-    for src, dst, e in checks:
-        want = values[src] * ratios[e]
-        if abs(values[dst] - want) > BRIDGE_TOL * max(1.0, abs(want)):
-            raise CorrespondenceError(
-                f"inconsistent {what} constraint at {labels[dst]!r}: "
-                f"{values[dst]} vs {want} (input is not a true solution)")
-    return dict(zip(labels, values))
+        adj[u].append((v, r))
+        adj[v].append((u, 1.0 / r))
+    values: dict[Label, complex] = {}
+    for root in sorted(labels, key=str):
+        if root in values:
+            continue
+        values[root] = 1.0 + 0.0j
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, r in adj[u]:
+                want = values[u] * r
+                if v not in values:
+                    values[v] = want
+                    queue.append(v)
+                elif abs(values[v] - want) > BRIDGE_TOL * max(1.0, abs(want)):
+                    raise CorrespondenceError(
+                        f"inconsistent {what} constraint at {v!r}: "
+                        f"{values[v]} vs {want} (input is not a true solution)")
+    return values
 
 
 def _checked(potential: Potential, values: dict[Label, complex], what: str) -> Solution:
@@ -222,16 +201,14 @@ def w_to_z(diagram: LinkDiagram, w: Solution | Assignment) -> Solution:
         raise CorrespondenceError("diagram has kinks; no side potential exists")
     if not check_w_nondegenerate(diagram, a):
         raise CorrespondenceError("degenerate crossing: wj + wl = wk + wm")
-    ratios: list[complex] = []
+    edges = []
     for cr in diagram.crossings:
         r = side_ratios_from_w(cr, a)
         cyc = r[0] * r[1] * r[2] * r[3]
         if abs(cyc - 1.0) > 1e-10:
             raise CorrespondenceError(f"cyclic ratio product {cyc} != 1 at crossing {cr.sides}")
-        ratios.extend(r)
-    plan = _plan(diagram, "side", diagram.sides, lambda: [
-        p for cr in diagram.crossings for p in zip(cr.sides, cr.sides[1:] + cr.sides[:1])])
-    return _checked(assemble_V(diagram), _propagate(plan, ratios, "side"), "side")
+        edges.extend(zip(cr.sides, cr.sides[1:] + cr.sides[:1], r))
+    return _checked(assemble_V(diagram), _propagate(diagram.sides, edges, "side"), "side")
 
 
 def z_to_w(diagram: LinkDiagram, z: Solution | Assignment) -> Solution:
@@ -242,10 +219,9 @@ def z_to_w(diagram: LinkDiagram, z: Solution | Assignment) -> Solution:
     edges, quads = [], []
     for cr in diagram.crossings:
         pairs, quad = region_ratios_from_z(cr, a)
-        edges.extend(pairs)
+        edges.extend((den, num, val) for (num, den), val in pairs)
         quads.append(quad)
-    plan = _plan(diagram, "region", diagram.regions, lambda: [(den, num) for (num, den), _ in edges])
-    values = _propagate(plan, [val for _, val in edges], "region")
+    values = _propagate(diagram.regions, edges, "region")
     for cr, quad in zip(diagram.crossings, quads):
         wj, wk, wl, wm = _values(values, cr.regions)
         want = wj * wl / (wk * wm) if cr.sign > 0 else wk * wm / (wj * wl)

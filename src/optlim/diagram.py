@@ -80,8 +80,6 @@ class LinkDiagram:
     # Potentials assembled from this diagram, keyed by W variant or "V";
     # filled by potential.assemble_W / assemble_V.  Not part of the value.
     _potentials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # The bridge's propagation plans, keyed "side" or "region"; likewise.
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

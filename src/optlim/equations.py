@@ -182,7 +182,6 @@ class EquationSystem:
     unknowns: tuple[Label, ...]          # all variables except pin
 
     _coeffs: np.ndarray                  # (nvars, natoms) C, columns the atoms of _terms
-    _mu_matrix: np.ndarray               # C.T as complex; a flip, used once, keeps a view
     _exps: np.ndarray                    # (nmono, nvars) exponents of every distinct term monomial
     _terms: _Terms                       # shared by sign flips
     _mono_coeff: np.ndarray              # (nmono,) coefficients, as float
@@ -292,7 +291,7 @@ class EquationSystem:
         products can move it across.
         """
         w = self.point_from_assignment(a)
-        return self._logs(w, self.monomial_values(w))[0] @ self._mu_matrix
+        return self._logs(w, self.monomial_values(w))[0] @ self._coeffs.T
 
     def corrected_value(self, w: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -301,21 +300,19 @@ class EquationSystem:
         The monomial values are gathered once and logged in one plog call;
         W, the mu_k, their snapping to 2 pi i Z and the correction are all
         formed from them.  It calls the kernels behind plog and li2 on
-        arrays validated once each, and reads complex term signs and C
-        transposed, so numpy casts only a flip's C, which serves one pass;
-        errors and bits are those of plog and li2.  Returns the raw values
-        (...), the mu integers (..., nvars) in potential.variables order
-        and, for a region potential, the Bloch-Wigner sum
-        (bloch_wigner_volume) from the Li2 arguments and li2 values of W
-        itself, else None.  Raises
-        EvaluationError when some mu_k is more than MU_TOL from 2 pi i Z,
-        that is at a non-solution.
+        arrays validated once each; errors and bits are those of plog and
+        li2.  Returns the raw values (...), the mu integers (..., nvars) in
+        potential.variables order and, for a region potential, the
+        Bloch-Wigner sum (bloch_wigner_volume) from the Li2 arguments and
+        li2 values of W itself, else None.  Raises EvaluationError when
+        some mu_k is more than MU_TOL from 2 pi i Z, that is at a
+        non-solution.
         """
         w = np.asarray(w, dtype=complex)
         mv = self.monomial_values(w)
         arg = self._essential_arguments(mv)
         atom_logs, log_w = self._logs(w, mv)
-        k = _snap(atom_logs @ self._mu_matrix, MU_TOL, self.potential.variables)
+        k = _snap(atom_logs @ self._coeffs.T, MU_TOL, self.potential.variables)
         values = numerics._li2(numerics._as_complex(arg))
         raw = self._potential_value(values, atom_logs) - row_sums(2j * math.pi * k * log_w)
         bw = self._bloch_wigner_sum(arg, values) if self.potential.kind == "W" else None
@@ -467,8 +464,8 @@ class EquationSystem:
                                         exps, coeff)
         potential = Potential(tuple(terms), self.potential.variables, self.potential.kind)
         C = self._coeffs * eps[:, None]
-        system = EquationSystem(potential, self.pin, self.unknowns, _coeffs=C, _mu_matrix=C.T,
-                                _exps=exps, _terms=self._terms, _mono_coeff=coeff,
+        system = EquationSystem(potential, self.pin, self.unknowns, _coeffs=C, _exps=exps,
+                                _terms=self._terms, _mono_coeff=coeff,
                                 _value_gather=np.where(neg[table.gather_eps], table.gather_swapped,
                                                        self._value_gather),
                                 _value_starts=self._value_starts)
@@ -643,7 +640,6 @@ def _compile_system(potential: Potential) -> EquationSystem:
         pin=variables[-1],
         unknowns=variables[:-1],
         _coeffs=C,
-        _mu_matrix=C.T.astype(complex),
         _exps=exps,
         _terms=terms,
         _mono_coeff=np.array([m.coeff for m in monomials], dtype=float),

@@ -412,6 +412,25 @@ class TestVerify:
         assert statuses[0] == "error" and set(statuses[1:]) == {"ok"}
         assert doc["congruences_pass"] == doc["congruences_checked"] == len(statuses) - 1
 
+    def test_ratio_of_one_is_a_point_record(self, capsys, monkeypatch):
+        # T2's first closed-form point with two region values of crossing 0
+        # equal passes the nondegeneracy check, but the bridge cannot form
+        # u' = 1/(1-u) there.
+        d = builtin("T2")
+        cr = d.crossings[0]
+        roots = twistknot.poly_roots(twistknot.defining_poly(2))
+        a = dict(twistknot.parametrize(2, roots[0]).regions)
+        a[cr.regions[3]] = a[cr.regions[0]]
+        monkeypatch.setattr(cli.solver, "solve", lambda system, cfg: [solver.Solution(a, 0.0)])
+        code, out, err = run_cli(capsys, "--stable", "verify", "--builtin", "T2",
+                                 "--restarts", "8", "--seed", "0")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["solutions"] == [{
+            "residual": 0.0, "status": "error",
+            "detail": f"degenerate crossing {cr.regions}: a region ratio equals 1"}]
+        assert doc["congruences_checked"] == 0
+
     def test_empty_solution_set_exits_2(self, capsys):
         code, out, _ = run_cli(capsys, "--stable", "verify", "--builtin", "T5",
                                "--restarts", "64", "--seed", "0")
@@ -459,9 +478,9 @@ def test_stable_output_independent_of_hash_seed(argv):
     ("verify", "--builtin", "T2", "--sign-flip", "--trials", "5", "--restarts", "64", "--seed", "0"),
 ], ids=["twist-all", "verify-T2-sign-flip"])
 def test_repeated_runs_print_the_one_shot_bytes(capsys, argv):
-    # The twist roots and points, the bridge's propagation plans and the
-    # compiled systems kept from a first run change nothing in a second one,
-    # which prints the bytes of a fresh process.
+    # The twist roots and points and the compiled systems kept from a first
+    # run change nothing in a second one, which prints the bytes of a fresh
+    # process.
     clear_diagram_caches()
     twistknot._reference_points.cache_clear()
     runs = [run_cli(capsys, "--stable", *argv) for _ in range(2)]
