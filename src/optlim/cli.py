@@ -2,6 +2,8 @@
 the region/side correspondence.
 
 Exit codes: 0 success, 1 usage, input or validation error, 2 empty solution set.
+argparse enforces the input rules: solve and verify take exactly one of
+--pd, --builtin and --json, and twist exactly one of --n and --all.
 A verify exits 1 after its report when a point's bridge raises, its
 congruence fails or any of its sign-flip trials fails.  Reports are emitted
 as JSON on stdout with floats at 15 significant digits; --stable drops the
@@ -27,10 +29,6 @@ EXIT_INPUT = 1
 EXIT_EMPTY = 2
 
 
-class CliError(Exception):
-    pass
-
-
 def _round_floats(obj):
     if isinstance(obj, float):
         return float(f"{obj:.15g}")
@@ -43,21 +41,12 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(report: dict, stable: bool) -> None:
-    if stable:
-        report.pop("elapsed_seconds", None)
-    sys.stdout.write(json.dumps(_round_floats(report), indent=2, sort_keys=True) + "\n")
-
-
 def _load_diagram(args) -> tuple[diagram.LinkDiagram, diagram.ValidationReport]:
     """The chosen diagram and its validation report; DiagramError names the
     failed check of an invalid diagram."""
-    chosen = [x for x in (args.pd, args.builtin, args.json_file) if x]
-    if len(chosen) != 1:
-        raise CliError("specify exactly one of --pd, --builtin, --json")
-    if args.pd:
+    if args.pd is not None:
         d = diagram.build_diagram(diagram.parse_pd(args.pd))
-    elif args.builtin:
+    elif args.builtin is not None:
         d = diagram.builtin(args.builtin)
     else:
         with open(args.json_file, "r", encoding="utf-8") as fh:
@@ -67,10 +56,6 @@ def _load_diagram(args) -> tuple[diagram.LinkDiagram, diagram.ValidationReport]:
         failed = [check for check in ("euler_ok", "side_borders_ok") if not getattr(rep, check)]
         raise diagram.DiagramError(f"invalid diagram: {', '.join(failed)} failed")
     return d, rep
-
-
-def _solve_config(args) -> solver.SolveConfig:
-    return solver.SolveConfig(restarts=args.restarts, seed=args.seed)
 
 
 def _diagram_stats(rep: diagram.ValidationReport) -> dict:
@@ -84,12 +69,11 @@ def _diagram_stats(rep: diagram.ValidationReport) -> dict:
     }
 
 
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
+def cmd_solve(args) -> tuple[dict, int]:
     d, rep = _load_diagram(args)
     potential = assemble_W(d) if args.potential == "w" else assemble_V(d)
     system = build_system(potential)
-    cfg = _solve_config(args)
+    cfg = solver.SolveConfig(restarts=args.restarts, seed=args.seed)
     solutions = solver.solve(system, cfg)
     results = optimistic.w0_batch(potential, solutions)
     best_vol = max((r.vol for r in results), default=0.0)
@@ -116,20 +100,12 @@ def cmd_solve(args) -> int:
         "config": {"restarts": cfg.restarts, "seed": cfg.seed,
                    "residual_tol": solver.RESIDUAL_TOL},
         "solutions": records,
-        "elapsed_seconds": time.perf_counter() - t0,
     }
-    _emit(report, args.stable)
-    return EXIT_OK if solutions else EXIT_EMPTY
+    return report, EXIT_OK if solutions else EXIT_EMPTY
 
 
-def cmd_twist(args) -> int:
-    t0 = time.perf_counter()
-    if args.all:
-        indices = list(range(1, twistknot.MAX_INDEX + 1))
-    elif args.n is not None:
-        indices = [args.n]
-    else:
-        raise CliError("specify --n K or --all")
+def cmd_twist(args) -> tuple[dict, int]:
+    indices = range(1, twistknot.MAX_INDEX + 1) if args.all else [args.n]
     rows = []
     for n in indices:
         for rec in twistknot.reproduce_reference_table(n):
@@ -146,22 +122,19 @@ def cmd_twist(args) -> int:
         "command": "twist",
         "rows": rows,
         "all_pass": all(r["pass"] for r in rows),
-        "elapsed_seconds": time.perf_counter() - t0,
     }
     if args.fixtures_out:
         with open(args.fixtures_out, "w", encoding="utf-8") as fh:
             fh.write(twistknot.fixtures_json())
-    _emit(report, args.stable)
-    return EXIT_OK if report["all_pass"] else EXIT_INPUT
+    return report, EXIT_OK if report["all_pass"] else EXIT_INPUT
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args) -> tuple[dict, int]:
     if args.trials < 1:
-        raise CliError(f"--trials must be at least 1, got {args.trials}")
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     d, rep = _load_diagram(args)
     assemble_V(d)                       # a kinked diagram has no side potential to verify against
-    cfg = _solve_config(args)
+    cfg = solver.SolveConfig(restarts=args.restarts, seed=args.seed)
     potential = assemble_W(d)
     solutions = solver.solve(build_system(potential), cfg)
     records = []
@@ -203,23 +176,22 @@ def cmd_verify(args) -> int:
         "congruences_checked": sum(1 for r in records if r["status"] == "ok"),
         "congruences_pass": sum(1 for r in records
                                 if r.get("congruent_mod_4pi2") is True),
-        "elapsed_seconds": time.perf_counter() - t0,
     }
-    _emit(report, args.stable)
     if not solutions:
-        return EXIT_EMPTY
+        return report, EXIT_EMPTY
     if any(r["status"] == "error"
            or (r["status"] == "ok" and (not r["congruent_mod_4pi2"] or
                                         r.get("sign_flip_passes") != r.get("sign_flip_trials")))
            for r in records):
-        return EXIT_INPUT
-    return EXIT_OK
+        return report, EXIT_INPUT
+    return report, EXIT_OK
 
 
 def _add_diagram_args(p):
-    p.add_argument("--pd", help="PD code, e.g. 'X(4,2,5,1) X(8,6,1,5) ...'")
-    p.add_argument("--builtin", help="built-in diagram name: 4_1, 5_2, T1..T5")
-    p.add_argument("--json", dest="json_file", help="JSON crossing-list file")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--pd", help="PD code, e.g. 'X(4,2,5,1) X(8,6,1,5) ...'")
+    g.add_argument("--builtin", help="built-in diagram name: 4_1, 5_2, T1..T5")
+    g.add_argument("--json", dest="json_file", help="JSON crossing-list file")
 
 
 def _add_solver_args(p):
@@ -245,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_twist = sub.add_parser("twist", help="twist-knot reference regression")
-    p_twist.add_argument("--n", type=int, default=None)
-    p_twist.add_argument("--all", action="store_true")
+    g_twist = p_twist.add_mutually_exclusive_group(required=True)
+    g_twist.add_argument("--n", type=int)
+    g_twist.add_argument("--all", action="store_true")
     p_twist.add_argument("--fixtures-out", default=None,
                          help="also write the JSON fixtures file here")
     p_twist.set_defaults(func=cmd_twist)
@@ -265,12 +238,16 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:           # argparse has printed its usage or help
         return EXIT_INPUT if exc.code else EXIT_OK
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except (CliError, diagram.DiagramError, twistknot.TwistError,
-            EvaluationError, ValueError, OSError) as exc:
+        report, code = args.func(args)
+    except (ValueError, OSError) as exc:   # every optlim input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if not args.stable:
+        report["elapsed_seconds"] = time.perf_counter() - t0
+    sys.stdout.write(json.dumps(_round_floats(report), indent=2, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

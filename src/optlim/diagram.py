@@ -57,14 +57,6 @@ class Crossing:
         if self.sign not in (-1, 1):
             raise DiagramError(f"crossing sign must be +-1, got {self.sign}")
 
-    @property
-    def strand_roles(self) -> dict[str, Label]:
-        """Map under_in/under_out/over_in/over_out to side labels."""
-        a, b, c, d = self.sides
-        if self.sign > 0:
-            return {"under_in": c, "under_out": a, "over_in": d, "over_out": b}
-        return {"under_in": d, "under_out": b, "over_in": c, "over_out": a}
-
     def is_kinked(self) -> bool:
         """True when two adjacent corner sides coincide (Reidemeister-I loop)."""
         a, b, c, d = self.sides
@@ -269,15 +261,11 @@ def build_diagram(pd: Sequence[tuple[int, int, int, int]]) -> LinkDiagram:
     return LinkDiagram(tuple(crossings), region_labels, side_labels, ncomps)
 
 
-def from_crossings(crossings: Iterable[Crossing],
-                   regions: Sequence[Label] | None = None,
-                   sides: Sequence[Label] | None = None) -> LinkDiagram:
+def from_crossings(crossings: Iterable[Crossing]) -> LinkDiagram:
     """Assemble a diagram from explicit corner data, deriving label lists."""
     crossings = tuple(crossings)
-    if regions is None:
-        regions = _first_appearance(c.regions for c in crossings)
-    if sides is None:
-        sides = _first_appearance(c.sides for c in crossings)
+    regions = _first_appearance(c.regions for c in crossings)
+    sides = _first_appearance(c.sides for c in crossings)
     side_count: dict[Label, int] = {}
     for c in crossings:
         for s in c.sides:
@@ -286,7 +274,7 @@ def from_crossings(crossings: Iterable[Crossing],
     if bad:
         raise DiagramError(f"each side must occur at exactly two corners, violated by {bad}")
     ncomps = len(_strand_components(crossings))
-    return LinkDiagram(crossings, tuple(regions), tuple(sides), ncomps)
+    return LinkDiagram(crossings, regions, sides, ncomps)
 
 
 def _first_appearance(tuples) -> tuple:
@@ -301,9 +289,10 @@ def _strand_components(crossings: Sequence[Crossing]) -> list[list[Label]]:
     """Cycles of sides under the successor map in -> out at each crossing."""
     succ: dict[Label, Label] = {}
     for cr in crossings:
-        roles = cr.strand_roles
-        for key_in, key_out in (("under_in", "under_out"), ("over_in", "over_out")):
-            s_in, s_out = roles[key_in], roles[key_out]
+        a, b, c, d = cr.sides
+        # The under-strand's (in, out) sides, then the over-strand's.
+        pairs = ((c, a), (d, b)) if cr.sign > 0 else ((d, b), (c, a))
+        for s_in, s_out in pairs:
             if s_in in succ:
                 raise DiagramError(f"side {s_in!r} enters two crossings; orientation inconsistent")
             succ[s_in] = s_out
@@ -352,23 +341,6 @@ def validate(diagram: LinkDiagram) -> ValidationReport:
         euler_ok=(diagram.n == C + 2 and diagram.g == 2 * C),
         side_borders_ok=side_ok,
     )
-
-
-# ---------------------------------------------------------------------------
-# Relabeling
-
-
-def relabel(diagram: LinkDiagram, region_map: dict, side_map: dict) -> LinkDiagram:
-    crossings = tuple(
-        Crossing(c.sign,
-                 tuple(region_map[r] for r in c.regions),
-                 tuple(side_map[s] for s in c.sides))
-        for c in diagram.crossings
-    )
-    return LinkDiagram(crossings,
-                       tuple(region_map[r] for r in diagram.regions),
-                       tuple(side_map[s] for s in diagram.sides),
-                       diagram.components)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +434,10 @@ def builtin(name: str) -> LinkDiagram:
     potentials, systems and product kernels compiled on it.
     """
     if name == "4_1":
-        d = relabel(twist_diagram(1), _FIG8_REGION_MAP, _FIG8_SIDE_MAP)
-        return LinkDiagram(d.crossings, tuple(range(1, 7)), tuple(range(1, 9)), 1)
+        crossings = tuple(Crossing(c.sign, tuple(_FIG8_REGION_MAP[r] for r in c.regions),
+                                   tuple(_FIG8_SIDE_MAP[s] for s in c.sides))
+                          for c in twist_diagram(1).crossings)
+        return LinkDiagram(crossings, tuple(range(1, 7)), tuple(range(1, 9)), 1)
     if name == "5_2":
         return twist_diagram(2)
     m = re.fullmatch(r"T([0-9]+)", name)

@@ -124,11 +124,6 @@ def region_terms_W(sign: int, regions: tuple[Label, Label, Label, Label],
     return terms
 
 
-def crossing_terms_W(crossing: Crossing, variant: WNVariant = DEFAULT) -> list[Term]:
-    """The seven W-terms of one crossing (five dilogs, a constant, a log product)."""
-    return region_terms_W(crossing.sign, crossing.regions, variant)
-
-
 def crossing_terms_V(crossing: Crossing) -> list[Term]:
     """The four V-terms of one crossing.
 
@@ -156,7 +151,7 @@ def assemble_W(diagram: LinkDiagram, variant: WNVariant = DEFAULT) -> Potential:
     if potential is None:
         terms: list[Term] = []
         for crossing in diagram.crossings:
-            terms.extend(crossing_terms_W(crossing, variant))
+            terms.extend(region_terms_W(crossing.sign, crossing.regions, variant))
         potential = Potential(tuple(terms), tuple(diagram.regions), "W")
         diagram._potentials[variant] = potential
     return potential

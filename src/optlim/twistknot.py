@@ -94,16 +94,6 @@ def defining_poly(n: int) -> list[int]:
     return list(DEFINING_POLYNOMIALS[n])
 
 
-def _polyval(c: np.ndarray, x: np.complex128) -> np.complex128:
-    """The polynomial with ascending coefficients c at x, by Horner's rule
-    over numpy complex scalars in the order of np.polynomial.polynomial.polyval,
-    so the values are polyval's bit for bit."""
-    p = c[-1] + x * 0
-    for ci in c[-2::-1]:
-        p = ci + p * x
-    return p
-
-
 def poly_roots(coeffs) -> list[complex]:
     """All roots of a coefficient list (ascending powers), Newton-polished."""
     coeffs = [complex(c) for c in coeffs]
@@ -114,13 +104,16 @@ def poly_roots(coeffs) -> list[complex]:
     roots = np.roots(list(reversed(coeffs)))
     c = np.array(coeffs)
     dc = c[1:] * np.arange(1, len(c))
+    # numpy imports np.polynomial on first use, so a process that takes no
+    # roots, such as any `optlim solve`, never loads it.
+    polyval = np.polynomial.polynomial.polyval
     polished = []
     for r in roots:
         for _ in range(3):
-            d = _polyval(dc, r)
+            d = polyval(r, dc)
             if d == 0:
                 break
-            r = r - _polyval(c, r) / d
+            r = r - polyval(r, c) / d
         polished.append(complex(r))
     return sorted(polished, key=lambda z: (round(z.real, 12), z.imag))
 

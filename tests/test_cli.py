@@ -11,7 +11,8 @@ import pytest
 from optlim import CorrespondenceError, assemble_W, build_system, builtin, cli, solver, twistknot
 from optlim.cli import main
 
-from conftest import BORROMEAN_PD, KINKED_TREFOIL_PD, WHITEHEAD_PD, clear_diagram_caches
+from conftest import (BORROMEAN_PD, FIG8_PD, KINKED_TREFOIL_PD, WHITEHEAD_PD,
+                      clear_diagram_caches)
 from oracles import to_json_dict
 
 
@@ -55,9 +56,15 @@ class TestSolve:
         assert code == 1
         assert "error" in err
 
+    def test_empty_pd_exits_1(self, capsys):
+        # an empty --pd is still the chosen input, not a missing one
+        code, out, err = run_cli(capsys, "solve", "--pd", "")
+        assert (code, out, err) == (1, "", "error: empty PD code\n")
+
     def test_no_input_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "solve")
         assert code == 1
+        assert "one of the arguments --pd --builtin --json is required" in err
 
     def test_empty_solution_set_exits_2(self, capsys):
         # the flipped-clasp diagram has an empty side system
@@ -187,10 +194,17 @@ class TestUsage:
     usage line on stderr, and return a code instead of raising SystemExit."""
 
     @pytest.mark.parametrize("argv,message", [
-        (("solve", "--bogus"), "unrecognized arguments: --bogus"),
+        (("solve", "--builtin", "4_1", "--bogus"), "unrecognized arguments: --bogus"),
         (("solve", "--builtin", "4_1", "--restarts", "abc"), "invalid int value: 'abc'"),
         ((), "the following arguments are required: command"),
-    ], ids=["unknown-option", "non-integer-restarts", "no-command"])
+        (("twist", "--n", "3", "--all"), "argument --all: not allowed with argument --n"),
+        (("twist",), "one of the arguments --n --all is required"),
+        (("solve", "--pd", FIG8_PD, "--builtin", "4_1"),
+         "argument --builtin: not allowed with argument --pd"),
+        (("verify", "--pd", FIG8_PD, "--builtin", "4_1"),
+         "argument --builtin: not allowed with argument --pd"),
+    ], ids=["unknown-option", "non-integer-restarts", "no-command", "twist-n-and-all",
+            "twist-neither", "solve-two-inputs", "verify-two-inputs"])
     def test_usage_error_exits_1(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -216,7 +230,8 @@ class TestUsage:
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run([sys.executable, "-m", "optlim.cli", "solve", "--bogus"],
+        proc = subprocess.run([sys.executable, "-m", "optlim.cli", "solve", "--builtin", "4_1",
+                               "--bogus"],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 1
         assert proc.stdout == ""

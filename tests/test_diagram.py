@@ -233,5 +233,10 @@ class TestCrossing:
         assert c.is_kinked()
 
     def test_from_crossings_counts_components(self):
-        d = from_crossings(builtin("4_1").crossings)
-        assert d.components == 1
+        assert from_crossings(builtin("4_1").crossings).components == 1
+        # The links trace each crossing's under- and over-strand in -> out
+        # pairs across components.
+        for pd, components in ((WHITEHEAD_PD, 2), (BORROMEAN_PD, 3)):
+            d = build_diagram(parse_pd(pd))
+            assert d.components == components
+            assert from_crossings(d.crossings).components == d.components

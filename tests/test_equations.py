@@ -46,9 +46,9 @@ class TestLogDerivative:
     def test_corner_product_positive_crossing(self, fig8):
         # exp(mu_j) of one positive block equals q' * (wm/wj)'' * (wk/wj)''
         from optlim.diagram import Crossing
-        from optlim.potential import crossing_terms_W
+        from optlim.potential import region_terms_W
         c = Crossing(+1, ("j", "k", "l", "m"), (1, 2, 3, 4))
-        p = Potential(tuple(crossing_terms_W(c)), ("j", "k", "l", "m"), "W")
+        p = Potential(tuple(region_terms_W(c.sign, c.regions)), ("j", "k", "l", "m"), "W")
         system = build_system(p)
         rng = make_rng(11)
         for _ in range(25):

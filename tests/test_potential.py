@@ -8,7 +8,7 @@ import pytest
 from optlim import (ALT_NEG_LOG, DEFAULT, Monomial, Term, assemble_V,
                     assemble_W, build_diagram, builtin, evaluate, parse_pd)
 from optlim.diagram import Crossing, DiagramError
-from optlim.potential import EvaluationError, Potential, crossing_terms_V, crossing_terms_W
+from optlim.potential import EvaluationError, Potential, crossing_terms_V, region_terms_W
 
 from conftest import dilog_monomials, make_rng
 from oracles import monomial_value
@@ -58,16 +58,16 @@ FIG8_PRINTED = (
 class TestCrossingTermsW:
     def test_positive_crossing_block(self):
         c = Crossing(+1, (4, 2, 1, 3), (1, 2, 3, 4))
-        assert Counter(crossing_terms_W(c)) == Counter(pos_terms(4, 2, 1, 3))
+        assert Counter(region_terms_W(c.sign, c.regions)) == Counter(pos_terms(4, 2, 1, 3))
 
     def test_negative_crossing_block(self):
         c = Crossing(-1, (5, 6, 2, 4), (1, 2, 3, 4))
-        assert Counter(crossing_terms_W(c)) == Counter(neg_terms(5, 6, 2, 4))
+        assert Counter(region_terms_W(c.sign, c.regions)) == Counter(neg_terms(5, 6, 2, 4))
 
     def test_alt_variant_changes_only_logprod(self):
         c = Crossing(-1, (5, 6, 2, 4), (1, 2, 3, 4))
-        default = crossing_terms_W(c, DEFAULT)
-        alt = crossing_terms_W(c, ALT_NEG_LOG)
+        default = region_terms_W(c.sign, c.regions, DEFAULT)
+        alt = region_terms_W(c.sign, c.regions, ALT_NEG_LOG)
         assert Counter(t for t in default if t.kind != "logprod") == \
             Counter(t for t in alt if t.kind != "logprod")
         (lp,) = [t for t in alt if t.kind == "logprod"]
@@ -76,14 +76,14 @@ class TestCrossingTermsW:
     def test_monomials_have_degree_zero(self):
         for sign in (+1, -1):
             c = Crossing(sign, (1, 2, 3, 4), (1, 2, 3, 4))
-            for t in crossing_terms_W(c):
+            for t in region_terms_W(c.sign, c.regions):
                 for m in (t.m1, t.m2):
                     if m is not None:
                         assert sum(e for _, e in m.exps) == 0
 
     def test_repeated_regions_accumulate(self):
         c = Crossing(+1, (1, 2, 1, 2), (1, 2, 3, 4))
-        quad_term = [t for t in crossing_terms_W(c) if t.kind == "dilog"
+        quad_term = [t for t in region_terms_W(c.sign, c.regions) if t.kind == "dilog"
                      and len(t.m1.exps) == 2 and abs(t.m1.exps[0][1]) == 2]
         assert quad_term  # (w1*w1)/(w2*w2) collapses to exponents +-2
 
@@ -105,8 +105,8 @@ class TestAssembleW:
     def test_mirror_negates_dilog_pattern(self, fig8):
         mirrored = [Crossing(-c.sign, c.regions, c.sides) for c in fig8.crossings]
         for orig, mirr in zip(fig8.crossings, mirrored):
-            t_orig = crossing_terms_W(orig)
-            t_mirr = crossing_terms_W(mirr)
+            t_orig = region_terms_W(orig.sign, orig.regions)
+            t_mirr = region_terms_W(mirr.sign, mirr.regions)
             flipped = Counter(
                 Term(t.kind, -t.sign, t.m1, t.m2) for t in t_orig
                 if t.kind in ("dilog", "const"))

@@ -59,7 +59,7 @@ class TestPolyRoots:
 
     def test_polish_equals_polynomial_objects(self):
         # The Newton polish by np.polynomial.Polynomial objects is the
-        # reference; the Horner loop gives its roots bit for bit, the
+        # reference; polyval gives its roots bit for bit, the
         # imaginary zeros of the real roots included.
         for coeffs in [defining_poly(n) for n in range(1, 6)] + [[1, 2, 1], [-1, 0, 0, 1]]:
             c = [complex(v) for v in coeffs]
