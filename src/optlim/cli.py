@@ -190,7 +190,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 def _add_diagram_args(p):
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--pd", help="PD code, e.g. 'X(4,2,5,1) X(8,6,1,5) ...'")
-    g.add_argument("--builtin", help="built-in diagram name: 4_1, 5_2, T1..T5")
+    g.add_argument("--builtin", help=f"built-in diagram name: 4_1, 5_2, T1..T{twistknot.MAX_INDEX}")
     g.add_argument("--json", dest="json_file", help="JSON crossing-list file")
 
 

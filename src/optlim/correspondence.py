@@ -283,11 +283,9 @@ def sign_flip(potential: Potential, taus, epsilons) -> Potential:
     taus and epsilons are dicts over the variables or sequences in
     potential.variables order, every value +-1.  The result carries its
     equation system, derived from the base potential's
-    (EquationSystem.sign_flipped) instead of compiled.  Its terms come from
-    the base system's flip table: one array pass keys every monomial by the
-    eps of its own variables and its tau parity, and each term is looked up
-    under its monomials' keys, so flipped monomials and terms are built once
-    per base system and key and shared by every later flip.
+    (EquationSystem.sign_flipped) instead of compiled: the base system's
+    arrays times the signs.  Its terms are spelled out the first time they
+    are read; w0 reads only the arrays.
     """
     taus = _normalize_signs(potential, taus)
     epsilons = _normalize_signs(potential, epsilons)

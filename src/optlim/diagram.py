@@ -427,12 +427,15 @@ _FIG8_SIDE_MAP = {"a": 1, "b": 2, "x0": 3, "y0": 4, "x1": 5, "y1": 6, "x2": 7, "
 
 @cache
 def builtin(name: str) -> LinkDiagram:
-    """Built-in diagrams: '4_1', '5_2' and the twist family 'T1'..'T5'.
+    """Built-in diagrams: '4_1', '5_2' and the twist family 'T1', 'T2', ...
+    up to twistknot.MAX_INDEX, spelled exactly so.
 
     A built-in diagram is a constant, built once per process: the same
     name returns the same object ('5_2' is 'T2'), and with it the
     potentials, systems and product kernels compiled on it.
     """
+    from .twistknot import MAX_INDEX
+
     if name == "4_1":
         crossings = tuple(Crossing(c.sign, tuple(_FIG8_REGION_MAP[r] for r in c.regions),
                                    tuple(_FIG8_SIDE_MAP[s] for s in c.sides))
@@ -440,9 +443,6 @@ def builtin(name: str) -> LinkDiagram:
         return LinkDiagram(crossings, tuple(range(1, 7)), tuple(range(1, 9)), 1)
     if name == "5_2":
         return twist_diagram(2)
-    m = re.fullmatch(r"T([0-9]+)", name)
-    if m:
-        idx = int(m.group(1))
-        if 1 <= idx <= 5:
-            return twist_diagram(idx)
+    if name in [f"T{n}" for n in range(1, MAX_INDEX + 1)]:
+        return twist_diagram(int(name[1:]))
     raise DiagramError(f"unknown built-in diagram {name!r}")

@@ -48,16 +48,16 @@ margin read the same gather.
 Each system is compiled once.  build_system keeps the system on the
 potential object and hands back that one on every later call; a
 sign-flipped potential carries a system derived from its base's
-(EquationSystem.sign_flipped), so it is never compiled.  A flip reads a
-flip table compiled once per system from its exponent matrix: one array
-pass gives every monomial a small integer key (the eps bits of its own
-variables and its tau parity), and the flipped monomials and terms come
-from per-index caches under those keys.
+(EquationSystem.sign_flipped), so it is never compiled.  A flip keeps
+every monomial and atom in place: its exponents, coefficients, value
+gather and C are its base's times the signs, in a few array operations,
+and its terms are spelled out only when something reads them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -191,10 +191,6 @@ class EquationSystem:
     @cached_property
     def _products(self) -> _Products:
         return _compile_products(self)
-
-    @cached_property
-    def _flip_table(self) -> _FlipTable:
-        return _compile_flip_table(self)
 
     @property
     def size(self) -> int:
@@ -436,135 +432,78 @@ class EquationSystem:
         self.potential, the signs given over potential.variables; that flipped
         potential is its .potential and keeps it where build_system finds it.
 
-        deg_v of a flipped monomial is eps_v deg_v of the original, so row v
-        of C becomes row v of C times eps_v over the same atoms.  The term
-        arrays are shared; the exponents are multiplied by eps, the
-        coefficients by the tau parity signs, and the value gather swaps the
-        w and 1/w indices of the eps_v = -1 variables, so a flip compiles
-        nothing.  The flipped terms come from
-        the flip table (_FlipTable): one matmul gives every key, and each
-        term is one cache lookup.  The arrays equal those a fresh compile of
-        the flipped potential gives whenever the flip keeps the order of
-        every log product's two monomials.
+        A flip keeps every monomial and atom in place, so the arrays are
+        derived from self's and nothing is compiled: the exponents are
+        multiplied by eps, each coefficient by (-1)^(number of its odd
+        exponents at tau_v = -1), the value gather reads 1/w_v for w_v and
+        w_v for 1/w_v where eps_v = -1, and, since deg_v of a flipped
+        monomial is eps_v deg_v of the original, row v of C is multiplied
+        by eps_v.  The term arrays are shared.  The flipped potential's
+        terms are spelled out only when read (_FlippedTerms).  The arrays
+        equal those a fresh compile of the flipped potential gives whenever
+        the flip keeps the order of every log product's two monomials.
         """
-        table = self._flip_table
-        nmono = len(self._mono_coeff)
-        # The trailing +1 is the sign the trailing 1 of the value gather reads.
-        signs = np.array([*taus, *epsilons, 1])
-        neg = signs < 0
-        counts = neg @ table.key_matrix
-        term_keys = (counts[nmono:] & table.term_mask).tolist()
-        eps = signs[len(taus):-1]
+        eps = np.array(epsilons)
+        odd = (self._exps[:, np.array(taus) < 0] % 2).sum(axis=1) % 2
+        coeff = self._mono_coeff * np.where(odd, -1.0, 1.0)
+        # Positions in [w, 1/w, 1], w_v and 1/w_v exchanged where eps_v = -1.
+        v, inv = np.arange(len(eps)), np.arange(len(eps), 2 * len(eps))
+        swap = np.concatenate((np.where(eps < 0, inv, v), np.where(eps < 0, v, inv), [2 * len(v)]))
         exps = self._exps * eps
-        coeff = self._mono_coeff * _PARITY_SIGN[counts[:nmono] & 1]
-        try:
-            terms = [cache[k] for cache, k in zip(table.term_cache, term_keys)]
-        except KeyError:
-            terms = table.flipped_terms(self, term_keys, (counts[:nmono] & table.mono_mask).tolist(),
-                                        exps, coeff)
-        potential = Potential(tuple(terms), self.potential.variables, self.potential.kind)
-        C = self._coeffs * eps[:, None]
-        system = EquationSystem(potential, self.pin, self.unknowns, _coeffs=C, _exps=exps,
+        base = self.potential.terms
+        terms = _FlippedTerms(base.base if isinstance(base, _FlippedTerms) else base,
+                              self.potential.variables, exps, coeff, self._terms.term_mono)
+        potential = Potential(terms, self.potential.variables, self.potential.kind)
+        system = EquationSystem(potential, self.pin, self.unknowns,
+                                _coeffs=self._coeffs * eps[:, None], _exps=exps,
                                 _terms=self._terms, _mono_coeff=coeff,
-                                _value_gather=np.where(neg[table.gather_eps], table.gather_swapped,
-                                                       self._value_gather),
+                                _value_gather=swap[self._value_gather],
                                 _value_starts=self._value_starts)
         object.__setattr__(potential, "_system", system)
         return system
 
 
-# The coefficient sign of a flipped monomial, by its tau parity.
-_PARITY_SIGN = np.array([1.0, -1.0])
-
 # The last two slots of jacobian_at's [g, 1, 0].
 _ONE_ZERO = np.array([1.0, 0.0], dtype=complex)
 
 
-@dataclass(frozen=True)
-class _FlipTable:
-    """The sign flips w_v -> tau_v w_v^eps_v of a system's terms.
-
-    A flip keeps each monomial's variables and their order, so the flipped
-    monomial depends only on the eps of its own variables and on its tau
-    parity (the number of odd-exponent variables with tau_v = -1, mod 2).
-    Its key packs them into one integer, bit 0 the parity and one bit per
-    own variable's eps above, so a monomial with k variables has at most
-    2^(k+1) flips; a term's key packs its monomials' keys side by side.
-
-    The sign vector of a flip, its tau < 0 and eps < 0 bits over the
-    variables and a trailing 0, times key_matrix gives every monomial's and
-    term's key at once, except that the low bits of each hold the whole
-    count of odd-exponent variables with tau_v = -1, clear of the eps bits;
-    the masks keep only its parity.  Flipped monomials and terms are cached per
-    index under those keys.  The same sign vector gives each value gather
-    entry's eps by index.
+class _FlippedTerms(abc.Sequence):
+    """The terms of a sign-flipped potential, spelled out the first time
+    they are read: base's kinds and signs over the monomials that
+    Monomial.from_pairs makes of the flipped exponent rows and
+    coefficients, indexed by term_mono.  The W0 pass reads only the
+    flipped system's arrays, so a flip that is only evaluated builds no
+    Monomial or Term.  Compares and hashes as the tuple of its terms.
     """
 
-    key_matrix: np.ndarray       # (2 nvars + 1, nmono + nterms) monomial columns, then term columns
-    mono_mask: int
-    term_mask: int
-    own: tuple[np.ndarray, ...]  # per monomial, its variables' positions in Monomial.exps order
-    mono_cache: list[dict[int, Monomial]]
-    term_cache: list[dict[int, Term]]   # a constant's one entry is the term itself
-    gather_eps: np.ndarray       # sign index of each value gather entry's eps
-    gather_swapped: np.ndarray   # the value gather with every w and 1/w swapped
+    def __init__(self, base: Sequence[Term], variables: Sequence[Label], exps: np.ndarray,
+                 coeff: np.ndarray, term_mono: np.ndarray):
+        self.base = base
+        self._spec = variables, exps, coeff, term_mono
 
-    def flipped_terms(self, system: EquationSystem, term_keys: list[int], mono_keys: list[int],
-                      exps: np.ndarray, coeff: np.ndarray) -> list[Term]:
-        """The terms under term_keys, building and caching the missing ones
-        from the flipped exponents and coefficients."""
-        def monomial(i: int) -> Monomial:
-            cache = self.mono_cache[i]
-            m = cache.get(mono_keys[i])
-            if m is None:
-                own = self.own[i]
-                m = cache[mono_keys[i]] = Monomial(
-                    tuple(zip([system.potential.variables[p] for p in own],
-                              exps[i, own].tolist())),
-                    int(coeff[i]))
-            return m
+    @cached_property
+    def _tuple(self) -> tuple[Term, ...]:
+        variables, exps, coeff, term_mono = self._spec
+        monomials = [Monomial.from_pairs([(v, e) for v, e in zip(variables, row) if e], int(c))
+                     for row, c in zip(exps.tolist(), coeff.tolist())]
+        return tuple(t if i1 < 0 else Term.dilog(t.sign, monomials[i1]) if i2 < 0
+                     else Term.logprod(t.sign, monomials[i1], monomials[i2])
+                     for t, (i1, i2) in zip(self.base, term_mono.tolist()))
 
-        terms = []
-        for cache, k, t, (i1, i2) in zip(self.term_cache, term_keys, system.potential.terms,
-                                         system._terms.term_mono.tolist()):
-            out = cache.get(k)
-            if out is None:
-                out = cache[k] = (Term.dilog(t.sign, monomial(i1)) if i2 < 0
-                                  else Term.logprod(t.sign, monomial(i1), monomial(i2)))
-            terms.append(out)
-        return terms
+    def __len__(self) -> int:
+        return len(self.base)
 
+    def __getitem__(self, i):
+        return self._tuple[i]
 
-def _compile_flip_table(system: EquationSystem) -> _FlipTable:
-    exps = system._exps
-    nmono, nv = exps.shape
-    # Monomial.exps lists a monomial's variables sorted by name.
-    by_name = sorted(range(nv), key=lambda p: str(system.potential.variables[p]))
-    own = tuple(np.array([p for p in by_name if row[p]], dtype=np.intp) for row in exps.tolist())
-    width = max((len(p) for p in own), default=0)
-    low = width.bit_length()            # bits that hold any odd-exponent count
-    mono = np.zeros((2 * nv + 1, nmono + 1), dtype=np.intp)   # the last column: no monomial
-    mono[:nv, :nmono] = (exps % 2).T
-    for i, positions in enumerate(own):
-        mono[nv + positions, i] = 1 << np.arange(low, low + len(positions))
-    term_mono = system._terms.term_mono
-    shift = low + width
-    count_bits = (1 << low) - 2
-    # Each gather entry reads w_p (index p), 1/w_p (nv + p) or the trailing 1 (2 nv).
-    gather = system._value_gather
-    var = np.where(gather < nv, gather, gather - nv)
-    return _FlipTable(
-        key_matrix=np.concatenate((mono[:, :nmono],
-                                   (mono[:, term_mono[:, 0]] << shift) + mono[:, term_mono[:, 1]]),
-                                  axis=1),
-        mono_mask=~count_bits,
-        term_mask=~((count_bits << shift) | count_bits),
-        own=own,
-        mono_cache=[{} for _ in own],
-        term_cache=[{0: t} if t.kind == "const" else {} for t in system.potential.terms],
-        gather_eps=nv + var,
-        gather_swapped=np.where(gather < nv, gather + nv, np.where(gather < 2 * nv, var, gather)),
-    )
+    def __eq__(self, other) -> bool:
+        return self._tuple == (other._tuple if isinstance(other, _FlippedTerms) else other)
+
+    def __hash__(self) -> int:
+        return hash(self._tuple)
+
+    def __repr__(self) -> str:
+        return repr(self._tuple)
 
 
 def _degeneracy(w: np.ndarray, base: np.ndarray) -> str:
@@ -605,8 +544,8 @@ def _gather(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _exponents(monomials: Sequence[Monomial], variables: Sequence[Label]) -> np.ndarray:
     """The exponent matrix (nmono, nvars) of the monomials over the variables,
-    from which C, the value gather, the product kernel and the flip table
-    are built."""
+    from which C, the value gather and the product kernel are built, and,
+    times eps, a sign flip's exponents and value gather."""
     var_index = {v: i for i, v in enumerate(variables)}
     exps = np.zeros((len(monomials), len(variables)), dtype=np.intp)
     for i, m in enumerate(monomials):

@@ -25,7 +25,7 @@ potential does this with array arithmetic; see equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Literal, Mapping
+from typing import TYPE_CHECKING, Iterable, Literal, Mapping, Sequence
 
 from .diagram import Crossing, DiagramError, Label, LinkDiagram
 
@@ -94,7 +94,7 @@ class Term:
 
 @dataclass(frozen=True)
 class Potential:
-    terms: tuple[Term, ...]
+    terms: Sequence[Term]
     variables: tuple[Label, ...]
     kind: Literal["W", "V"]
     # The potential's EquationSystem, set once by

@@ -6,8 +6,10 @@ computes: a monomial's value as a product of Python complex powers
 its printed block structure
 (against assemble_W of the twist diagram), the region values w_k as
 closed forms in t and the recurrence extended by one step (against
-twistknot.parametrize), a PD code rendered from a diagram with a
-relabeling-invariant comparison of diagrams (against build_diagram),
+twistknot.parametrize), the defining polynomial of t derived exactly from
+that extended recurrence (against twistknot.DEFINING_POLYNOMIALS), a PD
+code rendered from a diagram with a relabeling-invariant comparison of
+diagrams (against build_diagram),
 a diagram written as a JSON crossing list (against from_json_dict),
 the two dilogarithm identities and the volume additivity of one crossing
 octahedron's four-term and five-term shapes (against li2, plog and
@@ -17,7 +19,9 @@ casts to complex on every call (against numerics._li2, bit for bit).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +74,94 @@ def recurrence_closure(n: int, t: complex) -> tuple[complex, complex]:
         raise TwistError("closure denominator vanished")
     return (p.x(n) * p.y(n) / dx,
             p.x(n) + p.y(n) - p.x(n) * p.y(n) / p.y(n - 1))
+
+
+# ---------------------------------------------------------------------------
+# The defining polynomial from the recurrence, exactly
+#
+# A polynomial is a list of Fraction coefficients in ascending powers of t
+# without trailing zeros; a rational function is a (numerator, denominator)
+# pair of them in lowest terms with a monic denominator.
+
+
+def _poly_mul(p: list, q: list) -> list:
+    out = [Fraction(0)] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_add(p: list, q: list) -> list:
+    out = [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+           for i in range(max(len(p), len(q)))]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_divmod(p: list, q: list) -> tuple[list, list]:
+    rem, quot = list(p), [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    while len(rem) >= len(q):
+        c, k = rem[-1] / q[-1], len(rem) - len(q)
+        quot[k] = c
+        for i, b in enumerate(q):
+            rem[i + k] -= c * b
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quot, rem
+
+
+def _poly_gcd(p: list, q: list) -> list:
+    """The monic gcd, by Euclid's algorithm over the rationals."""
+    while q:
+        p, q = q, _poly_divmod(p, q)[1]
+    return [c / p[-1] for c in p]
+
+
+def _ratio(num: list, den: list) -> tuple[list, list]:
+    g = _poly_gcd(num, den)
+    num, den = _poly_divmod(num, g)[0], _poly_divmod(den, g)[0]
+    return [c / den[-1] for c in num], [c / den[-1] for c in den]
+
+
+def _rf_add(a, b, sign: int = 1):
+    return _ratio(_poly_add(_poly_mul(a[0], b[1]), [sign * c for c in _poly_mul(b[0], a[1])]),
+                  _poly_mul(a[1], b[1]))
+
+
+def _rf_mul(a, b):
+    return _ratio(_poly_mul(a[0], b[0]), _poly_mul(a[1], b[1]))
+
+
+def _rf_div(a, b):
+    return _ratio(_poly_mul(a[0], b[1]), _poly_mul(a[1], b[0]))
+
+
+def recurrence_polynomial(n: int) -> list[int]:
+    """The primitive integer polynomial (ascending, positive leading
+    coefficient) whose roots t close the twist recurrence at index n.
+
+    Runs parametrize's recurrence one step past n on rational functions of
+    t with exact rational coefficients and returns the primitive gcd of the
+    numerators of x_{n+1} - 3 and y_{n+1} - 1.
+    """
+    def poly(*coeffs):
+        return [Fraction(c) for c in coeffs]
+
+    # x0 = t, x1 = t(t+2)/(t^2 - 4t + 8), y0 = (t+2)/t, y1 = 4/t
+    x = [(poly(0, 1), poly(1)), _ratio(poly(0, 2, 1), poly(8, -4, 1))]
+    y = [(poly(2, 1), poly(0, 1)), (poly(4), poly(0, 1))]
+    for k in range(1, n + 1):
+        xy = _rf_mul(x[k], y[k])
+        x.append(_rf_div(xy, _rf_add(_rf_add(x[k], y[k]), x[k - 1], -1)))
+        y.append(_rf_add(_rf_add(x[k], y[k]), _rf_div(xy, y[k - 1]), -1))
+    g = _poly_gcd(_rf_add(x[n + 1], (poly(3), poly(1)), -1)[0],
+                  _rf_add(y[n + 1], (poly(1), poly(1)), -1)[0])
+    scale = math.lcm(*(c.denominator for c in g))
+    ints = [int(c * scale) for c in g]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
 
 
 def region_closed_form(k: int, t: complex) -> complex:

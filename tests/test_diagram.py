@@ -213,7 +213,7 @@ class TestBuiltin:
         assert is_isomorphic(fig8, twist_diagram(1))
 
     def test_unknown_names(self):
-        for bad in ("T0", "T6", "unknot", "8_19"):
+        for bad in ("T0", "T6", "T05", "T+5", "unknot", "8_19"):
             with pytest.raises(DiagramError):
                 builtin(bad)
 

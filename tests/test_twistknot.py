@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from optlim import assemble_V, assemble_W, build_system, builtin, evaluate
-from optlim.twistknot import (REFERENCE_TOL, TwistError, defining_poly, fixtures_json,
-                              match_reference_row, parametrize, poly_roots,
+from optlim.twistknot import (DEFINING_POLYNOMIALS, REFERENCE_TOL, TwistError, defining_poly,
+                              fixtures_json, match_reference_row, parametrize, poly_roots,
                               reproduce_reference_table)
 
-from oracles import (eval_poly, recurrence_closure, reference_rows, region_closed_form,
-                     twist_potential)
+from oracles import (eval_poly, recurrence_closure, recurrence_polynomial, reference_rows,
+                     region_closed_form, twist_potential)
 
 
 class TestDefiningPolynomials:
@@ -30,6 +30,24 @@ class TestDefiningPolynomials:
     def test_degree_matches_row_count(self):
         for n in range(1, 6):
             assert len(defining_poly(n)) - 1 == len(reference_rows(n))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_table_is_the_closure_of_the_recurrence(self, n):
+        # The printed table holds the primitive polynomial times its content.
+        content = 2 if n == 4 else 1
+        assert math.gcd(*DEFINING_POLYNOMIALS[n]) == content
+        assert DEFINING_POLYNOMIALS[n] == [content * c for c in recurrence_polynomial(n)]
+
+    def test_leading_and_constant_coefficients(self):
+        leads = []
+        for n in range(1, 6):
+            p = DEFINING_POLYNOMIALS[n]
+            content = math.gcd(*p)
+            assert p[-1] > 0
+            leads.append(p[-1] // content)
+            assert p[0] == content * (-4) ** (n + 1)
+        assert leads == [3, 7, 17, 41, 99]
+        assert all(a == 2 * b + c for a, b, c in zip(leads[2:], leads[1:], leads))
 
 
 class TestPolyRoots:
