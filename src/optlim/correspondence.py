@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import Crossing, Label, LinkDiagram
-from .equations import build_system
+from .equations import _FlippedTerms, attach_system, build_system
 from .numerics import PI2
 from .optimistic import OptimisticResult, mod_eq, w0
 from .potential import Assignment, EvaluationError, Potential, assemble_V, assemble_W
@@ -289,14 +289,19 @@ def sign_flip(potential: Potential, taus, epsilons) -> Potential:
     """
     taus = _normalize_signs(potential, taus)
     epsilons = _normalize_signs(potential, epsilons)
-    return build_system(potential).sign_flipped(taus, epsilons).potential
+    system = build_system(potential).sign_flipped(taus, epsilons)
+    return attach_system(Potential(_FlippedTerms(potential.terms, system), potential.variables,
+                                   potential.kind), system)
 
 
 def sign_flip_point(potential: Potential, taus, epsilons, a: Assignment) -> dict[Label, complex]:
-    """The transformed solution (tau_k w_k^(eps_k)) matching sign_flip."""
+    """The transformed solution (tau_k w_k^(eps_k)) matching sign_flip;
+    EvaluationError when a variable is missing, or is 0 where eps_k = -1."""
     taus = _normalize_signs(potential, taus)
     epsilons = _normalize_signs(potential, epsilons)
     try:
         return {v: t * complex(a[v]) ** e for v, t, e in zip(potential.variables, taus, epsilons)}
     except KeyError as exc:
         raise EvaluationError(f"variable {exc.args[0]!r} not assigned") from None
+    except ZeroDivisionError:
+        raise EvaluationError("zero variable value") from None

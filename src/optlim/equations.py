@@ -47,11 +47,16 @@ margin read the same gather.
 
 Each system is compiled once.  build_system keeps the system on the
 potential object and hands back that one on every later call; a
-sign-flipped potential carries a system derived from its base's
-(EquationSystem.sign_flipped), so it is never compiled.  A flip keeps
-every monomial and atom in place: its exponents, coefficients, value
-gather and C are its base's times the signs, in a few array operations,
-and its terms are spelled out only when something reads them.
+sign-flipped potential (correspondence.sign_flip) carries a system
+derived from its base's (EquationSystem.sign_flipped), so it is never
+compiled.  A flip keeps every monomial and atom in place: its exponents,
+coefficients, value gather and C are its base's times the signs, in a
+few array operations, and its terms are spelled out only when something
+reads them (_FlippedTerms).  Ownership runs one way: a diagram keeps its
+potentials, a potential its system, a system its product kernel.  A
+system keeps only the variable order and the kind of its potential, not
+the potential, so a dropped diagram, potential or flip is freed by
+reference counting, and a pickled system carries no Term.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ import math
 from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -148,7 +153,7 @@ class _Products:
     factors are stored complex: numpy would cast them to complex on every
     call, to the same values."""
 
-    mono_gather: np.ndarray      # indices into [w, 1/w, 1], w in potential.variables order
+    mono_gather: np.ndarray      # indices into [w, 1/w, 1], w in variables order
     mono_starts: np.ndarray      # (natoms,) reduceat boundaries of mono_gather
     atom_coeff: np.ndarray       # (natoms,) -coeff(m) for (1-m) atoms, coeff(m) for m
     atom_is_1m: np.ndarray       # (natoms,) 1 for (1-m) atoms, 0 for m atoms
@@ -166,10 +171,12 @@ class _Products:
 @dataclass(frozen=True, eq=False)
 class EquationSystem:
     """Compiled log-derivatives of a potential, the integer matrix C with
-    one row per variable in potential.variables order, so the pin's
+    one row per variable in the potential's variable order, so the pin's
     redundant equation is the last row, and the potential's terms as index
     arrays into the same monomials and atoms.
 
+    Of its potential it keeps only the variable order and the kind, and
+    no reference: the potential refers to the system, not back.
     mu() and corrected_value() read every row of C.  The product kernel of
     the unknowns' equations, which residual_state() evaluates and
     jacobian_at() differentiates, is compiled from the other rows on first
@@ -177,15 +184,14 @@ class EquationSystem:
     compares and hashes by identity, so a weak map can key on it.
     """
 
-    potential: Potential
-    pin: Label                           # the last variable
-    unknowns: tuple[Label, ...]          # all variables except pin
+    variables: tuple[Label, ...]         # the potential's variables; the last is the pin
+    kind: Literal["W", "V"]              # the potential's kind; "W" has a Bloch-Wigner sum
 
     _coeffs: np.ndarray                  # (nvars, natoms) C, columns the atoms of _terms
     _exps: np.ndarray                    # (nmono, nvars) exponents of every distinct term monomial
     _terms: _Terms                       # shared by sign flips
     _mono_coeff: np.ndarray              # (nmono,) coefficients, as float
-    _value_gather: np.ndarray            # indices into [w, 1/w, 1], w in potential.variables order
+    _value_gather: np.ndarray            # indices into [w, 1/w, 1], w in variables order
     _value_starts: np.ndarray            # (nmono,) reduceat boundaries of _value_gather
 
     @cached_property
@@ -193,8 +199,16 @@ class EquationSystem:
         return _compile_products(self)
 
     @property
+    def pin(self) -> Label:                     # held at 1
+        return self.variables[-1]
+
+    @property
+    def unknowns(self) -> tuple[Label, ...]:    # all variables except the pin
+        return self.variables[:-1]
+
+    @property
     def size(self) -> int:
-        return len(self.unknowns)
+        return len(self.variables) - 1
 
     def assignment_from_vector(self, x: Sequence[complex]) -> dict[Label, complex]:
         a = {v: complex(val) for v, val in zip(self.unknowns, x)}
@@ -202,11 +216,10 @@ class EquationSystem:
         return a
 
     def point_from_assignment(self, a: Assignment) -> np.ndarray:
-        """Every variable's value in potential.variables order, the pin
-        last: the points that monomial_values() and the passes built on it
-        take."""
+        """Every variable's value in variables order, the pin last: the
+        points that monomial_values() and the passes built on it take."""
         try:
-            return np.array([complex(a[v]) for v in self.potential.variables], dtype=complex)
+            return np.array([complex(a[v]) for v in self.variables], dtype=complex)
         except KeyError as exc:
             raise EvaluationError(f"variable {exc.args[0]!r} not assigned") from None
 
@@ -276,7 +289,7 @@ class EquationSystem:
         return self._potential_value(li2(arg), self._logs(w, mv)[0])
 
     def mu(self, a: Assignment) -> np.ndarray:
-        """Principal-branch mu_k at the assignment, in potential.variables order.
+        """Principal-branch mu_k at the assignment, in variables order.
 
         The monomial values come from monomial_values(), the same gather W
         is evaluated from, and the logs of the atoms (1 - m or m) from the
@@ -298,7 +311,7 @@ class EquationSystem:
         formed from them.  It calls the kernels behind plog and li2 on
         arrays validated once each; errors and bits are those of plog and
         li2.  Returns the raw values (...), the mu integers (..., nvars) in
-        potential.variables order and, for a region potential, the
+        variables order and, for a region potential, the
         Bloch-Wigner sum (bloch_wigner_volume) from the Li2 arguments and
         li2 values of W itself, else None.  Raises EvaluationError when
         some mu_k is more than MU_TOL from 2 pi i Z, that is at a
@@ -308,10 +321,10 @@ class EquationSystem:
         mv = self.monomial_values(w)
         arg = self._essential_arguments(mv)
         atom_logs, log_w = self._logs(w, mv)
-        k = _snap(atom_logs @ self._coeffs.T, MU_TOL, self.potential.variables)
+        k = _snap(atom_logs @ self._coeffs.T, MU_TOL, self.variables)
         values = numerics._li2(numerics._as_complex(arg))
         raw = self._potential_value(values, atom_logs) - row_sums(2j * math.pi * k * log_w)
-        bw = self._bloch_wigner_sum(arg, values) if self.potential.kind == "W" else None
+        bw = self._bloch_wigner_sum(arg, values) if self.kind == "W" else None
         return raw, k, bw
 
     def _bloch_wigner_sum(self, arg: np.ndarray, li2_arg: np.ndarray) -> np.ndarray:
@@ -429,8 +442,9 @@ class EquationSystem:
 
     def sign_flipped(self, taus: Sequence[int], epsilons: Sequence[int]) -> EquationSystem:
         """The system of the potential that w_v -> tau_v w_v^eps_v makes of
-        self.potential, the signs given over potential.variables; that flipped
-        potential is its .potential and keeps it where build_system finds it.
+        self's potential, the signs given over the variables.  It refers to
+        no potential; correspondence.sign_flip builds the flipped potential
+        and attaches this system to it.
 
         A flip keeps every monomial and atom in place, so the arrays are
         derived from self's and nothing is compiled: the exponents are
@@ -438,29 +452,21 @@ class EquationSystem:
         exponents at tau_v = -1), the value gather reads 1/w_v for w_v and
         w_v for 1/w_v where eps_v = -1, and, since deg_v of a flipped
         monomial is eps_v deg_v of the original, row v of C is multiplied
-        by eps_v.  The term arrays are shared.  The flipped potential's
-        terms are spelled out only when read (_FlippedTerms).  The arrays
-        equal those a fresh compile of the flipped potential gives whenever
-        the flip keeps the order of every log product's two monomials.
+        by eps_v.  The term arrays are shared.  The arrays equal those a
+        fresh compile of the flipped potential gives whenever the flip
+        keeps the order of every log product's two monomials.
         """
         eps = np.array(epsilons)
         odd = (self._exps[:, np.array(taus) < 0] % 2).sum(axis=1) % 2
-        coeff = self._mono_coeff * np.where(odd, -1.0, 1.0)
         # Positions in [w, 1/w, 1], w_v and 1/w_v exchanged where eps_v = -1.
         v, inv = np.arange(len(eps)), np.arange(len(eps), 2 * len(eps))
         swap = np.concatenate((np.where(eps < 0, inv, v), np.where(eps < 0, v, inv), [2 * len(v)]))
-        exps = self._exps * eps
-        base = self.potential.terms
-        terms = _FlippedTerms(base.base if isinstance(base, _FlippedTerms) else base,
-                              self.potential.variables, exps, coeff, self._terms.term_mono)
-        potential = Potential(terms, self.potential.variables, self.potential.kind)
-        system = EquationSystem(potential, self.pin, self.unknowns,
-                                _coeffs=self._coeffs * eps[:, None], _exps=exps,
-                                _terms=self._terms, _mono_coeff=coeff,
-                                _value_gather=swap[self._value_gather],
-                                _value_starts=self._value_starts)
-        object.__setattr__(potential, "_system", system)
-        return system
+        return EquationSystem(self.variables, self.kind,
+                              _coeffs=self._coeffs * eps[:, None], _exps=self._exps * eps,
+                              _terms=self._terms,
+                              _mono_coeff=self._mono_coeff * np.where(odd, -1.0, 1.0),
+                              _value_gather=swap[self._value_gather],
+                              _value_starts=self._value_starts)
 
 
 # The last two slots of jacobian_at's [g, 1, 0].
@@ -469,26 +475,27 @@ _ONE_ZERO = np.array([1.0, 0.0], dtype=complex)
 
 class _FlippedTerms(abc.Sequence):
     """The terms of a sign-flipped potential, spelled out the first time
-    they are read: base's kinds and signs over the monomials that
-    Monomial.from_pairs makes of the flipped exponent rows and
-    coefficients, indexed by term_mono.  The W0 pass reads only the
-    flipped system's arrays, so a flip that is only evaluated builds no
-    Monomial or Term.  Compares and hashes as the tuple of its terms.
+    they are read: the kinds and signs of the base terms over the
+    monomials that Monomial.from_pairs makes of the flipped system's
+    exponent rows and coefficients, indexed by its term_mono.  The W0 pass
+    reads only the flipped system's arrays, so a flip that is only
+    evaluated builds no Monomial or Term.  Compares and hashes as the
+    tuple of its terms.
     """
 
-    def __init__(self, base: Sequence[Term], variables: Sequence[Label], exps: np.ndarray,
-                 coeff: np.ndarray, term_mono: np.ndarray):
-        self.base = base
-        self._spec = variables, exps, coeff, term_mono
+    def __init__(self, terms: Sequence[Term], system: EquationSystem):
+        # A flip of a flip has the kinds and signs of the first base.
+        self.base = terms.base if isinstance(terms, _FlippedTerms) else terms
+        self._system = system
 
     @cached_property
     def _tuple(self) -> tuple[Term, ...]:
-        variables, exps, coeff, term_mono = self._spec
+        system, variables = self._system, self._system.variables
         monomials = [Monomial.from_pairs([(v, e) for v, e in zip(variables, row) if e], int(c))
-                     for row, c in zip(exps.tolist(), coeff.tolist())]
+                     for row, c in zip(system._exps.tolist(), system._mono_coeff.tolist())]
         return tuple(t if i1 < 0 else Term.dilog(t.sign, monomials[i1]) if i2 < 0
                      else Term.logprod(t.sign, monomials[i1], monomials[i2])
-                     for t, (i1, i2) in zip(self.base, term_mono.tolist()))
+                     for t, (i1, i2) in zip(self.base, system._terms.term_mono.tolist()))
 
     def __len__(self) -> int:
         return len(self.base)
@@ -561,8 +568,15 @@ def build_system(potential: Potential) -> EquationSystem:
     object; later calls return it.
     """
     if potential._system is None:
-        object.__setattr__(potential, "_system", _compile_system(potential))
+        attach_system(potential, _compile_system(potential))
     return potential._system
+
+
+def attach_system(potential: Potential, system: EquationSystem) -> Potential:
+    """Keep system on potential, where build_system finds it: the compiled
+    system of potential, or one derived for it.  Returns potential."""
+    object.__setattr__(potential, "_system", system)
+    return potential
 
 
 def _compile_system(potential: Potential) -> EquationSystem:
@@ -575,9 +589,8 @@ def _compile_system(potential: Potential) -> EquationSystem:
         raise ValueError(f"variable {variables[empty[0]]!r} has an empty equation")
     value_gather, value_starts = _gather(exps)
     return EquationSystem(
-        potential=potential,
-        pin=variables[-1],
-        unknowns=variables[:-1],
+        variables=variables,
+        kind=potential.kind,
         _coeffs=C,
         _exps=exps,
         _terms=terms,
@@ -639,5 +652,4 @@ def _snap(mu: np.ndarray, tol: float, variables: Sequence[Label]) -> np.ndarray:
 def mu_integer_multipliers(system: EquationSystem, a: Assignment,
                            tol: float = MU_TOL) -> dict[Label, int]:
     """Round each mu_k/(2 pi i) to an integer; error when not a solution."""
-    variables = system.potential.variables
-    return dict(zip(variables, _snap(system.mu(a), tol, variables).tolist()))
+    return dict(zip(system.variables, _snap(system.mu(a), tol, system.variables).tolist()))

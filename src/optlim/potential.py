@@ -97,9 +97,10 @@ class Potential:
     terms: Sequence[Term]
     variables: tuple[Label, ...]
     kind: Literal["W", "V"]
-    # The potential's EquationSystem, set once by
-    # equations.build_system, or by EquationSystem.sign_flipped for a
-    # sign-flipped potential.  Not part of the potential's value.
+    # The potential's EquationSystem, set once by equations.attach_system:
+    # compiled by build_system, or derived by correspondence.sign_flip for a
+    # sign-flipped potential.  The system does not refer back, so ownership
+    # runs one way.  Not part of the potential's value.
     _system: EquationSystem | None = field(default=None, init=False, repr=False, compare=False)
 
 

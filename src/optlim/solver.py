@@ -399,7 +399,7 @@ def refine(system: EquationSystem, a: Assignment) -> Solution:
     w = system.point_from_assignment(a)
     finite = np.isfinite(w)
     if not np.logical_and.reduce(finite):
-        v = system.potential.variables[int(finite.argmin())]
+        v = system.variables[int(finite.argmin())]
         raise EvaluationError(f"variable {v!r} is not finite: {a[v]!r}")
     *values, pin_value = w.tolist()
     if pin_value == 0:

@@ -124,7 +124,7 @@ def compiled_coefficients(system) -> dict:
     coefficients_term_by_term: each column named by its atom (kind, m), the
     monomial m rebuilt from the system's exponents and coefficients, and
     columns that name the same atom summed."""
-    variables = system.potential.variables
+    variables = system.variables
     monomials = [Monomial.from_pairs(zip(variables, row), int(coeff))
                  for row, coeff in zip(system._exps.tolist(), system._mono_coeff.tolist())]
     acc = {v: {} for v in variables}

@@ -1,11 +1,13 @@
 """Command-line driver: subcommands, exit codes, JSON stability."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from optlim import CorrespondenceError, assemble_W, build_system, builtin, cli, solver, twistknot
@@ -106,7 +108,7 @@ class TestSolve:
         assert records
         for rec in records:
             a = {k: complex(v["re"], v["im"]) for k, v in rec["assignment"].items()}
-            a = {v: a[str(v)] for v in system.potential.variables}
+            a = {v: a[str(v)] for v in system.variables}
             margin = solver.essential_margin(system, a)
             assert rec["essential_margin"] >= solver.ESSENTIAL_TOL
             assert abs(rec["essential_margin"] - margin) <= 1e-12 * margin
@@ -284,6 +286,28 @@ class TestVerify:
         assert checked
         for rec in checked:
             assert rec["sign_flip_passes"] == rec["sign_flip_trials"] == 5
+
+    def test_sign_flips_leave_the_collector_nothing_of_optlim(self, capsys):
+        # Each trial's flipped potential owns its system, which does not
+        # refer back, so both go with the trial.  The collector still finds
+        # the closures of json's indenting encoder, none of optlim's objects.
+        argv = ("--stable", "verify", "--builtin", "T2", "--sign-flip", "--trials", "5",
+                "--restarts", "64", "--seed", "0")
+        run_cli(capsys, *argv)          # the parser and T2's potentials, built once
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            code, _, _ = run_cli(capsys, *argv)
+            gc.collect()
+            left = [o for o in gc.garbage
+                    if type(o).__module__.startswith("optlim") or isinstance(o, np.ndarray)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert code == 0
+        assert not left
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_non_positive_trials_exit_1(self, capsys, trials):

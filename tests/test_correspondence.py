@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import re
+import types
 import weakref
 from collections import Counter
 
@@ -562,16 +563,30 @@ class TestSignFlip:
             assert hash(flipped.terms) == hash(expected)
 
     def test_flipped_potential_is_collected(self):
+        # by reference counting: the cyclic collector is off
         p = assemble_W(builtin("5_2"), variant=ALT_NEG_LOG)
         par = twist_assignment(2)
         ones = {v: 1 for v in p.variables}
         signs = {v: -1 for v in p.variables}
-        flipped = sign_flip(p, signs, ones)
-        w0(flipped, sign_flip_point(p, signs, ones, par.assignment))
-        refs = (weakref.ref(flipped), weakref.ref(build_system(flipped)))
-        del flipped
-        gc.collect()
-        assert [r() for r in refs] == [None, None]
+        gc.disable()
+        try:
+            flipped = sign_flip(p, signs, ones)
+            w0(flipped, sign_flip_point(p, signs, ones, par.assignment))
+            refs = (weakref.ref(flipped), weakref.ref(build_system(flipped)))
+            del flipped
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_zero_variable_with_eps_minus_one(self, fig8):
+        p = assemble_W(fig8)
+        ones = {v: 1 for v in p.variables}
+        a = {v: 0.5 + 1.5j for v in p.variables}
+        v = p.variables[0]
+        a[v] = 0.0
+        with pytest.raises(EvaluationError, match="^zero variable value$"):
+            sign_flip_point(p, ones, {**ones, v: -1}, a)
+        assert sign_flip_point(p, {**ones, v: -1}, ones, a)[v] == 0.0
 
     def test_sign_vectors_validated(self, fig8):
         p = assemble_W(fig8)
@@ -603,6 +618,52 @@ class TestSignFlip:
             sign_flip(p, signs, ones)
         with pytest.raises(ValueError):
             sign_flip(p, ones, signs)
+
+
+def _reachable(obj) -> list:
+    """Every object reachable from obj through gc.get_referents, classes
+    and modules aside."""
+    seen, stack = {}, [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) not in seen and not isinstance(o, (type, types.ModuleType)):
+            seen[id(o)] = o
+            stack.extend(gc.get_referents(o))
+    return list(seen.values())
+
+
+class TestOneWayOwnership:
+    """A diagram owns its potentials, a potential its system and a system
+    its product kernel, and nothing refers back: dropped potentials, sign
+    flips and diagrams are freed by reference counting alone."""
+
+    def test_systems_refer_to_no_potential(self):
+        p = assemble_W(builtin("T5"), variant=ALT_NEG_LOG)
+        rng = make_rng(101)
+        flipped = sign_flip(p, random_signs(p, rng), random_signs(p, rng))
+        flipped.terms[0]                          # spelled out: the terms refer to the system
+        for system in (build_system(p), build_system(flipped)):
+            system.residual_vector(np.ones((1, system.size)))    # compiles the product kernel
+            assert not [o for o in _reachable(system) if isinstance(o, (Potential, Term, Monomial))]
+
+    def test_dropped_objects_need_no_collector(self):
+        p = assemble_W(builtin("T5"), variant=ALT_NEG_LOG)
+        a = twist_assignment(5).assignment
+        rng = make_rng(103)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                taus, eps = random_signs(p, rng), random_signs(p, rng)
+                w0(sign_flip(p, taus, eps), sign_flip_point(p, taus, eps, a))
+            assert verify_bridge(builtin("T5"), a).congruent_mod_4pi2
+            d = build_diagram(parse_pd(WHITEHEAD_PD))
+            build_system(assemble_W(d))
+            build_system(assemble_V(d))
+            del d
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 FLIPPED_CLASP_PD = "X(1,7,2,6) X(5,3,6,2) X(4,8,5,7) X(3,8,4,1)"

@@ -80,7 +80,7 @@ class TestLogDerivative:
         system = build_system(assemble_W(fig8))
         C = system._coeffs
         assert C.dtype.kind == "i"
-        assert C.shape == (len(system.potential.variables), len(system._terms.atom_mono))
+        assert C.shape == (len(system.variables), len(system._terms.atom_mono))
 
 
 @pytest.mark.parametrize("name", ["4_1", "5_2", "T1", "T2", "T3", "T4", "T5"])
@@ -262,9 +262,10 @@ class TestResidual:
         assert 0 < np.linalg.norm(res) < 10 * 1e-6 * jnorm
 
     def test_jacobian_matches_finite_differences(self, fig8):
-        system = build_system(assemble_W(fig8))
+        p = assemble_W(fig8)
+        system = build_system(p)
         rng = make_rng(19)
-        a = random_essential_assignment(system.potential, rng)
+        a = random_essential_assignment(p, rng)
         x = np.array([a[v] / a[system.pin] for v in system.unknowns], dtype=complex)
         J = system.jacobian(x)
         h = 1e-7
@@ -349,16 +350,17 @@ BUILTIN_SYSTEMS = [(name, kind) for name in ("4_1", "5_2", "T1", "T2", "T3", "T4
                    for kind in ("W", "V")]
 
 
-def _builtin_system(name, kind):
+def _builtin_potential(name, kind):
     d = builtin(name)
-    return build_system(assemble_W(d) if kind == "W" else assemble_V(d))
+    return assemble_W(d) if kind == "W" else assemble_V(d)
 
 
-def _pinned_points(system, rng, count):
+def _pinned_points(potential, rng, count):
     """Random essential assignments with the pin at 1, and their unknowns as rows."""
+    system = build_system(potential)
     points = []
     for _ in range(count):
-        a = random_essential_assignment(system.potential, rng)
+        a = random_essential_assignment(potential, rng)
         points.append({v: val / a[system.pin] for v, val in a.items()})
     return points, np.array([system.point_from_assignment(a)[:-1] for a in points])
 
@@ -366,8 +368,9 @@ def _pinned_points(system, rng, count):
 @pytest.mark.parametrize("name,kind", BUILTIN_SYSTEMS)
 class TestBatchedKernel:
     def test_block_equals_rows(self, name, kind):
-        system = _builtin_system(name, kind)
-        _, X = _pinned_points(system, make_rng(41), 7)
+        p = _builtin_potential(name, kind)
+        system = build_system(p)
+        _, X = _pinned_points(p, make_rng(41), 7)
         res, jac = system.residual_vector(X), system.jacobian(X)
         assert res.shape == X.shape and jac.shape == X.shape + X.shape[1:]
         for i, x in enumerate(X):
@@ -375,18 +378,20 @@ class TestBatchedKernel:
             assert np.array_equal(jac[i], system.jacobian(x))
 
     def test_residual_matches_exponentiated_mu(self, name, kind):
-        system = _builtin_system(name, kind)
-        points, X = _pinned_points(system, make_rng(43), 10)
+        p = _builtin_potential(name, kind)
+        system = build_system(p)
+        points, X = _pinned_points(p, make_rng(43), 10)
         res = system.residual_vector(X)
         for a, row in zip(points, res):
-            mu = mu_oracle(system.potential, a)
+            mu = mu_oracle(p, a)
             for var, value in zip(system.unknowns, row):
                 direct = cmath.exp(mu[var]) - 1.0
                 assert abs(value - direct) <= 1e-10 * max(1.0, abs(direct))
 
     def test_jacobian_matches_finite_differences(self, name, kind):
-        system = _builtin_system(name, kind)
-        _, X = _pinned_points(system, make_rng(47), 3)
+        p = _builtin_potential(name, kind)
+        system = build_system(p)
+        _, X = _pinned_points(p, make_rng(47), 3)
         h = 1e-7
         for x, J in zip(X, system.jacobian(X)):
             steps = h * np.maximum(1.0, np.abs(x))
@@ -397,8 +402,9 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("bad", ["ones", "zero"])
     def test_degenerate_row_is_non_finite(self, name, kind, bad):
-        system = _builtin_system(name, kind)
-        _, X = _pinned_points(system, make_rng(53), 4)
+        p = _builtin_potential(name, kind)
+        system = build_system(p)
+        _, X = _pinned_points(p, make_rng(53), 4)
         if bad == "ones":
             X[2] = 1.0        # every ratio is 1: a (1 - m) factor vanishes
         else:
@@ -417,8 +423,9 @@ class TestBatchedKernel:
     def test_jacobian_from_state_rows(self, name, kind):
         # The Newton iteration forms J from the kernel state rows of its
         # live points, a reordered subset of one residual_state() call.
-        system = _builtin_system(name, kind)
-        _, X = _pinned_points(system, make_rng(59), 6)
+        p = _builtin_potential(name, kind)
+        system = build_system(p)
+        _, X = _pinned_points(p, make_rng(59), 6)
         X[1] = 1.0          # every ratio is 1: a (1 - m) factor vanishes
         rows = np.array([5, 1, 3, 0])
         with np.errstate(all="ignore"):
@@ -461,8 +468,9 @@ def test_jacobian_at_is_the_dense_reference_bitwise(name, kind):
     # The Newton iteration's bits rest on jacobian_at, and the sequential
     # oracle of test_solver forms its Jacobians with jacobian_at too: this
     # pins them to a reference built entry by entry.
-    system = _builtin_system(name, kind)
-    _, X = _pinned_points(system, make_rng(61), 8)
+    p = _builtin_potential(name, kind)
+    system = build_system(p)
+    _, X = _pinned_points(p, make_rng(61), 8)
     starts = np.random.default_rng(5).standard_normal((8, system.size, 2)) @ [1, 1j]
     X = np.concatenate((X, starts, np.ones((1, system.size))))   # the last row is degenerate
     with np.errstate(all="ignore"):

@@ -13,6 +13,7 @@ pipe or an unreaped worker.
 import gc
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -22,8 +23,8 @@ import warnings
 import numpy as np
 import pytest
 
-from optlim import (SolveConfig, assemble_V, assemble_W, build_diagram, build_system, builtin,
-                    parse_pd, refine, solve, twistknot)
+from optlim import (ALT_NEG_LOG, SolveConfig, assemble_V, assemble_W, build_diagram,
+                    build_system, builtin, parse_pd, refine, sign_flip, solve, twistknot)
 from optlim import _pool, solver
 
 from conftest import FIG8_PD
@@ -184,8 +185,7 @@ def test_collected_system_is_released(pool, requests):
     got, answered = pool.newton(pd_system, X0)
     assert answered and _same(got, solver._newton(pd_system, X0))
     assert len(pool._sent) == 1
-    del pd_system                   # its potential refers back to it: only gc frees it
-    gc.collect()
+    del pd_system                   # the last reference: no collector needed
     assert not pool._sent
     system = _system("4_1", "W")
     X0 = _starts(system, 12, seed=2)
@@ -194,6 +194,21 @@ def test_collected_system_is_released(pool, requests):
     assert requests == [(0, True, []), (1, True, [0])]
     pool.newton(system, X0)         # a token is released once
     assert requests[-1] == (1, False, [])
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_pickled_system_carries_no_potential(flip):
+    # What the worker is sent: a system's arrays and labels, no Potential
+    # or Term, which solve the rows to the same bytes.
+    p = assemble_W(builtin("T3"), variant=ALT_NEG_LOG)
+    if flip:
+        rng = np.random.default_rng(7)
+        p = sign_flip(p, *rng.choice((-1, 1), (2, len(p.variables))).tolist())
+    system = build_system(p)
+    blob = pickle.dumps(system, pickle.HIGHEST_PROTOCOL)
+    assert b"optlim.potential" not in blob
+    X0 = _starts(system, 12, seed=5)
+    assert _same(solver._newton(pickle.loads(blob), X0), solver._newton(system, X0))
 
 
 def test_new_worker_gets_full_systems(pool, requests):

@@ -54,31 +54,34 @@ class TestConfig:
 
 class TestEssentialMargin:
     def test_margin_is_distance_from_0_1_infinity(self, fig8):
-        system = build_system(assemble_W(fig8))
-        a = random_essential_assignment(system.potential, make_rng(47))
-        values = [monomial_value(m, a) for m in dilog_monomials(system.potential)]
+        p = assemble_W(fig8)
+        system = build_system(p)
+        a = random_essential_assignment(p, make_rng(47))
+        values = [monomial_value(m, a) for m in dilog_monomials(p)]
         expected = min(min(abs(v), abs(1 - v), 1 / abs(v)) for v in values)
         # numpy's complex abs rounds differently from Python's in the last bit
         assert solver.essential_margin(system, a) == pytest.approx(expected, rel=1e-15)
 
     def test_is_essential_is_the_margin_cut(self, fig8):
-        system = build_system(assemble_W(fig8))
-        a = random_essential_assignment(system.potential, make_rng(53))
+        p = assemble_W(fig8)
+        system = build_system(p)
+        a = random_essential_assignment(p, make_rng(53))
         margin = solver.essential_margin(system, a)
         assert solver.is_essential(system, a, margin)
         assert not solver.is_essential(system, a, margin * (1 + 1e-12))
 
     def test_batch_equals_single_points(self, fig8):
-        system = build_system(assemble_W(fig8))
+        p = assemble_W(fig8)
+        system = build_system(p)
         rng = make_rng(59)
-        points = [random_essential_assignment(system.potential, rng) for _ in range(8)]
+        points = [random_essential_assignment(p, rng) for _ in range(8)]
         batch = solver.essential_margin(
             system, np.array([system.point_from_assignment(a) for a in points]))
         assert batch.tolist() == [solver.essential_margin(system, a) for a in points]
 
     def test_zero_argument_has_margin_zero(self, fig8):
         system = build_system(assemble_W(fig8))
-        a = {v: 1.0 for v in system.potential.variables}
+        a = {v: 1.0 for v in system.variables}
         assert solver.essential_margin(system, a) == 0.0
 
     @pytest.mark.parametrize("kind", ["W", "V"])
@@ -236,9 +239,10 @@ class TestRefine:
 
     def test_far_point_diverges(self, fig8, monkeypatch):
         monkeypatch.setattr(solver, "ITERATIONS", 12)
-        system = build_system(assemble_W(fig8))
+        p = assemble_W(fig8)
+        system = build_system(p)
         rng = make_rng(37)
-        a = random_essential_assignment(system.potential, rng)
+        a = random_essential_assignment(p, rng)
         a = {v: val * 1e6 for v, val in a.items()}
         with pytest.raises(SolveError):
             refine(system, a)
@@ -246,9 +250,10 @@ class TestRefine:
     @pytest.mark.parametrize("iterations", [1, 3, 12])
     def test_failure_reports_a_reason(self, fig8, monkeypatch, iterations):
         monkeypatch.setattr(solver, "ITERATIONS", iterations)
-        system = build_system(assemble_W(fig8))
+        p = assemble_W(fig8)
+        system = build_system(p)
         rng = make_rng(41)
-        a = random_essential_assignment(system.potential, rng)
+        a = random_essential_assignment(p, rng)
         a = {v: val * 1e6 for v, val in a.items()}
         with pytest.raises(SolveError) as info:
             refine(system, a)
@@ -313,7 +318,7 @@ class TestRefine:
         system = build_system(assemble_W(fig8))
         with pytest.raises(SolveError, match="^iterate left the essential domain: "
                                              "non-essential point"):
-            refine(system, {v: 1.0 for v in system.potential.variables})
+            refine(system, {v: 1.0 for v in system.variables})
 
 
 MULTISTART_SYSTEMS = (("4_1", "W"), ("5_2", "W"), ("5_2", "V"), ("T3", "W"), ("T5", "W"),
