@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagram import Crossing, Label, LinkDiagram
-from .equations import _FlippedTerms, attach_system, build_system
+from .equations import EquationSystem, build_system
 from .numerics import PI2
 from .optimistic import OptimisticResult, mod_eq, w0
 from .potential import Assignment, EvaluationError, Potential, assemble_V, assemble_W
@@ -262,7 +262,7 @@ def verify_bridge(diagram: LinkDiagram, w: Solution | Assignment) -> BridgeRepor
 # Sign flips of the variables
 
 
-def _normalize_signs(potential: Potential, values) -> list:
+def _normalize_signs(potential: Potential | EquationSystem, values) -> list:
     """A dict over the variables or a sequence in potential.variables order
     as a list in that order; ValueError unless every value is +-1."""
     if isinstance(values, dict):
@@ -277,24 +277,24 @@ def _normalize_signs(potential: Potential, values) -> list:
     return out
 
 
-def sign_flip(potential: Potential, taus, epsilons) -> Potential:
-    """Substituted potential with each variable w replaced by tau * w^eps.
+def sign_flip(potential: Potential | EquationSystem, taus, epsilons) -> EquationSystem:
+    """The equation system of the potential with each variable w replaced
+    by tau * w^eps.
 
     taus and epsilons are dicts over the variables or sequences in
-    potential.variables order, every value +-1.  The result carries its
-    equation system, derived from the base potential's
-    (EquationSystem.sign_flipped) instead of compiled: the base system's
-    arrays times the signs.  Its terms are spelled out the first time they
-    are read; w0 reads only the arrays.
+    potential.variables order, every value +-1.  The system is derived
+    from the base potential's (EquationSystem.sign_flipped) instead of
+    compiled: the base system's arrays times the signs.  It is all of the
+    flip that w0, evaluate and a further sign_flip read, so no flipped
+    potential is built.
     """
     taus = _normalize_signs(potential, taus)
     epsilons = _normalize_signs(potential, epsilons)
-    system = build_system(potential).sign_flipped(taus, epsilons)
-    return attach_system(Potential(_FlippedTerms(potential.terms, system), potential.variables,
-                                   potential.kind), system)
+    return build_system(potential).sign_flipped(taus, epsilons)
 
 
-def sign_flip_point(potential: Potential, taus, epsilons, a: Assignment) -> dict[Label, complex]:
+def sign_flip_point(potential: Potential | EquationSystem, taus, epsilons,
+                    a: Assignment) -> dict[Label, complex]:
     """The transformed solution (tau_k w_k^(eps_k)) matching sign_flip;
     EvaluationError when a variable is missing, or is 0 where eps_k = -1."""
     taus = _normalize_signs(potential, taus)

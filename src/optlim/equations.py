@@ -46,23 +46,22 @@ Li2 terms (bloch_wigner_volume).  potential.evaluate and the essential
 margin read the same gather.
 
 Each system is compiled once.  build_system keeps the system on the
-potential object and hands back that one on every later call; a
-sign-flipped potential (correspondence.sign_flip) carries a system
-derived from its base's (EquationSystem.sign_flipped), so it is never
-compiled.  A flip keeps every monomial and atom in place: its exponents,
-coefficients, value gather and C are its base's times the signs, in a
-few array operations, and its terms are spelled out only when something
-reads them (_FlippedTerms).  Ownership runs one way: a diagram keeps its
-potentials, a potential its system, a system its product kernel.  A
-system keeps only the variable order and the kind of its potential, not
-the potential, so a dropped diagram, potential or flip is freed by
-reference counting, and a pickled system carries no Term.
+potential object and hands back that one on every later call; given a
+system, it returns it.  A sign flip w -> tau w^eps
+(correspondence.sign_flip) is a system derived from its base's
+(EquationSystem.sign_flipped), never compiled and with no potential: it
+keeps every monomial and atom in place, and its exponents, coefficients,
+value gather and C are its base's times the signs, in a few array
+operations.  Ownership runs one way: a diagram keeps its potentials, a
+potential its system, a system its product kernel.  A system keeps only
+the variable order and the kind of its potential, not the potential, so
+a dropped diagram, potential or flip is freed by reference counting, and
+a pickled system carries no Term.
 """
 
 from __future__ import annotations
 
 import math
-from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal, Sequence
@@ -72,7 +71,7 @@ import numpy as np
 from .diagram import Label
 from . import numerics
 from .numerics import _C0, _C1, PI2_OVER_6, TWO_PI, _bloch_wigner, li2
-from .potential import Assignment, EvaluationError, Monomial, Potential, Term
+from .potential import Assignment, EvaluationError, Monomial, Potential
 
 # Largest distance of a solution's mu_k from 2 pi i Z; each mu_k is snapped
 # to the nearest multiple before the W0 correction.
@@ -217,11 +216,18 @@ class EquationSystem:
 
     def point_from_assignment(self, a: Assignment) -> np.ndarray:
         """Every variable's value in variables order, the pin last: the
-        points that monomial_values() and the passes built on it take."""
+        points that monomial_values() and the passes built on it take.
+        Raises EvaluationError naming a variable that is missing or not
+        finite."""
         try:
-            return np.array([complex(a[v]) for v in self.variables], dtype=complex)
+            w = np.array([complex(a[v]) for v in self.variables], dtype=complex)
         except KeyError as exc:
             raise EvaluationError(f"variable {exc.args[0]!r} not assigned") from None
+        finite = np.isfinite(w)
+        if not np.logical_and.reduce(finite):
+            v = self.variables[int(finite.argmin())]
+            raise EvaluationError(f"variable {v!r} is not finite: {a[v]!r}")
+        return w
 
     def monomial_values(self, w: np.ndarray) -> np.ndarray:
         """Value of every term monomial (the rows of _exps) at points w (..., nvars):
@@ -442,9 +448,9 @@ class EquationSystem:
 
     def sign_flipped(self, taus: Sequence[int], epsilons: Sequence[int]) -> EquationSystem:
         """The system of the potential that w_v -> tau_v w_v^eps_v makes of
-        self's potential, the signs given over the variables.  It refers to
-        no potential; correspondence.sign_flip builds the flipped potential
-        and attaches this system to it.
+        self's potential, the signs given over the variables.  No such
+        potential is built: the flip is this system alone, as
+        correspondence.sign_flip returns it.
 
         A flip keeps every monomial and atom in place, so the arrays are
         derived from self's and nothing is compiled: the exponents are
@@ -471,46 +477,6 @@ class EquationSystem:
 
 # The last two slots of jacobian_at's [g, 1, 0].
 _ONE_ZERO = np.array([1.0, 0.0], dtype=complex)
-
-
-class _FlippedTerms(abc.Sequence):
-    """The terms of a sign-flipped potential, spelled out the first time
-    they are read: the kinds and signs of the base terms over the
-    monomials that Monomial.from_pairs makes of the flipped system's
-    exponent rows and coefficients, indexed by its term_mono.  The W0 pass
-    reads only the flipped system's arrays, so a flip that is only
-    evaluated builds no Monomial or Term.  Compares and hashes as the
-    tuple of its terms.
-    """
-
-    def __init__(self, terms: Sequence[Term], system: EquationSystem):
-        # A flip of a flip has the kinds and signs of the first base.
-        self.base = terms.base if isinstance(terms, _FlippedTerms) else terms
-        self._system = system
-
-    @cached_property
-    def _tuple(self) -> tuple[Term, ...]:
-        system, variables = self._system, self._system.variables
-        monomials = [Monomial.from_pairs([(v, e) for v, e in zip(variables, row) if e], int(c))
-                     for row, c in zip(system._exps.tolist(), system._mono_coeff.tolist())]
-        return tuple(t if i1 < 0 else Term.dilog(t.sign, monomials[i1]) if i2 < 0
-                     else Term.logprod(t.sign, monomials[i1], monomials[i2])
-                     for t, (i1, i2) in zip(self.base, system._terms.term_mono.tolist()))
-
-    def __len__(self) -> int:
-        return len(self.base)
-
-    def __getitem__(self, i):
-        return self._tuple[i]
-
-    def __eq__(self, other) -> bool:
-        return self._tuple == (other._tuple if isinstance(other, _FlippedTerms) else other)
-
-    def __hash__(self) -> int:
-        return hash(self._tuple)
-
-    def __repr__(self) -> str:
-        return repr(self._tuple)
 
 
 def _degeneracy(w: np.ndarray, base: np.ndarray) -> str:
@@ -561,22 +527,18 @@ def _exponents(monomials: Sequence[Monomial], variables: Sequence[Label]) -> np.
     return exps
 
 
-def build_system(potential: Potential) -> EquationSystem:
+def build_system(potential: Potential | EquationSystem) -> EquationSystem:
     """Pin the last variable to 1 and compile every variable's equation.
 
     The system is compiled on the first call and kept on the potential
-    object; later calls return it.
+    object; later calls return it.  A system, such as a sign flip, is
+    returned as it is.
     """
+    if isinstance(potential, EquationSystem):
+        return potential
     if potential._system is None:
-        attach_system(potential, _compile_system(potential))
+        object.__setattr__(potential, "_system", _compile_system(potential))
     return potential._system
-
-
-def attach_system(potential: Potential, system: EquationSystem) -> Potential:
-    """Keep system on potential, where build_system finds it: the compiled
-    system of potential, or one derived for it.  Returns potential."""
-    object.__setattr__(potential, "_system", system)
-    return potential
 
 
 def _compile_system(potential: Potential) -> EquationSystem:

@@ -25,21 +25,23 @@ every W0 of a region potential carries bw_vol = sum_t s_t D(m_t) over
 W's own Li2 terms, read from the Li2 arguments and li2 values that W0
 already holds, by the one numerics formula for D.  bw_volume takes the
 same sum through the region potential's system, so bw_vol equals
-bw_volume bit for bit.  At its flipped point a sign-flipped region
-potential has the base potential's Li2 arguments, so its bw_vol is the
-base value: to the bit when only signs tau flip, to rounding when some
-exponent eps is -1.
+bw_volume bit for bit.  At its flipped point a sign flip of a region
+potential (correspondence.sign_flip, an EquationSystem, which w0 and
+w0_batch take in place of a potential) has the base potential's Li2
+arguments, so its bw_vol is the base value: to the bit when only signs
+tau flip, to rounding when some exponent eps is -1.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .diagram import LinkDiagram
-from .equations import build_system
+from .equations import EquationSystem, build_system
 from .numerics import PI2, reduce_centered
 from .potential import Assignment, Potential, assemble_W
 from .solver import Solution
@@ -59,14 +61,15 @@ def _assignment(solution: Solution | Assignment) -> Assignment:
     return solution.assignment if isinstance(solution, Solution) else solution
 
 
-def w0(potential: Potential, solution: Solution | Assignment, *,
+def w0(potential: Potential | EquationSystem, solution: Solution | Assignment, *,
        diagram: LinkDiagram | None = None) -> OptimisticResult:
     """Corrected potential value at a solution.
 
     Accepts either a Solution or a bare assignment.  W and the mu_k come
     from one pass of the potential's own system (build_system), compiled on
     its first use, over the one point; for a region potential the same
-    pass gives the Bloch-Wigner volume.  A diagram, if given, must be the
+    pass gives the Bloch-Wigner volume.  A system, such as a sign flip,
+    stands for its potential.  A diagram, if given, must be the
     one the potential's variables are the regions of (ValueError
     otherwise); it changes nothing else.
     """
@@ -77,7 +80,7 @@ def w0(potential: Potential, solution: Solution | Assignment, *,
     return _result(raw.item(), k.tolist(), None if bw is None else bw.item())
 
 
-def w0_batch(potential: Potential, solutions: Sequence[Solution | Assignment]
+def w0_batch(potential: Potential | EquationSystem, solutions: Sequence[Solution | Assignment]
              ) -> list[OptimisticResult]:
     """w0 at every solution, with one array pass over all of them.
 
@@ -119,11 +122,14 @@ def mod_eq(a: complex, b: complex, modulus: float, tol: float) -> bool:
     """Equality of complex values modulo real shifts by the given modulus.
 
     Imaginary parts must agree within tol; the real difference must be
-    within tol of an integer multiple of the modulus.
+    within tol of an integer multiple of the modulus.  A value that is not
+    finite equals nothing.
     """
     if modulus <= 0:
         raise ValueError("modulus must be positive")
     a, b = complex(a), complex(b)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        return False
     if abs(a.imag - b.imag) > tol:
         return False
     shift = (a.real - b.real) / modulus

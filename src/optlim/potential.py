@@ -97,9 +97,8 @@ class Potential:
     terms: Sequence[Term]
     variables: tuple[Label, ...]
     kind: Literal["W", "V"]
-    # The potential's EquationSystem, set once by equations.attach_system:
-    # compiled by build_system, or derived by correspondence.sign_flip for a
-    # sign-flipped potential.  The system does not refer back, so ownership
+    # The potential's EquationSystem, compiled and set once by
+    # equations.build_system.  The system does not refer back, so ownership
     # runs one way.  Not part of the potential's value.
     _system: EquationSystem | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -173,14 +172,15 @@ def assemble_V(diagram: LinkDiagram) -> Potential:
     return potential
 
 
-def evaluate(potential: Potential, a: Assignment) -> complex:
+def evaluate(potential: Potential | EquationSystem, a: Assignment) -> complex:
     """Evaluate at a complex assignment with principal branches.
 
     Monomial values are computed first and then logged, so the result is a
     single well-defined branch choice (the one used by the reference
     numerical tables).  The values come from the gather of the potential's
     equation system (EquationSystem.monomial_values), which every mu_k and
-    W0 read as well.
+    W0 read as well.  A system, such as a sign flip, stands for its
+    potential.
     """
     from .equations import build_system
 

@@ -373,8 +373,10 @@ def essential_margin(system: EquationSystem, a: Assignment | np.ndarray) -> floa
     the dilogarithm monomials m of min(|m|, |1 - m|, 1/|m|).
 
     a is an assignment, or points (..., nvars) in the order of
-    EquationSystem.point_from_assignment, which give an array of margins.
-    The arguments come from the system's monomial value gather.
+    EquationSystem.point_from_assignment, which give an array of margins;
+    an assignment with a missing or non-finite variable raises
+    EvaluationError.  The arguments come from the system's monomial value
+    gather.
     """
     w = a if isinstance(a, np.ndarray) else system.point_from_assignment(a)
     m = system.dilog_arguments(w)
@@ -396,12 +398,7 @@ def refine(system: EquationSystem, a: Assignment) -> Solution:
     SolveError on divergence, singular Jacobians, or when the limit is not
     essential.
     """
-    w = system.point_from_assignment(a)
-    finite = np.isfinite(w)
-    if not np.logical_and.reduce(finite):
-        v = system.variables[int(finite.argmin())]
-        raise EvaluationError(f"variable {v!r} is not finite: {a[v]!r}")
-    *values, pin_value = w.tolist()
+    *values, pin_value = system.point_from_assignment(a).tolist()
     if pin_value == 0:
         raise SolveError("pinned variable is zero")
     # Rescale so the pinned variable sits at 1 (the scaling quotient), in

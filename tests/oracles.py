@@ -4,7 +4,9 @@ Each is a second, independent way to reach something the package
 computes: a monomial's value as a product of Python complex powers
 (against EquationSystem.monomial_values), the twist region potential from
 its printed block structure
-(against assemble_W of the twist diagram), the region values w_k as
+(against assemble_W of the twist diagram), a potential's terms under a
+sign flip w -> tau * w^eps, rebuilt monomial by monomial (against the
+system sign_flip derives from the base system's arrays), the region values w_k as
 closed forms in t and the recurrence extended by one step (against
 twistknot.parametrize), the defining polynomial of t derived exactly from
 that extended recurrence (against twistknot.DEFINING_POLYNOMIALS), a PD
@@ -30,7 +32,7 @@ from optlim.correspondence import CorrespondenceError
 from optlim.diagram import Crossing, Label, LinkDiagram, _strand_components
 from optlim.numerics import (_LI2_TERMS, PI2, PI2_OVER_6, _bernoulli_series_coeffs,
                              bloch_wigner, li2, plog, shape_double_prime, shape_prime)
-from optlim.potential import (DEFAULT, Assignment, EvaluationError, Monomial, Potential,
+from optlim.potential import (DEFAULT, Assignment, EvaluationError, Monomial, Potential, Term,
                               WNVariant, region_terms_W)
 from optlim.twistknot import REFERENCE_ROWS, TwistError, _check_index, parametrize
 
@@ -230,6 +232,36 @@ def twist_potential(n: int, variant: WNVariant = DEFAULT) -> Potential:
     terms = tuple(t for sign, regions in blocks for t in region_terms_W(sign, regions, variant))
     variables = tuple(["c", "d", "e"] + w)
     return Potential(terms, variables, "W")
+
+
+# ---------------------------------------------------------------------------
+# Sign flips, term by term
+
+
+def substituted_terms(potential: Potential, taus: dict, eps: dict) -> tuple[Term, ...]:
+    """The terms of potential under w -> tau * w^eps, the signs dicts over
+    the variables, each monomial rebuilt through Monomial.from_pairs."""
+    def xform(m):
+        coeff = m.coeff
+        for v, e in m.exps:
+            coeff *= taus[v] ** e
+        return Monomial.from_pairs([(v, e * eps[v]) for v, e in m.exps], coeff)
+
+    out = []
+    for t in potential.terms:
+        if t.kind == "const":
+            out.append(t)
+        elif t.kind == "dilog":
+            out.append(Term.dilog(t.sign, xform(t.m1)))
+        else:
+            out.append(Term.logprod(t.sign, xform(t.m1), xform(t.m2)))
+    return tuple(out)
+
+
+def substituted_potential(potential: Potential, taus: dict, eps: dict) -> Potential:
+    """The potential of substituted_terms: what the term-by-term oracles
+    read for a sign flip, which the package keeps as a system only."""
+    return Potential(substituted_terms(potential, taus, eps), potential.variables, potential.kind)
 
 
 def reference_rows(n: int) -> list[tuple[complex, float, float]]:

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from optlim import (ALT_NEG_LOG, CorrespondenceError, SolveConfig, assemble_V,
+from optlim import (ALT_NEG_LOG, CorrespondenceError, EquationSystem, SolveConfig, assemble_V,
                     assemble_W, build_diagram, build_system, builtin, check_w_nondegenerate,
                     check_z_nondegenerate, mod_eq, parse_pd, refine, sign_flip, sign_flip_point,
                     solve, verify_bridge, w0, w_to_z, z_to_w)
@@ -22,7 +22,7 @@ from optlim.potential import EvaluationError, Monomial, Potential, Term
 
 from conftest import (KINKED_TREFOIL_PD, WHITEHEAD_PD, coefficients_term_by_term,
                       compiled_coefficients, make_rng, mu_oracle, random_essential_assignment)
-from oracles import check_octahedron_identities, twist_potential
+from oracles import check_octahedron_identities, substituted_potential, twist_potential
 
 FOUR_PI2 = 4 * PI2
 TWO_PI2 = 2 * PI2
@@ -412,26 +412,6 @@ class TestPropagation:
                     convert(d, a)
 
 
-def substituted_terms(potential, taus, eps):
-    """The terms of potential under w -> tau * w^eps, each monomial rebuilt
-    through Monomial.from_pairs: the reference for sign_flip."""
-    def xform(m):
-        coeff = m.coeff
-        for v, e in m.exps:
-            coeff *= taus[v] ** e
-        return Monomial.from_pairs([(v, e * eps[v]) for v, e in m.exps], coeff)
-
-    out = []
-    for t in potential.terms:
-        if t.kind == "const":
-            out.append(t)
-        elif t.kind == "dilog":
-            out.append(Term.dilog(t.sign, xform(t.m1)))
-        else:
-            out.append(Term.logprod(t.sign, xform(t.m1), xform(t.m2)))
-    return tuple(out)
-
-
 def potential_of(name, kind):
     d = builtin(name)
     return assemble_W(d, variant=ALT_NEG_LOG) if kind == "W-alt" else assemble_V(d)
@@ -441,20 +421,32 @@ def random_signs(potential, rng):
     return {v: int(rng.choice((-1, 1))) for v in potential.variables}
 
 
-def assert_equals_a_fresh_compile(flipped, rng):
-    """The system sign_flip derived for flipped equals, array for array and
-    bit for bit in mu, residual and Jacobian, a fresh compile of its terms."""
-    derived = build_system(flipped)
-    fresh = build_system(Potential(flipped.terms, flipped.variables, flipped.kind))
+SYSTEM_ARRAYS = ("_coeffs", "_exps", "_mono_coeff", "_value_gather", "_value_starts")
+
+
+def assert_same_arrays(system, other):
+    """The two systems' arrays are equal bit for bit and their term arrays
+    are one object."""
+    assert system._terms is other._terms
+    for name in SYSTEM_ARRAYS:
+        assert np.array_equal(getattr(system, name), getattr(other, name))
+
+
+def assert_equals_a_fresh_compile(derived, reference, rng):
+    """The system sign_flip derived equals, array for array and bit for bit
+    in mu, residual and Jacobian, a fresh compile of reference, the flipped
+    potential spelled out term by term."""
+    fresh = build_system(reference)
     assert fresh is not derived
+    assert (fresh.variables, fresh.kind) == (derived.variables, derived.kind)
     # the W0 pass: term arrays, log atoms, monomials and the value gather
     for name in ("dilog_mono", "dilog_sign", "logprod_atom", "logprod_sign",
                  "atom_mono", "atom_is_1m", "term_mono"):
         assert np.array_equal(getattr(derived._terms, name), getattr(fresh._terms, name))
     assert derived._terms.const == fresh._terms.const
-    for name in ("_coeffs", "_exps", "_mono_coeff", "_value_gather", "_value_starts"):
+    for name in SYSTEM_ARRAYS:
         assert np.array_equal(getattr(derived, name), getattr(fresh, name))
-    a = random_essential_assignment(flipped, rng)
+    a = random_essential_assignment(reference, rng)
     x = derived.point_from_assignment(a)[:-1]
     assert np.array_equal(derived.mu(a), fresh.mu(a))
     assert np.array_equal(derived.residual_vector(x), fresh.residual_vector(x))
@@ -465,7 +457,17 @@ class TestSignFlip:
     def test_identity_transform(self, fig8):
         p = assemble_W(fig8)
         ones = {v: 1 for v in p.variables}
-        assert Counter(sign_flip(p, ones, ones).terms) == Counter(p.terms)
+        flipped = sign_flip(p, ones, ones)
+        assert isinstance(flipped, EquationSystem) and flipped is not build_system(p)
+        assert (flipped.variables, flipped.kind) == (p.variables, p.kind)
+        assert_same_arrays(flipped, build_system(p))
+
+    def test_build_system_returns_a_system_as_it_is(self, fig8):
+        p = assemble_W(fig8)
+        rng = make_rng(59)
+        flipped = sign_flip(p, random_signs(p, rng), random_signs(p, rng))
+        for system in (build_system(p), flipped):
+            assert build_system(system) is system
 
     def test_flipped_point_solves_flipped_system(self):
         par = twist_assignment(1)
@@ -489,9 +491,10 @@ class TestSignFlip:
         flipped = sign_flip(p, taus, eps)
         point = sign_flip_point(p, taus, eps, par.assignment)
         mus0 = mu_oracle(p, par.assignment)
-        mus1 = mu_oracle(flipped, point)
-        for v in p.variables:
+        mus1 = mu_oracle(substituted_potential(p, taus, eps), point)
+        for v, mu in zip(flipped.variables, flipped.mu(point)):
             mu0, mu1 = mus0[v], mus1[v]
+            assert abs(mu - mu1) < 1e-12
             diff = (mu1 - eps[v] * mu0) / (2j * math.pi)
             assert abs(diff - round(diff.real)) < 1e-9
 
@@ -503,13 +506,10 @@ class TestSignFlip:
         flips = []
         for _ in range(20):
             taus, eps = random_signs(p, rng), random_signs(p, rng)
-            flipped = sign_flip(p, taus, eps)
-            # later flips reuse the terms earlier ones built
-            assert flipped.terms == substituted_terms(p, taus, eps)
-            flips.append(flipped)
+            flips.append((sign_flip(p, taus, eps), substituted_potential(p, taus, eps)))
         assert build_counter == [p.kind]          # the base system only
-        for flipped in flips:
-            assert_equals_a_fresh_compile(flipped, rng)
+        for flipped, reference in flips:
+            assert_equals_a_fresh_compile(flipped, reference, rng)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_flipped_coefficients_match_terms(self, n):
@@ -518,8 +518,9 @@ class TestSignFlip:
         p = assemble_W(builtin(f"T{n}"), variant=ALT_NEG_LOG)
         rng = make_rng(89 + n)
         for _ in range(20):
-            flipped = sign_flip(p, random_signs(p, rng), random_signs(p, rng))
-            assert compiled_coefficients(build_system(flipped)) == coefficients_term_by_term(flipped)
+            taus, eps = random_signs(p, rng), random_signs(p, rng)
+            assert (compiled_coefficients(sign_flip(p, taus, eps))
+                    == coefficients_term_by_term(substituted_potential(p, taus, eps)))
 
     @pytest.mark.parametrize("kind", ["W-alt", "V"])
     @pytest.mark.parametrize("name", ["4_1", "T3"])
@@ -529,38 +530,42 @@ class TestSignFlip:
         flips = []
         for _ in range(10):
             taus1, eps1, taus2, eps2 = (random_signs(p, rng) for _ in range(4))
-            once = sign_flip(p, taus1, eps1)
-            twice = sign_flip(once, taus2, eps2)
-            composed = Potential(substituted_terms(p, taus1, eps1), p.variables, p.kind)
-            assert twice.terms == substituted_terms(composed, taus2, eps2)
-            flips.append(twice)
+            twice = sign_flip(sign_flip(p, taus1, eps1), taus2, eps2)
+            composed = substituted_potential(p, taus1, eps1)
+            flips.append((twice, substituted_potential(composed, taus2, eps2)))
         assert build_counter == [p.kind]          # the base system only
-        for twice in flips:
-            assert_equals_a_fresh_compile(twice, rng)
+        for twice, reference in flips:
+            assert_equals_a_fresh_compile(twice, reference, rng)
+
+    @pytest.mark.parametrize("kind", ["W-alt", "V"])
+    @pytest.mark.parametrize("name", ["4_1", "T3", "T5"])
+    def test_a_flip_is_an_involution(self, name, kind):
+        # tau * (tau * w^eps)^eps = w, so the same flip twice gives the
+        # base system's arrays back bit for bit.
+        p = potential_of(name, kind)
+        rng = make_rng(97)
+        for _ in range(20):
+            taus, eps = random_signs(p, rng), random_signs(p, rng)
+            assert_same_arrays(sign_flip(sign_flip(p, taus, eps), taus, eps), build_system(p))
 
     def test_flips_build_no_terms(self, monkeypatch):
-        # A new diagram object, so no earlier flip has built anything for it.
+        # A flip plus its w0 constructs no Potential, Term or Monomial.  A
+        # new diagram object, so no earlier flip has built anything for it.
         p = assemble_W(dataclasses.replace(builtin("T3")), variant=ALT_NEG_LOG)
         par = twist_assignment(3)
         rng = make_rng(79)
         signs = [(random_signs(p, rng), random_signs(p, rng)) for _ in range(10)]
         built = Counter()
-        for cls in (Monomial, Term):
+        for cls in (Potential, Monomial, Term):
             def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
                 built[_name] += 1
                 _init(self, *args, **kwargs)
             monkeypatch.setattr(cls, "__init__", counting_init)
-        flips = []
         for taus, eps in signs:
             flipped = sign_flip(p, taus, eps)
+            assert isinstance(flipped, EquationSystem)
             w0(flipped, sign_flip_point(p, taus, eps, par.assignment))
-            flips.append(flipped)
         assert built == Counter()
-        monkeypatch.undo()
-        for (taus, eps), flipped in zip(signs, flips):
-            expected = substituted_terms(p, taus, eps)
-            assert flipped.terms == expected
-            assert hash(flipped.terms) == hash(expected)
 
     def test_flipped_potential_is_collected(self):
         # by reference counting: the cyclic collector is off
@@ -572,9 +577,9 @@ class TestSignFlip:
         try:
             flipped = sign_flip(p, signs, ones)
             w0(flipped, sign_flip_point(p, signs, ones, par.assignment))
-            refs = (weakref.ref(flipped), weakref.ref(build_system(flipped)))
+            ref = weakref.ref(flipped)
             del flipped
-            assert [r() for r in refs] == [None, None]
+            assert ref() is None
         finally:
             gc.enable()
 
@@ -600,9 +605,7 @@ class TestSignFlip:
             taus, eps = random_signs(p, rng), random_signs(p, rng)
             by_list = sign_flip(p, [taus[v] for v in p.variables], [eps[v] for v in p.variables])
             by_dict = sign_flip(p, taus, eps)
-            assert by_list == by_dict
-            assert np.array_equal(build_system(by_list)._value_gather,
-                                  build_system(by_dict)._value_gather)
+            assert_same_arrays(by_list, by_dict)
 
     @pytest.mark.parametrize("bad", ["short list", "zero", "missing key"])
     def test_malformed_sign_vectors_rejected(self, fig8, bad):
@@ -641,8 +644,7 @@ class TestOneWayOwnership:
         p = assemble_W(builtin("T5"), variant=ALT_NEG_LOG)
         rng = make_rng(101)
         flipped = sign_flip(p, random_signs(p, rng), random_signs(p, rng))
-        flipped.terms[0]                          # spelled out: the terms refer to the system
-        for system in (build_system(p), build_system(flipped)):
+        for system in (build_system(p), flipped):
             system.residual_vector(np.ones((1, system.size)))    # compiles the product kernel
             assert not [o for o in _reachable(system) if isinstance(o, (Potential, Term, Monomial))]
 

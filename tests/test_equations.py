@@ -6,17 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from optlim import (ALT_NEG_LOG, assemble_V, assemble_W, build_system, builtin,
-                    evaluate, sign_flip, sign_flip_point)
+from optlim import (ALT_NEG_LOG, assemble_V, assemble_W, build_system, builtin, bw_volume,
+                    evaluate, sign_flip, sign_flip_point, w0)
 from optlim import twistknot
 from optlim.equations import EvaluationError, mu_integer_multipliers
 from optlim.numerics import shape_double_prime, shape_prime
+from optlim.optimistic import w0_batch
 from optlim.potential import Potential
-from optlim.solver import SolveError, refine
+from optlim.solver import SolveError, essential_margin, is_essential, refine
 
 from conftest import (coefficients_term_by_term, compiled_coefficients, make_rng, mu_oracle,
                       random_essential_assignment)
-from oracles import twist_potential
+from oracles import substituted_potential, twist_potential
 
 TWO_PI_I = 2j * math.pi
 
@@ -276,6 +277,32 @@ class TestResidual:
             assert np.max(np.abs(J[:, col] - fd)) < 1e-5 * max(1.0, np.max(np.abs(fd)))
 
 
+# The evaluators that read an assignment through
+# EquationSystem.point_from_assignment, on the region potential of T1;
+# refine's own test is in test_solver.
+ASSIGNMENT_ENTRY_POINTS = {
+    "w0": lambda d, a: w0(assemble_W(d), a),
+    "w0_batch": lambda d, a: w0_batch(assemble_W(d), [a]),
+    "evaluate": lambda d, a: evaluate(assemble_W(d), a),
+    "bw_volume": bw_volume,
+    "essential_margin": lambda d, a: essential_margin(build_system(assemble_W(d)), a),
+    "is_essential": lambda d, a: is_essential(build_system(assemble_W(d)), a, 1e-3),
+}
+
+
+@pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(math.inf, 0.0),
+                                   complex(1.0, math.inf)])
+@pytest.mark.parametrize("entry", sorted(ASSIGNMENT_ENTRY_POINTS))
+def test_non_finite_variable_is_named(entry, value):
+    # Named before any array work, so no numpy warning escapes either.
+    d = builtin("T1")
+    base = twistknot.parametrize(1, complex(2, 2 / math.sqrt(3))).assignment
+    for v in (d.regions[1], assemble_W(d).variables[-1]):
+        a = {**base, v: value}
+        with pytest.raises(EvaluationError, match=rf"^variable {v!r} is not finite: "):
+            ASSIGNMENT_ENTRY_POINTS[entry](d, a)
+
+
 class TestMuIntegrality:
     def test_at_twist_solution(self):
         d = builtin("T2")
@@ -309,26 +336,32 @@ class TestMuIntegrality:
 
 
 def _twist_mu_cases(n, kind):
-    """(potential, point) pairs at every closed-form solution of twist index n."""
+    """(potential or sign flip, its potential spelled out term by term,
+    point) at every closed-form solution of twist index n."""
     rng = make_rng(71 + n)
     for t in twistknot.poly_roots(twistknot.defining_poly(n)):
         a = twistknot.parametrize(n, t).assignment
         if kind == "W":
-            yield twist_potential(n), a
+            p = twist_potential(n)
+            yield p, p, a
         elif kind == "W-alt":
-            yield twist_potential(n, variant=ALT_NEG_LOG), a
+            p = twist_potential(n, variant=ALT_NEG_LOG)
+            yield p, p, a
         elif kind == "V":
-            yield assemble_V(builtin(f"T{n}")), a
+            p = assemble_V(builtin(f"T{n}"))
+            yield p, p, a
         elif kind == "scaled":
+            p = twist_potential(n)
             for _ in range(4):
                 lam = complex(*rng.uniform(-3, 3, 2))
-                yield twist_potential(n), {v: lam * val for v, val in a.items()}
+                yield p, p, {v: lam * val for v, val in a.items()}
         else:
             p = twist_potential(n)
             for _ in range(4):
                 taus = {v: int(rng.choice((-1, 1))) for v in p.variables}
                 eps = {v: int(rng.choice((-1, 1))) for v in p.variables}
-                yield sign_flip(p, taus, eps), sign_flip_point(p, taus, eps, a)
+                yield (sign_flip(p, taus, eps), substituted_potential(p, taus, eps),
+                       sign_flip_point(p, taus, eps, a))
 
 
 @pytest.mark.parametrize("kind", ["W", "W-alt", "V", "scaled", "sign-flipped"])
@@ -337,9 +370,9 @@ def test_mu_integers_match_atom_oracle(n, kind):
     # The real roots, their rescalings and the sign flips put monomial
     # values on the log cut up to rounding, so this pins which side of it
     # the compiled evaluator takes.
-    for p, a in _twist_mu_cases(n, kind):
+    for p, reference, a in _twist_mu_cases(n, kind):
         system = build_system(p)
-        ref = mu_oracle(p, a)
+        ref = mu_oracle(reference, a)
         ints = mu_integer_multipliers(system, a)
         assert ints == {v: round(mu.imag / (2 * math.pi)) for v, mu in ref.items()}
         for v, mu in zip(p.variables, system.mu(a)):

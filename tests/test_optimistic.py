@@ -14,7 +14,7 @@ from optlim.optimistic import w0_batch
 
 from conftest import (BORROMEAN_PD, WHITEHEAD_PD, make_rng, random_essential_assignment,
                       w0_oracle)
-from oracles import twist_potential
+from oracles import substituted_potential, twist_potential
 
 FOUR_PI2 = 4 * PI2
 
@@ -112,9 +112,8 @@ class TestOnePassW0:
             taus = {v: int(rng.choice((-1, 1))) for v in p.variables}
             eps = {v: int(rng.choice((-1, 1))) for v in p.variables}
             point = sign_flip_point(p, taus, eps, points[i % len(points)])
-            flipped = sign_flip(p, taus, eps)
-            res = w0(flipped, point)
-            raw, integers = w0_oracle(flipped, point)
+            res = w0(sign_flip(p, taus, eps), point)
+            raw, integers = w0_oracle(substituted_potential(p, taus, eps), point)
             assert abs(res.raw - raw) < 1e-12
             assert res.mu_integers == integers
 
@@ -311,6 +310,12 @@ class TestModEq:
     def test_modulus_validated(self):
         with pytest.raises(ValueError):
             mod_eq(0, 0, -1.0, 1e-9)
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                     complex(np.inf, 2.0), complex(1.0, -np.inf)])
+    def test_non_finite_equals_nothing(self, bad):
+        for a, b in ((bad, 1 + 2j), (1 + 2j, bad), (bad, bad)):
+            assert mod_eq(a, b, FOUR_PI2, 1e-9) is False
 
 
 def test_w0_uses_the_potentials_system(build_counter):
