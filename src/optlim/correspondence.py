@@ -16,13 +16,15 @@ with inverses
     wk/wl = (zd/zc)' (zc/zb)''      wm/wl = (zd/zc)' (za/zd)''
     q     = (za/zb)'' (zb/zc)' (zc/zd)'' (zd/za)'
 
-and negative crossings the analogous relations with primed and
-double-primed roles exchanged.  Values propagate along a spanning tree of
-the side (resp. region) adjacency graph; non-tree constraints are checked,
-so inconsistent inputs are rejected rather than silently projected.  The
-converted point, scaled so that the pin is 1, must then satisfy the other
-potential's system: its residual_vector, the solver's residual.  A
-crossing whose ratios make some u' or u'' undefined (u = 1) is rejected.
+A negative crossing reads the same relations with primed and double-primed
+roles exchanged and every region ratio inverted, so each direction
+(side_ratios_from_w, region_ratios_from_z) is one formula for both signs.
+Values propagate along a spanning tree of the side (resp. region) adjacency
+graph; non-tree constraints are checked, so inconsistent inputs are
+rejected rather than silently projected.  The converted point, scaled so
+that the pin is 1, must then satisfy the other potential's system: its
+residual_vector, the solver's residual.  A crossing whose ratios make some
+u' or u'' undefined (u = 1) is rejected.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ import numpy as np
 from .diagram import Crossing, Label, LinkDiagram
 from .equations import EquationSystem, build_system
 from .numerics import PI2
-from .optimistic import OptimisticResult, mod_eq, w0
-from .potential import Assignment, EvaluationError, Potential, assemble_V, assemble_W
+from .optimistic import OptimisticResult, _assignment, mod_eq, w0
+from .potential import (Assignment, EvaluationError, Potential, assemble_V, assemble_W,
+                        assignment_values)
 from .solver import Solution, _norms
 
 
@@ -53,13 +56,6 @@ class CorrespondenceError(ValueError):
     """Degenerate crossing data or inconsistent ratio constraints."""
 
 
-def _values(a: Assignment, labels) -> tuple[complex, ...]:
-    try:
-        return tuple(map(complex, map(a.__getitem__, labels)))
-    except KeyError as exc:
-        raise EvaluationError(f"variable {exc.args[0]!r} not assigned") from None
-
-
 # ---------------------------------------------------------------------------
 # Nondegeneracy
 
@@ -67,7 +63,7 @@ def _values(a: Assignment, labels) -> tuple[complex, ...]:
 def check_w_nondegenerate(diagram: LinkDiagram, a: Assignment, tol: float = 1e-10) -> bool:
     """True when wj + wl != wk + wm at every crossing (relative tolerance)."""
     for cr in diagram.crossings:
-        wj, wk, wl, wm = _values(a, cr.regions)
+        wj, wk, wl, wm = assignment_values(a, cr.regions)
         scale = max(abs(wj), abs(wk), abs(wl), abs(wm), 1.0)
         if abs((wj + wl) - (wk + wm)) <= tol * scale:
             return False
@@ -77,7 +73,7 @@ def check_w_nondegenerate(diagram: LinkDiagram, a: Assignment, tol: float = 1e-1
 def check_z_nondegenerate(diagram: LinkDiagram, a: Assignment, tol: float = 1e-10) -> bool:
     """True when za != zc and zb != zd at every crossing."""
     for cr in diagram.crossings:
-        za, zb, zc, zd = _values(a, cr.sides)
+        za, zb, zc, zd = assignment_values(a, cr.sides)
         scale = max(abs(za), abs(zb), abs(zc), abs(zd), 1.0)
         if abs(za - zc) <= tol * scale or abs(zb - zd) <= tol * scale:
             return False
@@ -90,7 +86,7 @@ def check_z_nondegenerate(diagram: LinkDiagram, a: Assignment, tol: float = 1e-1
 
 def side_ratios_from_w(crossing: Crossing, a: Assignment) -> tuple[complex, complex, complex, complex]:
     """(zb/za, zc/zb, zd/zc, za/zd) determined by the region values."""
-    wj, wk, wl, wm = _values(a, crossing.regions)
+    wj, wk, wl, wm = assignment_values(a, crossing.regions)
     if 0 in (wj, wk, wl, wm):
         raise CorrespondenceError("zero region value")
     # u' = 1/(1-u), u'' = 1 - 1/u; a negative crossing exchanges their roles.
@@ -117,30 +113,23 @@ def region_ratios_from_z(crossing: Crossing, a: Assignment):
     wm/wj-style ratios and quad the value of wj*wl/(wk*wm) (positive sign)
     or wk*wm/(wj*wl) (negative sign).
     """
-    za, zb, zc, zd = _values(a, crossing.sides)
+    za, zb, zc, zd = assignment_values(a, crossing.sides)
     j, k, l, m = crossing.regions
     if 0 in (za, zb, zc, zd):
         raise CorrespondenceError("zero side value")
-    # u' = 1/(1-u) and u'' = 1 - 1/u of the side ratios each relation reads.
+    # u' = 1/(1-u) and u'' = 1 - 1/u of the side ratios each relation reads;
+    # a negative crossing exchanges their roles and reverses each pair.
+    prime, dprime = (lambda u: 1.0 / (1.0 - u)), (lambda u: 1.0 - 1.0 / u)
+    ends = (m, j), (k, j), (k, l), (m, l)
+    if crossing.sign < 0:
+        prime, dprime, ends = dprime, prime, [pair[::-1] for pair in ends]
     try:
-        if crossing.sign > 0:
-            p_ba, p_dc = 1.0 / (1.0 - zb / za), 1.0 / (1.0 - zd / zc)
-            pp_cb, pp_ad = 1.0 - 1.0 / (zc / zb), 1.0 - 1.0 / (za / zd)
-            pairs = [((m, j), p_ba * pp_ad), ((k, j), p_ba * pp_cb),
-                     ((k, l), p_dc * pp_cb), ((m, l), p_dc * pp_ad)]
-            quad = ((1.0 - 1.0 / (za / zb)) * (1.0 / (1.0 - zb / zc))
-                    * (1.0 - 1.0 / (zc / zd)) * (1.0 / (1.0 - zd / za)))
-        else:
-            p_ad, p_cb = 1.0 / (1.0 - za / zd), 1.0 / (1.0 - zc / zb)
-            pp_ba, pp_dc = 1.0 - 1.0 / (zb / za), 1.0 - 1.0 / (zd / zc)
-            pairs = [((j, m), p_ad * pp_ba), ((j, k), p_cb * pp_ba),
-                     ((l, k), p_cb * pp_dc), ((l, m), p_ad * pp_dc)]
-            quad = ((1.0 / (1.0 - za / zb)) * (1.0 - 1.0 / (zb / zc))
-                    * (1.0 / (1.0 - zc / zd)) * (1.0 - 1.0 / (zd / za)))
+        ba, dc, bc, da = prime(zb / za), prime(zd / zc), prime(zb / zc), prime(zd / za)
+        cb, ad, ab, cd = dprime(zc / zb), dprime(za / zd), dprime(za / zb), dprime(zc / zd)
     except ZeroDivisionError:
         raise CorrespondenceError(
             f"degenerate crossing {crossing.sides}: a side ratio equals 1") from None
-    return pairs, quad
+    return list(zip(ends, (ba * ad, ba * cb, dc * cb, dc * ad))), ab * bc * cd * da
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +185,7 @@ def _checked(potential: Potential, values: dict[Label, complex], what: str) -> S
 
 def w_to_z(diagram: LinkDiagram, w: Solution | Assignment) -> Solution:
     """Convert a region solution to the side solution of the same octahedra."""
-    a = w.assignment if isinstance(w, Solution) else w
+    a = _assignment(w)
     if diagram.kinked_crossings():
         raise CorrespondenceError("diagram has kinks; no side potential exists")
     if not check_w_nondegenerate(diagram, a):
@@ -213,7 +202,7 @@ def w_to_z(diagram: LinkDiagram, w: Solution | Assignment) -> Solution:
 
 def z_to_w(diagram: LinkDiagram, z: Solution | Assignment) -> Solution:
     """Convert a side solution to the region solution of the same octahedra."""
-    a = z.assignment if isinstance(z, Solution) else z
+    a = _assignment(z)
     if not check_z_nondegenerate(diagram, a):
         raise CorrespondenceError("degenerate crossing: za = zc or zb = zd")
     edges, quads = [], []
@@ -223,7 +212,7 @@ def z_to_w(diagram: LinkDiagram, z: Solution | Assignment) -> Solution:
         quads.append(quad)
     values = _propagate(diagram.regions, edges, "region")
     for cr, quad in zip(diagram.crossings, quads):
-        wj, wk, wl, wm = _values(values, cr.regions)
+        wj, wk, wl, wm = assignment_values(values, cr.regions)
         want = wj * wl / (wk * wm) if cr.sign > 0 else wk * wm / (wj * wl)
         if abs(want - quad) > BRIDGE_TOL * max(1.0, abs(quad)):
             raise CorrespondenceError("inconsistent 4-corner ratio (input is not a true solution)")
@@ -250,7 +239,7 @@ def verify_bridge(diagram: LinkDiagram, w: Solution | Assignment) -> BridgeRepor
     evaluate.  Representation-level equality of the two sides is accepted
     by construction and not checked.
     """
-    a = w.assignment if isinstance(w, Solution) else w
+    a = _assignment(w)
     z = w_to_z(diagram, a)
     res_w = w0(assemble_W(diagram), a)
     res_v = w0(assemble_V(diagram), z.assignment)
@@ -296,12 +285,12 @@ def sign_flip(potential: Potential | EquationSystem, taus, epsilons) -> Equation
 def sign_flip_point(potential: Potential | EquationSystem, taus, epsilons,
                     a: Assignment) -> dict[Label, complex]:
     """The transformed solution (tau_k w_k^(eps_k)) matching sign_flip;
-    EvaluationError when a variable is missing, or is 0 where eps_k = -1."""
+    EvaluationError when a variable is missing or not finite, or is 0 where
+    eps_k = -1."""
     taus = _normalize_signs(potential, taus)
     epsilons = _normalize_signs(potential, epsilons)
+    values = assignment_values(a, potential.variables)
     try:
-        return {v: t * complex(a[v]) ** e for v, t, e in zip(potential.variables, taus, epsilons)}
-    except KeyError as exc:
-        raise EvaluationError(f"variable {exc.args[0]!r} not assigned") from None
+        return {v: t * x ** e for v, t, x, e in zip(potential.variables, taus, values, epsilons)}
     except ZeroDivisionError:
         raise EvaluationError("zero variable value") from None

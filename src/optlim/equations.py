@@ -71,7 +71,7 @@ import numpy as np
 from .diagram import Label
 from . import numerics
 from .numerics import _C0, _C1, PI2_OVER_6, TWO_PI, _bloch_wigner, li2
-from .potential import Assignment, EvaluationError, Monomial, Potential
+from .potential import Assignment, EvaluationError, Monomial, Potential, assignment_values
 
 # Largest distance of a solution's mu_k from 2 pi i Z; each mu_k is snapped
 # to the nearest multiple before the W0 correction.
@@ -94,7 +94,6 @@ class _Terms:
     const: int                   # net sign count of the pi^2/6 constants
     atom_mono: np.ndarray        # (natoms,) monomial index (row of _exps)
     atom_is_1m: np.ndarray       # (natoms,) bool: base 1 - m vs m
-    term_mono: np.ndarray        # (nterms, 2) monomial indices m1, m2 of each term; -1 for none
 
 
 def _term_table(potential: Potential) -> tuple[list[Monomial], np.ndarray, _Terms, np.ndarray]:
@@ -108,20 +107,16 @@ def _term_table(potential: Potential) -> tuple[list[Monomial], np.ndarray, _Term
     dilogs: list[tuple[int, int]] = []
     logprods: list[tuple[int, int, int]] = []
     const = 0
-    term_mono: list[tuple[int, int]] = []
     for t in potential.terms:
         if t.kind == "const":
             const += t.sign
-            term_mono.append((-1, -1))
             continue
         i1 = monomials.setdefault(t.m1, len(monomials))
         if t.kind == "dilog":
             dilogs.append((i1, t.sign))
-            term_mono.append((i1, -1))
         else:
             i2 = monomials.setdefault(t.m2, len(monomials))
             logprods.append((i1, i2, t.sign))
-            term_mono.append((i1, i2))
     exps = _exponents(list(monomials), potential.variables)
     dilog = np.array(dilogs, dtype=np.intp).reshape(-1, 2)
     logprod = np.array(logprods, dtype=np.intp).reshape(-1, 3)
@@ -140,8 +135,7 @@ def _term_table(potential: Potential) -> tuple[list[Monomial], np.ndarray, _Term
     terms = _Terms(dilog_mono=dilog[:, 0], dilog_sign=dilog[:, 1].astype(complex),
                    logprod_atom=np.searchsorted(atoms, 2 * logprod[:, :2]),
                    logprod_sign=logprod[:, 2].astype(complex), const=const,
-                   atom_mono=atoms // 2, atom_is_1m=atoms % 2 == 1,
-                   term_mono=np.array(term_mono, dtype=np.intp).reshape(-1, 2))
+                   atom_mono=atoms // 2, atom_is_1m=atoms % 2 == 1)
     return list(monomials), exps, terms, CT[atoms].T
 
 
@@ -216,18 +210,9 @@ class EquationSystem:
 
     def point_from_assignment(self, a: Assignment) -> np.ndarray:
         """Every variable's value in variables order, the pin last: the
-        points that monomial_values() and the passes built on it take.
-        Raises EvaluationError naming a variable that is missing or not
-        finite."""
-        try:
-            w = np.array([complex(a[v]) for v in self.variables], dtype=complex)
-        except KeyError as exc:
-            raise EvaluationError(f"variable {exc.args[0]!r} not assigned") from None
-        finite = np.isfinite(w)
-        if not np.logical_and.reduce(finite):
-            v = self.variables[int(finite.argmin())]
-            raise EvaluationError(f"variable {v!r} is not finite: {a[v]!r}")
-        return w
+        points that monomial_values() and the passes built on it take, read
+        by assignment_values."""
+        return np.array(assignment_values(a, self.variables), dtype=complex)
 
     def monomial_values(self, w: np.ndarray) -> np.ndarray:
         """Value of every term monomial (the rows of _exps) at points w (..., nvars):

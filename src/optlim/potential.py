@@ -24,6 +24,7 @@ potential does this with array arithmetic; see equations.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Literal, Mapping, Sequence
 
@@ -41,6 +42,20 @@ Assignment = Mapping[Label, complex]
 
 class EvaluationError(ValueError):
     """Raised when a potential is evaluated at a degenerate assignment."""
+
+
+def assignment_values(a: Assignment, labels: Sequence[Label]) -> list[complex]:
+    """The labels' values in a as complex numbers, the one reader of
+    assignments: EvaluationError names the first label not assigned, or
+    else the first whose value is not finite."""
+    try:
+        values = list(map(complex, map(a.__getitem__, labels)))
+    except KeyError as exc:
+        raise EvaluationError(f"variable {exc.args[0]!r} not assigned") from None
+    if not all(map(cmath.isfinite, values)):
+        v = next(v for v, x in zip(labels, values) if not cmath.isfinite(x))
+        raise EvaluationError(f"variable {v!r} is not finite: {a[v]!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -94,7 +109,7 @@ class Term:
 
 @dataclass(frozen=True)
 class Potential:
-    terms: Sequence[Term]
+    terms: tuple[Term, ...]
     variables: tuple[Label, ...]
     kind: Literal["W", "V"]
     # The potential's EquationSystem, compiled and set once by

@@ -28,6 +28,7 @@ embedded below.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from functools import cache
@@ -143,11 +144,13 @@ def parametrize(n: int, t: complex) -> TwistParametrization:
     """Closed-form side and region data at the parameter t.
 
     t is expected to be a root of defining_poly(n); the recurrence is still
-    evaluated for any t with nonvanishing denominators, which the
+    evaluated for any finite t with nonvanishing denominators, which the
     round-trip and residual tests rely on.
     """
     _check_index(n)
     t = complex(t)
+    if not cmath.isfinite(t):
+        raise TwistError(f"t = {t!r} is not finite")
     if t == 0:
         raise TwistError("t = 0: y0 = 1 + 2/t undefined")
     den1 = t * t - 4 * t + 8

@@ -441,7 +441,7 @@ def assert_equals_a_fresh_compile(derived, reference, rng):
     assert (fresh.variables, fresh.kind) == (derived.variables, derived.kind)
     # the W0 pass: term arrays, log atoms, monomials and the value gather
     for name in ("dilog_mono", "dilog_sign", "logprod_atom", "logprod_sign",
-                 "atom_mono", "atom_is_1m", "term_mono"):
+                 "atom_mono", "atom_is_1m"):
         assert np.array_equal(getattr(derived._terms, name), getattr(fresh._terms, name))
     assert derived._terms.const == fresh._terms.const
     for name in SYSTEM_ARRAYS:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from optlim import (ALT_NEG_LOG, assemble_V, assemble_W, build_system, builtin, bw_volume,
-                    evaluate, sign_flip, sign_flip_point, w0)
+                    check_w_nondegenerate, check_z_nondegenerate, evaluate, sign_flip,
+                    sign_flip_point, verify_bridge, w0, w_to_z, z_to_w)
 from optlim import twistknot
 from optlim.equations import EvaluationError, mu_integer_multipliers
 from optlim.numerics import shape_double_prime, shape_prime
@@ -277,9 +278,10 @@ class TestResidual:
             assert np.max(np.abs(J[:, col] - fd)) < 1e-5 * max(1.0, np.max(np.abs(fd)))
 
 
-# The evaluators that read an assignment through
-# EquationSystem.point_from_assignment, on the region potential of T1;
-# refine's own test is in test_solver.
+# The evaluators and the region/side bridge, which read an assignment
+# through potential.assignment_values, on the region values of T1, or on
+# its side values for those in SIDE_ENTRY_POINTS; refine's own test is in
+# test_solver.
 ASSIGNMENT_ENTRY_POINTS = {
     "w0": lambda d, a: w0(assemble_W(d), a),
     "w0_batch": lambda d, a: w0_batch(assemble_W(d), [a]),
@@ -287,17 +289,26 @@ ASSIGNMENT_ENTRY_POINTS = {
     "bw_volume": bw_volume,
     "essential_margin": lambda d, a: essential_margin(build_system(assemble_W(d)), a),
     "is_essential": lambda d, a: is_essential(build_system(assemble_W(d)), a, 1e-3),
+    "check_w_nondegenerate": check_w_nondegenerate,
+    "w_to_z": w_to_z,
+    "verify_bridge": verify_bridge,
+    "sign_flip_point": lambda d, a: sign_flip_point(assemble_W(d), [1] * d.n, [-1] * d.n, a),
+    "check_z_nondegenerate": check_z_nondegenerate,
+    "z_to_w": z_to_w,
 }
+SIDE_ENTRY_POINTS = {"check_z_nondegenerate", "z_to_w"}
 
 
 @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(math.inf, 0.0),
                                    complex(1.0, math.inf)])
 @pytest.mark.parametrize("entry", sorted(ASSIGNMENT_ENTRY_POINTS))
 def test_non_finite_variable_is_named(entry, value):
-    # Named before any array work, so no numpy warning escapes either.
+    # Named before any array work or ratio, so no numpy warning escapes
+    # and no predicate answers at a non-finite value.
     d = builtin("T1")
     base = twistknot.parametrize(1, complex(2, 2 / math.sqrt(3))).assignment
-    for v in (d.regions[1], assemble_W(d).variables[-1]):
+    labels = d.sides if entry in SIDE_ENTRY_POINTS else assemble_W(d).variables
+    for v in (labels[1], labels[-1]):
         a = {**base, v: value}
         with pytest.raises(EvaluationError, match=rf"^variable {v!r} is not finite: "):
             ASSIGNMENT_ENTRY_POINTS[entry](d, a)

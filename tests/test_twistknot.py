@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -154,6 +155,12 @@ class TestParametrize:
         # t^2 - 4t + 8 vanishes at t = 2 + 2i
         with pytest.raises(TwistError, match="^denominator of x1 vanishes$"):
             parametrize(1, 2 + 2j)
+
+    def test_non_finite_t_rejected(self):
+        # named before the recurrence can carry it into the side and region values
+        for t in (math.nan, math.inf, complex(1.0, math.inf)):
+            with pytest.raises(TwistError, match=rf"^t = {re.escape(repr(complex(t)))} is not finite$"):
+                parametrize(2, t)
 
     def test_vanishing_side_value_rejected(self):
         # t = -2 makes x1 = 0: at n = 1 the side value vanishes, at n = 2
